@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -56,6 +56,11 @@ def default_hyperparams(algorithm: str, overrides: dict | None = None) -> HyperP
     merged.update(table.get(algorithm, {}))
     if overrides:
         merged.update(overrides)
+    unknown = sorted(set(merged) - {f.name for f in fields(HyperParams)})
+    if unknown:
+        raise InvalidParameterError(
+            f"unknown hyperparameter(s) for {algorithm}: {', '.join(map(repr, unknown))}"
+        )
     return HyperParams(**merged)
 
 

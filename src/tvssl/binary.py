@@ -451,19 +451,20 @@ def _cheeger_loop(K, g, ls, hp, e_step):
     n = K.n
     scale = hp.ball_scale(n)
     f = ls.y_ext
-    energies = [_ratio_energy(g, f)]
-    best_e = energies[0]
+    en = _ratio_energy(g, f)  # ratio energy of the current f
+    energies = [en]
+    best_e = en
     best_f = f.copy()
     best_alpha = None
     restarts = 0
     it = 0
     while it < hp.outer_iters:
-        en = _ratio_energy(g, f)
         if not np.isfinite(en):
             if restarts >= 2:
                 raise DegenerateInputError("ratio iteration degenerated repeatedly")
             restarts += 1
             f = _perturbed_restart(ls.y_ext)
+            en = _ratio_energy(g, f)
             continue
         gstep = f + hp.c * np.sign(f)
         alpha, e = e_step(gstep, it)
@@ -479,13 +480,14 @@ def _cheeger_loop(K, g, ls, hp, e_step):
                 raise DegenerateInputError("all-zero iterate after clamping")
             restarts += 1
             f = _perturbed_restart(ls.y_ext)
+            en = _ratio_energy(g, f)
             continue
         f = scale * s / np.linalg.norm(s)
         _check_divergence(f, n)
-        e_new = _ratio_energy(g, f)
-        energies.append(e_new)
-        if e_new < best_e:
-            best_e = e_new
+        en = _ratio_energy(g, f)
+        energies.append(en)
+        if en < best_e:
+            best_e = en
             best_f = f.copy()
             best_alpha = alpha
         it += 1

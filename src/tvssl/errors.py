@@ -13,6 +13,10 @@ class InvalidParameterError(TvsslError, ValueError):
     """A parameter is outside its documented range."""
 
 
+class NonFiniteInputError(TvsslError, ValueError):
+    """Input points contain NaN or infinite coordinates."""
+
+
 class DegenerateScaleError(TvsslError, ValueError):
     """A length scale collapsed to zero (e.g. duplicate points)."""
 

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateScaleError,
     DimensionError,
     InvalidParameterError,
+    NonFiniteInputError,
 )
 
 
@@ -77,6 +78,7 @@ class SimilarityGraph:
         np.add.at(deg, self.edge_j, self.edge_w)
         self.degrees = deg
         self._adj = None
+        self._tv_op = None  # graph-TV operator, built by opt_core.tv_prox on first use
 
     @property
     def n_edges(self) -> int:
@@ -100,7 +102,6 @@ class SimilarityGraph:
 
     def laplacian(self) -> sp.csr_matrix:
         """Sparse graph Laplacian D - W."""
-        n = self.n_nodes
         return sp.diags(self.degrees, format="csr") - self.adjacency
 
 
@@ -134,12 +135,16 @@ def build_knn_graph(
     ------
     InvalidParameterError
         If ``k`` is out of range or ``sigma`` is missing/nonpositive.
+    NonFiniteInputError
+        If a point has a NaN or infinite coordinate.
     DegenerateScaleError
         If a self-tuning scale is zero (duplicate points).
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise InvalidParameterError("data must be a 2-D array of points")
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteInputError("data points contain NaN or infinite coordinates")
     n = data.shape[0]
     if n < 2:
         raise InvalidParameterError("need at least two points")

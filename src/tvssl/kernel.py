@@ -6,7 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateScaleError, DimensionError, InvalidParameterError
+from .errors import (
+    DegenerateScaleError,
+    DimensionError,
+    InvalidParameterError,
+    NonFiniteInputError,
+)
 
 
 @dataclass(eq=False)
@@ -42,6 +47,11 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _check_finite(points: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(points)):
+        raise NonFiniteInputError(f"{what} contain NaN or infinite coordinates")
+
+
 def rbf_gram(data, bandwidth: float) -> KernelMatrix:
     """Gram matrix K_ij = exp(-||x_i - x_j||^2 / (2 * bandwidth^2))."""
     if bandwidth is None or bandwidth <= 0:
@@ -49,6 +59,7 @@ def rbf_gram(data, bandwidth: float) -> KernelMatrix:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise InvalidParameterError("data must be a 2-D array of points")
+    _check_finite(data, "data points")
     d2 = _sq_dists(data, data)
     vals = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
     vals = 0.5 * (vals + vals.T)
@@ -69,6 +80,7 @@ def kernel_expand(alpha, train, query, bandwidth: float) -> np.ndarray:
         )
     if train.shape[1] != query.shape[1]:
         raise DimensionError("train and query dimensionality differ")
+    _check_finite(query, "query points")
     d2 = _sq_dists(query, train)
     return np.exp(-d2 / (2.0 * bandwidth * bandwidth)) @ alpha
 
@@ -80,6 +92,7 @@ def median_bandwidth(data, max_points: int = 1000, seed: int = 0) -> float:
     deterministic given ``seed``.
     """
     data = np.asarray(data, dtype=np.float64)
+    _check_finite(data, "data points")
     n = data.shape[0]
     if n < 2:
         raise InvalidParameterError("need at least two points")

@@ -372,22 +372,26 @@ def _cheeger_mc_loop(K, g, mls, hp, clamp_targets, e_step):
     c = mls.class_count
     mask = mls.labeled_mask
     f = mls.indicator_targets()
-    total0 = float(sum(_ratio_energy(g, f[k]) for k in range(c)))
-    energies = [total0]
-    best_e = total0
+
+    def channel_energies(fv):
+        return [_ratio_energy(g, fv[k]) for k in range(c)]
+
+    ens = channel_energies(f)  # per-channel ratio energies of the current f
+    energies = [float(sum(ens))]
+    best_e = energies[0]
     best_f = f.copy()
     best_alphas = None
     trace_dev: list = []
     restarts = 0
     it = 0
     while it < hp.outer_iters:
-        ens = np.array([_ratio_energy(g, f[k]) for k in range(c)])
         if not np.all(np.isfinite(ens)):
             if restarts >= 2:
                 raise DegenerateInputError("ratio iteration degenerated repeatedly")
             restarts += 1
             base = mls.indicator_targets()
             f = np.vstack([_perturbed_restart(base[k]) for k in range(c)])
+            ens = channel_energies(f)
             continue
         gstep = f + hp.c * np.sign(f)
         alphas, e = e_step(gstep, it)
@@ -411,10 +415,12 @@ def _cheeger_mc_loop(K, g, mls, hp, clamp_targets, e_step):
             restarts += 1
             base = mls.indicator_targets()
             f = np.vstack([_perturbed_restart(base[k]) for k in range(c)])
+            ens = channel_energies(f)
             continue
         f = scale * shat / norms[:, None]
         _check_divergence(f.ravel(), n)
-        e_new = float(sum(_ratio_energy(g, f[k]) for k in range(c)))
+        ens = channel_energies(f)
+        e_new = float(sum(ens))
         energies.append(e_new)
         if e_new < best_e:
             best_e = e_new

@@ -83,7 +83,12 @@ class DualSolution:
 
 @dataclass
 class ProxTrace:
-    """Convergence record of one :func:`tv_prox` call."""
+    """Convergence record of one :func:`tv_prox` call.
+
+    ``primal_energy`` holds the primal energy at each checkpoint reached
+    (every 10th iteration and ``max_iters``), in iteration order; the last
+    entry is the energy of the returned point.
+    """
 
     iterations_run: int
     primal_energy: list = field(default_factory=list)
@@ -214,6 +219,32 @@ def _power_norm(matvec, n: int, iters: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _tv_operator(g: SimilarityGraph):
+    """Weighted edge-difference operator ``D`` of ``g``, its transpose, the
+    edge scales ``sqrt(w)`` and the primal-dual step ``0.99 / ||D||``.
+
+    Built on first use and cached on the graph: none of it depends on the
+    prox input or weight.
+    """
+    if g._tv_op is None:
+        n = g.n_nodes
+        sw = np.sqrt(g.edge_w)
+        rows = np.arange(g.n_edges)
+        D = sp.csr_matrix(
+            (
+                np.concatenate([sw, -sw]),
+                (np.concatenate([rows, rows]), np.concatenate([g.edge_i, g.edge_j])),
+            ),
+            shape=(g.n_edges, n),
+        )
+        Dt = D.T.tocsr()
+        norm_est = _power_norm(lambda v: Dt @ (D @ v), n, 20)
+        norm_bound = 2.0 * float(np.max(g.degrees))
+        op_norm = np.sqrt(min(max(norm_est, 1e-30), norm_bound))
+        g._tv_op = (D, Dt, sw, 0.99 / op_norm)
+    return g._tv_op
+
+
 def tv_prox(
     g: SimilarityGraph,
     z,
@@ -226,41 +257,28 @@ def tv_prox(
 
     Primal-dual iteration on the weighted edge-difference operator with equal
     step sizes ``0.99 / ||D||`` (operator norm from 20 power iterations,
-    bounded by ``sqrt(2 * max degree)``). Stops when the duality gap drops
-    below ``tol``, when the primal energy is flat to relative ``tol`` over 10
-    iterations, or at ``max_iters``.
+    bounded by ``sqrt(2 * max degree)``); the operator and step are built once
+    per graph and cached on it. Convergence is checked only at checkpoints,
+    every 10th iteration and ``max_iters``: the iteration stops when the
+    duality gap drops below ``tol``, when the primal energy is flat to
+    relative ``tol`` since the previous checkpoint 10 iterations back, or at
+    ``max_iters``.
 
     Returns the minimizer and a :class:`ProxTrace`.
     """
     z = _check_node_function(g, z)
     if weight < 0:
         raise InvalidParameterError("weight must be nonnegative")
+    if max_iters < 1:
+        raise InvalidParameterError("max_iters must be >= 1")
     if weight == 0.0 or g.n_edges == 0:
         return z.copy(), ProxTrace(0, [], 0.0)
 
-    n = g.n_nodes
-    sw = np.sqrt(g.edge_w)
+    D, Dt, sw, step = _tv_operator(g)
     cap = 2.0 * weight * sw  # dual box radius per edge
-    rows = np.arange(g.n_edges)
-    D = sp.csr_matrix(
-        (
-            np.concatenate([sw, -sw]),
-            (np.concatenate([rows, rows]), np.concatenate([g.edge_i, g.edge_j])),
-        ),
-        shape=(g.n_edges, n),
-    )
-    Dt = D.T.tocsr()
-
-    norm_est = _power_norm(lambda v: Dt @ (D @ v), n, 20)
-    norm_bound = 2.0 * float(np.max(g.degrees))
-    op_norm = np.sqrt(min(max(norm_est, 1e-30), norm_bound))
-    step = 0.99 / op_norm
-
-    x = z.copy()
-    x_bar = x.copy()
-    q = np.zeros(g.n_edges)
-    energies: list[float] = []
-    gap = np.inf
+    neg_cap = -cap
+    step_z = step * z
+    denom = 1.0 + step
 
     def primal_energy(xv):
         return float(
@@ -268,28 +286,40 @@ def tv_prox(
             + 0.5 * np.sum((xv - z) ** 2)
         )
 
-    it = 0
+    # the updates below run in place but in the same operation order as
+    # q <- clip(q + step D x_bar, -cap, cap),
+    # x <- (x - step D^T q + step z) / (1 + step),  x_bar <- 2 x - x_old
+    x = z.copy()
+    x_bar = z.copy()
+    x_new = np.empty_like(z)
+    step_dtq = np.empty_like(z)
+    q = np.zeros(g.n_edges)
+    energies: dict[int, float] = {}  # checkpoint iteration -> primal energy
     for it in range(1, max_iters + 1):
-        q = np.clip(q + step * (D @ x_bar), -cap, cap)
-        x_old = x
-        x = (x - step * (Dt @ q) + step * z) / (1.0 + step)
-        x_bar = 2.0 * x - x_old
-        e_now = primal_energy(x)
-        energies.append(e_now)
-        if it % 10 == 0 or it == max_iters:
-            dtq = Dt @ q
-            dual = float(dtq @ z - 0.5 * (dtq @ dtq))
-            gap = e_now - dual
-            if gap <= tol:
-                break
-            if len(energies) > 10:
-                drop = abs(energies[-11] - e_now)
-                if drop <= tol * max(1.0, abs(e_now)):
-                    break
-    if not np.isfinite(gap):
+        dq = D @ x_bar
+        dq *= step
+        q += dq
+        np.maximum(q, neg_cap, out=q)
+        np.minimum(q, cap, out=q)
         dtq = Dt @ q
-        gap = energies[-1] - float(dtq @ z - 0.5 * (dtq @ dtq))
-    return x, ProxTrace(it, energies, float(max(gap, 0.0)))
+        np.multiply(dtq, step, out=step_dtq)
+        np.subtract(x, step_dtq, out=x_new)
+        x_new += step_z
+        x_new /= denom
+        np.multiply(x_new, 2.0, out=x_bar)
+        x_bar -= x
+        x, x_new = x_new, x
+        if it % 10 and it != max_iters:
+            continue
+        e_now = energies[it] = primal_energy(x)
+        gap = e_now - float(dtq @ z - 0.5 * (dtq @ dtq))
+        if gap <= tol:
+            break
+        # a max_iters off the 10-grid has no energy 10 back: the loop ends anyway
+        e_back = energies.get(it - 10)
+        if e_back is not None and abs(e_back - e_now) <= tol * max(1.0, abs(e_now)):
+            break
+    return x, ProxTrace(it, list(energies.values()), float(max(gap, 0.0)))
 
 
 # ---------------------------------------------------------------------------

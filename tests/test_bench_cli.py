@@ -204,6 +204,28 @@ def test_cli_exit_code_two_on_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_misspelled_hyperparameter_is_a_clean_error():
+    with pytest.raises(InvalidParameterError, match="'gama'"):
+        default_hyperparams("tv_rls", {"gama": 0.5})
+
+
+def test_cli_misspelled_hyperparameter_exits_one(tmp_path, capsys):
+    cfg = {
+        "dataset": {"type": "two_moons", "n": 20, "noise": 0.05, "seed": 1},
+        "algorithms": ["lap_rls"],
+        "labels_per_class": [2],
+        "run_count": 1,
+        "seed": 0,
+        "kernel": {"bandwidth": 0.5},
+        "hyperparams": {"lap_rls": {"gama": 0.5}},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'gama'" in err[0]
+
+
 def test_cli_run_byte_identical_outputs(tmp_path, capsys):
     cfg = {
         "dataset": {"type": "two_moons", "n": 30, "noise": 0.05, "seed": 3},

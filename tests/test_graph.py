@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvssl.errors import DegenerateScaleError, DimensionError, InvalidParameterError
+from tvssl.errors import (
+    DegenerateScaleError,
+    DimensionError,
+    InvalidParameterError,
+    NonFiniteInputError,
+)
 from tvssl.graph import (
     SimilarityGraph,
     build_knn_graph,
@@ -82,6 +87,14 @@ def test_duplicate_points_degenerate_scale():
     data = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 0.0]])
     with pytest.raises(DegenerateScaleError):
         build_knn_graph(data, 1, sigma_mode="self_tuning")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_rejects_nonfinite_points(bad):
+    data = np.random.default_rng(8).normal(size=(10, 2))
+    data[3, 1] = bad
+    with pytest.raises(NonFiniteInputError):
+        build_knn_graph(data, 3)
 
 
 def test_fixed_mode_requires_sigma():

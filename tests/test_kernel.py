@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tvssl.errors import DimensionError, InvalidParameterError
+from tvssl.errors import DimensionError, InvalidParameterError, NonFiniteInputError
 from tvssl.kernel import kernel_expand, median_bandwidth, rbf_gram
 
 
@@ -97,6 +97,19 @@ def test_expand_dimension_checks():
         kernel_expand(np.zeros(3), np.zeros((4, 2)), np.zeros((2, 2)), 1.0)
     with pytest.raises(DimensionError):
         kernel_expand(np.zeros(4), np.zeros((4, 2)), np.zeros((2, 3)), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_points_rejected_at_the_boundary(bad):
+    data = np.random.default_rng(13).normal(size=(6, 2))
+    dirty = data.copy()
+    dirty[2, 0] = bad
+    with pytest.raises(NonFiniteInputError):
+        rbf_gram(dirty, 1.0)
+    with pytest.raises(NonFiniteInputError):
+        median_bandwidth(dirty)
+    with pytest.raises(NonFiniteInputError):
+        kernel_expand(np.ones(6), data, dirty[:3], 1.0)
 
 
 def test_median_bandwidth_deterministic_and_positive():

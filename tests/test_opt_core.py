@@ -9,7 +9,8 @@ from tvssl.errors import (
     InfeasibleConstraintsError,
     InvalidParameterError,
 )
-from tvssl.graph import SimilarityGraph
+from tvssl.data_io import make_two_moons
+from tvssl.graph import SimilarityGraph, build_knn_graph
 from tvssl.opt_core import (
     HyperParams,
     LuFactor,
@@ -28,6 +29,7 @@ from oracles import (
     qp_box_eq_enumerate,
     sort_simplex_projection,
     tv_prox_objective,
+    tv_prox_reference,
     tv_prox_subgradient,
 )
 
@@ -197,12 +199,65 @@ def test_tv_prox_objective_never_above_input_point():
 
 
 def test_tv_prox_trace_invariants():
+    # checkpoint contract: one primal energy per checkpoint reached (every
+    # 10th iteration and max_iters), the last one of the returned point
     g = path_graph([1.0, 1.0])
     z = np.array([3.0, 0.0, -3.0])
-    out, trace = tv_prox(g, z, 0.5, tol=1e-12, max_iters=77)
-    assert trace.iterations_run <= 77
-    assert len(trace.primal_energy) == trace.iterations_run
-    assert trace.final_gap >= 0.0
+    for weight, max_iters in [(0.5, 77), (0.5, 7), (2.0, 15), (2.0, 150)]:
+        out, trace = tv_prox(g, z, weight, tol=1e-12, max_iters=max_iters)
+        run = trace.iterations_run
+        assert 1 <= run <= max_iters
+        checkpoints = [it for it in range(1, run + 1) if it % 10 == 0 or it == max_iters]
+        assert checkpoints[-1] == run  # the iteration stops only at a checkpoint
+        assert len(trace.primal_energy) == len(checkpoints)
+        assert trace.primal_energy[-1] == pytest.approx(
+            tv_prox_objective(g, out, z, weight), abs=1e-12
+        )
+        assert trace.final_gap >= 0.0
+
+
+def _assert_prox_matches_reference(g, z, weight, tol, max_iters):
+    out, trace = tv_prox(g, z, weight, tol=tol, max_iters=max_iters)
+    ref_x, ref_iters, ref_energies, ref_gap = tv_prox_reference(
+        g, z, weight, tol=tol, max_iters=max_iters
+    )
+    assert out.tobytes() == ref_x.tobytes()
+    assert trace.iterations_run == ref_iters
+    assert trace.final_gap == ref_gap
+    assert trace.primal_energy[-1] == ref_energies[-1]
+    if ref_iters == max_iters and ref_gap > tol:
+        return "cap"
+    return "gap" if ref_gap <= tol else "flat"
+
+
+def test_tv_prox_bit_identical_to_per_iteration_reference():
+    graphs = [
+        path_graph([1.0, 0.5, 2.0]),
+        build_knn_graph(make_two_moons(60, 0.1, seed=3).data, 6),
+    ]
+    rng = np.random.default_rng(21)
+    stops = set()
+    for g in graphs:
+        z = rng.normal(size=g.n_nodes)
+        for weight in (0.05, 0.3, 1.5):
+            for tol in (1e-1, 1e-3, 1e-6):
+                for max_iters in (7, 15, 77, 150):
+                    stops.add(_assert_prox_matches_reference(g, z, weight, tol, max_iters))
+    assert stops == {"cap", "gap", "flat"}
+
+
+def test_tv_prox_cached_operator_across_calls_and_graphs():
+    g1 = build_knn_graph(make_two_moons(50, 0.1, seed=4).data, 5)
+    g2 = build_knn_graph(make_two_moons(40, 0.1, seed=5).data, 7)
+    rng = np.random.default_rng(22)
+    for g in (g1, g1, g2, g1, g2, g2, g1):
+        z = rng.normal(size=g.n_nodes)
+        _assert_prox_matches_reference(g, z, float(rng.uniform(0.05, 1.0)), 1e-5, 77)
+
+
+def test_tv_prox_rejects_nonpositive_iteration_cap():
+    with pytest.raises(InvalidParameterError):
+        tv_prox(path_graph([1.0]), np.zeros(2), 0.5, max_iters=0)
 
 
 # ---------------------------------------------------------------------------
