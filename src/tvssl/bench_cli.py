@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -56,12 +56,7 @@ def default_hyperparams(algorithm: str, overrides: dict | None = None) -> HyperP
     merged.update(table.get(algorithm, {}))
     if overrides:
         merged.update(overrides)
-    unknown = sorted(set(merged) - {f.name for f in fields(HyperParams)})
-    if unknown:
-        raise InvalidParameterError(
-            f"unknown hyperparameter(s) for {algorithm}: {', '.join(map(repr, unknown))}"
-        )
-    return HyperParams(**merged)
+    return HyperParams.from_dict(merged, algorithm)
 
 
 @dataclass
@@ -86,6 +81,11 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise InvalidParameterError(f"unknown algorithm {a!r}")
+        unknown = sorted(set(self.hyperparams) - set(ALGORITHMS))
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown algorithm(s) under hyperparams: {', '.join(map(repr, unknown))}"
+            )
         if self.run_count < 1:
             raise InvalidParameterError("run_count must be >= 1")
         if not 0.0 <= self.holdout_fraction < 1.0:
@@ -364,8 +364,12 @@ def emit_table(rt: ResultTable, fmt: str = "markdown") -> str:
 
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
+    # before fitting, so that a bad --out fails at once and not after the run
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot create output directory {args.out}: {exc}") from exc
     rt = run_experiment(cfg, jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
     ext = {"markdown": "md", "json": "json", "csv": "csv"}[args.format]
     path = os.path.join(args.out, f"results.{ext}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -169,6 +169,17 @@ def lap_rls_train(
 # ---------------------------------------------------------------------------
 
 
+class _SignedKernel:
+    """The SVM dual's quadratic ``(y y^T) * S``, applied to a vector as
+    ``y * (S @ (y * b))`` without forming the dense product."""
+
+    def __init__(self, S, y):
+        self.S, self.y = S, y
+
+    def __matmul__(self, b):
+        return self.y * (self.S @ (self.y * b))
+
+
 class SvmProxSolver:
     """Soft-margin SVM subproblem with an optional proximity and graph term.
 
@@ -218,7 +229,7 @@ class SvmProxSolver:
     def solve(self, y, target=None, beta0=None) -> tuple[np.ndarray, DualSolution]:
         """Return (alpha, dual solution) for labels y and proximity target."""
         y = np.asarray(y, dtype=np.float64).ravel()
-        Q = (y[:, None] * y[None, :]) * self.S
+        Q = _SignedKernel(self.S, y)
         if target is None or self.r == 0.0:
             p = 0.0
             rhs_extra = 0.0
@@ -245,7 +256,7 @@ def svm_value_prox(e, y, r2: float, mu: float) -> tuple[np.ndarray, DualSolution
     h = (y * beta) / r2 + e
     obj = float(beta.sum() - (beta @ beta) / (2.0 * r2) - beta @ (y * e))
     kkt = {"eq": float(abs(beta @ y)), "box": 0.0, "stationarity": 0.0}
-    return h, DualSolution(beta, obj, kkt, 1, 0.0)
+    return h, DualSolution(beta, obj, kkt, 1)
 
 
 def _recover_bias(y, f_vals, beta, mu, tol=1e-8) -> float:
@@ -572,7 +583,8 @@ def load_model(path) -> BinaryModel:
         doc = json.load(fh)
     if doc.get("kind") != "binary":
         raise InvalidParameterError(f"not a binary model file: {path}")
-    hp = HyperParams(**doc["hyperparams"]) if doc.get("hyperparams") else None
+    hp = doc.get("hyperparams")
+    hp = HyperParams.from_dict(hp, str(path)) if hp else None
     return BinaryModel(
         doc["variant"],
         np.array(doc["alpha"], dtype=np.float64),

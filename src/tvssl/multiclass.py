@@ -523,7 +523,8 @@ def load_model(path) -> MulticlassModel:
         doc = json.load(fh)
     if doc.get("kind") != "multiclass":
         raise InvalidParameterError(f"not a multiclass model file: {path}")
-    hp = HyperParams(**doc["hyperparams"]) if doc.get("hyperparams") else None
+    hp = doc.get("hyperparams")
+    hp = HyperParams.from_dict(hp, str(path)) if hp else None
     return MulticlassModel(
         doc["variant"],
         np.array(doc["alphas"], dtype=np.float64),

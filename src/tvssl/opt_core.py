@@ -10,7 +10,7 @@ loops.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg as sla
@@ -66,6 +66,18 @@ class HyperParams:
         if self.norm_scale not in ("n", "sqrt_n"):
             raise InvalidParameterError("norm_scale must be 'n' or 'sqrt_n'")
 
+    @classmethod
+    def from_dict(cls, values: dict, source: str) -> "HyperParams":
+        """Build from a mapping of field names, as read from a config or model
+        file; names that are not fields raise :class:`InvalidParameterError`
+        naming them and ``source``."""
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown hyperparameter(s) for {source}: {', '.join(map(repr, unknown))}"
+            )
+        return cls(**values)
+
     def ball_scale(self, n_nodes: int) -> float:
         return float(n_nodes) if self.norm_scale == "n" else float(np.sqrt(n_nodes))
 
@@ -78,7 +90,6 @@ class DualSolution:
     objective: float
     kkt_residuals: dict
     iterations: int
-    eq_multiplier: float
 
 
 @dataclass
@@ -107,21 +118,35 @@ def _as_square(A) -> np.ndarray:
     return A
 
 
+def _column_norms(M) -> np.ndarray:
+    """Euclidean norm of each column, without an M-sized temporary."""
+    return np.sqrt(np.einsum("ij,ij->j", M, M))
+
+
 def _refined_solve(A, solve_once, b):
-    """One solve plus iterative refinement until the residual contract holds."""
+    """One solve plus iterative refinement until the residual contract holds.
+
+    A 2-D ``b`` is solved as one block; each column is held to the contract
+    on its own and only the columns that miss it are refined.
+    """
     b = np.asarray(b, dtype=np.float64)
     x = solve_once(b)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(x)
-    for _ in range(2):
-        res = b - A @ x
-        if np.linalg.norm(res) <= _RESIDUAL_RTOL * bnorm:
+    B, X = b.reshape(b.shape[0], -1), x.reshape(x.shape[0], -1)  # views
+    bound = _RESIDUAL_RTOL * _column_norms(B)
+    X[:, bound == 0.0] = 0.0
+    cols = np.arange(X.shape[1])  # columns still refined, residuals in res
+    res = A @ X
+    np.subtract(B, res, out=res)
+    for attempt in range(3):
+        miss = _column_norms(res) > bound[cols]
+        if not miss.any():
             return x
-        x = x + solve_once(res)
-    if np.linalg.norm(b - A @ x) > _RESIDUAL_RTOL * bnorm:
-        raise FactorizationError("linear solve missed the residual bound")
-    return x
+        if attempt == 2:
+            break
+        cols, res = cols[miss], res[:, miss]
+        X[:, cols] += solve_once(res)
+        res = B[:, cols] - A @ X[:, cols]
+    raise FactorizationError("linear solve missed the residual bound")
 
 
 class SpdFactor:
@@ -153,12 +178,7 @@ class SpdFactor:
 
     def solve(self, b) -> np.ndarray:
         """Solve A x = b with relative residual <= 1e-8."""
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim == 1:
-            return _refined_solve(self._A, self._solve_once, b)
-        return np.column_stack(
-            [_refined_solve(self._A, self._solve_once, b[:, j]) for j in range(b.shape[1])]
-        )
+        return _refined_solve(self._A, self._solve_once, b)
 
 
 class LuFactor:
@@ -180,12 +200,7 @@ class LuFactor:
         def once(rhs):
             return sla.lu_solve(self._lu, rhs, trans=t, check_finite=False)
 
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim == 1:
-            return _refined_solve(A, once, b)
-        return np.column_stack(
-            [_refined_solve(A, once, b[:, j]) for j in range(b.shape[1])]
-        )
+        return _refined_solve(A, once, b)
 
 
 def solve_spd(A, b) -> np.ndarray:
@@ -330,8 +345,13 @@ def tv_prox(
 def project_box_eq(v, y, mu: float) -> np.ndarray:
     """Euclidean projection of v onto {b : b@y = 0, 0 <= b <= mu}, y in {+-1}^m.
 
-    Bisection on the equality multiplier of the clipped affine map
-    ``nu -> y @ clip(v - nu*y, 0, mu)``, which is continuous and nonincreasing.
+    The projection is ``clip(v - nu*y, 0, mu)`` for the equality multiplier
+    ``nu`` that zeroes ``y @ clip(v - nu*y, 0, mu) = mu*#(y > 0) - g(nu)``,
+    where ``g(nu) = sum_i clip(nu - a_i, 0, mu)`` with ``a_i = v_i - mu`` if
+    ``y_i = +1`` and ``a_i = -v_i`` if ``y_i = -1``. ``g`` is piecewise linear
+    and nondecreasing with breakpoints ``a_i`` (slope +1) and ``a_i + mu``
+    (slope -1), so one sort of the 2m breakpoints and a cumulative sum find
+    the linear piece that holds the root (Kiwiel's breakpoint search).
     """
     v = np.asarray(v, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -339,23 +359,30 @@ def project_box_eq(v, y, mu: float) -> np.ndarray:
         raise DimensionError("v and y must have the same length")
     if mu < 0:
         raise InvalidParameterError("mu must be nonnegative")
-    if mu == 0.0:
+    m = v.size
+    pos = y > 0
+    n_pos = int(np.count_nonzero(pos))
+    if mu == 0.0 or n_pos in (0, m):
+        # with mu = 0, or one-sided labels (b >= 0 and y@b = 0), only b = 0 is feasible
         return np.zeros_like(v)
 
-    span = float(np.max(np.abs(v))) + mu + 1.0
-    lo, hi = -span, span
-
-    def phi(nu):
-        return float(y @ np.clip(v - nu * y, 0.0, mu))
-
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    nu = 0.5 * (lo + hi)
-    return np.clip(v - nu * y, 0.0, mu)
+    a = np.where(pos, v - mu, -v)
+    t = np.concatenate((a, a + mu))
+    # stable: a tied a_i + mu stays after its a_i, so no slope goes negative
+    order = t.argsort(kind="stable")
+    t = t[order]
+    slope = np.where(order < m, 1.0, -1.0).cumsum()  # slope of g right of t[k]
+    g = np.empty(2 * m)
+    g[0] = 0.0
+    np.cumsum(slope[:-1] * (t[1:] - t[:-1]), out=g[1:])  # g at each breakpoint
+    target = mu * n_pos
+    k = min(int(np.searchsorted(g, target)), 2 * m - 1)  # first g[k] >= target
+    nu = t[k - 1]
+    if slope[k - 1] > 0.0:
+        nu = min(nu + (target - g[k - 1]) / slope[k - 1], t[k])
+    b = v - nu * y
+    np.maximum(b, 0.0, out=b)  # in place: np.clip's call overhead is large at m ~ 100
+    return np.minimum(b, mu, out=b)
 
 
 def qp_box_eq(
@@ -373,8 +400,9 @@ def qp_box_eq(
     Projected gradient ascent with exact projection onto the feasible set and
     a Barzilai-Borwein step (fallback 1/L, L from power iteration). Terminates
     when the projected-gradient norm at the reference step drops below ``tol``
-    or at ``max_iters``. ``Q`` may be a dense array or a scipy sparse matrix;
-    it must be symmetric PSD.
+    or at ``max_iters``. ``Q`` may be a dense array, a scipy sparse matrix or
+    any object whose ``Q @ b`` is its product with a vector; it must be
+    symmetric PSD.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     m = y.size
@@ -394,7 +422,7 @@ def qp_box_eq(
                 "equality with one-sided labels and mu = 0 leaves no feasible point"
             )
         beta = np.zeros(m)
-        return DualSolution(beta, 0.0, {"eq": 0.0, "box": 0.0, "stationarity": 0.0}, 0, 0.0)
+        return DualSolution(beta, 0.0, {"eq": 0.0, "box": 0.0, "stationarity": 0.0}, 0)
 
     q_lin = 1.0 - p  # minimize F(b) = 0.5 b Q b - q_lin @ b
 
@@ -432,15 +460,12 @@ def qp_box_eq(
         beta, grad = beta_new, grad_new
 
     obj = float(beta @ np.ones(m) - 0.5 * beta @ matvec(beta) - beta @ p)
-    grad_asc = q_lin - matvec(beta)
-    free = (beta > tol) & (beta < mu - tol)
-    nu = float(np.mean(grad_asc[free] * y[free])) if np.any(free) else 0.0
     kkt = {
         "eq": float(abs(beta @ y)),
         "box": float(max(0.0, -beta.min(), (beta - mu).max())),
         "stationarity": pg_norm if np.isfinite(pg_norm) else 0.0,
     }
-    return DualSolution(beta, obj, kkt, it, nu)
+    return DualSolution(beta, obj, kkt, it)
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,52 @@ def tv_prox_reference(graph, z, weight, *, tol=1e-6, max_iters=500):
 
 
 # ---------------------------------------------------------------------------
+# linear solve oracle
+# ---------------------------------------------------------------------------
+
+
+def refined_solve_per_column(A, solve_once, b, rtol=1e-8):
+    """Solve each column of ``b`` on its own: one solve, then up to two
+    refinement steps until ``||b - A x|| <= rtol ||b||``; None where a
+    column still misses."""
+    cols = []
+    for bj in np.asarray(b, dtype=float).T:
+        bnorm = np.linalg.norm(bj)
+        x = np.zeros_like(bj) if bnorm == 0.0 else solve_once(bj)
+        for _ in range(2):
+            res = bj - A @ x
+            if np.linalg.norm(res) <= rtol * bnorm:
+                break
+            x = x + solve_once(res)
+        if np.linalg.norm(bj - A @ x) > rtol * bnorm:
+            return None
+        cols.append(x)
+    return np.column_stack(cols)
+
+
+# ---------------------------------------------------------------------------
 # box + equality QP oracle
 # ---------------------------------------------------------------------------
+
+
+def project_box_eq_bisection(v, y, mu):
+    """Projection onto {b : b@y = 0, 0 <= b <= mu} by 100 bisection steps on
+    the multiplier of the continuous, nonincreasing map
+    ``nu -> y @ clip(v - nu*y, 0, mu)``."""
+    v = np.asarray(v, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if mu == 0.0:
+        return np.zeros_like(v)
+    span = float(np.max(np.abs(v))) + mu + 1.0
+    lo, hi = -span, span
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if float(y @ np.clip(v - mid * y, 0.0, mu)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    nu = 0.5 * (lo + hi)
+    return np.clip(v - nu * y, 0.0, mu)
 
 
 def qp_box_eq_enumerate(Q, p, y, mu):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tvssl import bench_cli
 from tvssl.bench_cli import (
     ALGORITHMS,
     ExperimentConfig,
@@ -224,6 +225,33 @@ def test_cli_misspelled_hyperparameter_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "'gama'" in err[0]
+
+
+def test_misspelled_algorithm_under_hyperparams_is_rejected(tmp_path, capsys):
+    with pytest.raises(InvalidParameterError, match="'rsl'"):
+        moons_config(hyperparams={"rsl": {"lam": 5.0}})
+    cfg = moons_config().to_dict()
+    cfg["hyperparams"] = {"lap_rls": {"gamma": 0.5}, "rsl": {"lam": 5.0}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'rsl'" in err[0]
+
+
+def test_cli_out_path_is_checked_before_fitting(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(moons_config().to_dict()))
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the output directory was checked")
+
+    monkeypatch.setattr(bench_cli, "run_experiment", no_fit)
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(out) in err[0]
 
 
 def test_cli_run_byte_identical_outputs(tmp_path, capsys):

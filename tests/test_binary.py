@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -528,6 +530,18 @@ def test_predict_matches_kernel_expansion_sign():
     assert np.array_equal(
         predict_binary(m, X), np.where(K.values @ alpha >= 0, 1, -1)
     )
+
+
+def test_load_model_rejects_unknown_hyperparameter(tmp_path):
+    X, y = two_cluster_data(3, seed=47)
+    m = rls_train(rbf_gram(X, 1.0), y, HyperParams(eta=2.0, lam=0.1))
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    doc = json.loads(path.read_text())
+    doc["hyperparams"]["gama"] = 0.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidParameterError, match="'gama'"):
+        load_model(path)
 
 
 def test_model_serialization_round_trip(tmp_path):

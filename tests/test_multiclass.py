@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,19 @@ def test_predict_matches_kernel_argmax():
     model = MulticlassModel("tv_rls_mc", alphas, 1.0, train_data=X)
     expect = np.argmax(np.vstack([K.values @ a for a in alphas]), axis=0) + 1
     assert np.array_equal(predict_multiclass(model, X), expect)
+
+
+def test_mc_load_model_rejects_unknown_hyperparameter(tmp_path):
+    ds = three_cluster_dataset(per=6)
+    K, g, mls = setup(ds, k=4)
+    m = lap_rls_mc_train(K, g, mls, HyperParams(eta=1.0, lam=1e-3, outer_iters=2))
+    path = tmp_path / "mc.json"
+    save_model(m, path)
+    doc = json.loads(path.read_text())
+    doc["hyperparams"]["gama"] = 0.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidParameterError, match="'gama'"):
+        load_model(path)
 
 
 def test_mc_serialization_round_trip(tmp_path):

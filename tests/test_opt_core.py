@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,9 @@ from tvssl.opt_core import (
 )
 
 from oracles import (
+    project_box_eq_bisection,
     qp_box_eq_enumerate,
+    refined_solve_per_column,
     sort_simplex_projection,
     tv_prox_objective,
     tv_prox_reference,
@@ -128,6 +131,58 @@ def test_lu_factor_transposed_solve():
 
 def test_zero_rhs_gives_zero():
     assert np.all(solve_spd(random_spd(4, 0), np.zeros(4)) == 0.0)
+
+
+def _mismatched(factor_cls, A, delta):
+    """A factor of ``A + delta * e0 e0^T`` that checks residuals against
+    ``A``: its plain solve is exact on columns A e_j, j > 0, and inexact on
+    any column whose solution has a nonzero first entry."""
+    E = np.zeros_like(A)
+    E[0, 0] = delta
+    f = factor_cls(A + E)
+    f._A = A
+    return f
+
+
+@pytest.mark.parametrize("kind", ["spd", "lu", "lu_trans"])
+def test_block_solve_refines_only_missing_columns(kind):
+    n = 8
+    A = random_spd(n, 3) if kind == "spd" else random_spd(n, 3) + np.triu(np.ones((n, n)), 1)
+    trans = kind == "lu_trans"
+    At = A.T if trans else A
+    f = _mismatched(SpdFactor if kind == "spd" else LuFactor, A, 1e-6 * np.linalg.norm(A))
+    rng = np.random.default_rng(4)
+    # a column needing refinement, a zero column, a column exact at once, two random
+    B = np.column_stack([At[:, 0], np.zeros(n), At[:, 2], rng.normal(size=(n, 2))])
+    if kind == "spd":
+        once = f._solve_once
+    else:
+        def once(rhs):
+            return sla.lu_solve(f._lu, rhs, trans=int(trans))
+    plain = np.linalg.norm(B - At @ once(B), axis=0)
+    assert plain[0] > 1e-8 * np.linalg.norm(B[:, 0])  # the case needs refinement
+    assert plain[2] <= 1e-8 * np.linalg.norm(B[:, 2])  # and this one does not
+
+    X = f.solve(B, trans=True) if trans else f.solve(B)
+    assert X.shape == B.shape
+    for j in range(B.shape[1]):
+        assert np.linalg.norm(At @ X[:, j] - B[:, j]) <= 1e-8 * np.linalg.norm(B[:, j])
+    assert np.all(X[:, 1] == 0.0)
+    ref = refined_solve_per_column(At, once, B)
+    assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+    one = [f.solve(B[:, j], trans=True) if trans else f.solve(B[:, j]) for j in range(B.shape[1])]
+    assert np.linalg.norm(X - np.column_stack(one)) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("factor_cls", [SpdFactor, LuFactor])
+def test_block_solve_raises_when_refinement_fails(factor_cls):
+    A = random_spd(6, 5)
+    f = _mismatched(factor_cls, A, 50.0 * np.linalg.norm(A))
+    B = np.column_stack([A[:, 1], A[:, 0]])  # the second column cannot converge
+    with pytest.raises(FactorizationError):
+        f.solve(B)
+    with pytest.raises(FactorizationError):
+        f.solve(B[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +405,46 @@ def test_project_box_eq_properties():
             w = np.clip(rng.normal(size=m), 0, mu)
             w = project_box_eq(w, y, mu)
             assert np.linalg.norm(v - b) <= np.linalg.norm(v - w) + 1e-9
+
+
+def _check_against_bisection(v, y, mu):
+    b = project_box_eq(v, y, mu)
+    ref = project_box_eq_bisection(v, y, mu)
+    scale = float(np.max(np.abs(v))) + mu
+    assert b.min() >= 0.0 and b.max() <= mu
+    assert abs(b @ y) <= 1e-13 * v.size * scale
+    assert np.max(np.abs(b - ref)) <= 1e-12 * scale
+
+
+def test_project_box_eq_matches_bisection_oracle():
+    rng = np.random.default_rng(12)
+    for m in (1, 2, 3, 7, 40, 1600):
+        for scale in (1e-12, 1e-3, 1.0, 1e3, 1e9):
+            for mu in (1e-3, 0.5, 4.0):
+                y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+                _check_against_bisection(rng.normal(size=m) * scale, y, mu)
+
+
+def test_project_box_eq_edge_cases():
+    rng = np.random.default_rng(13)
+    v = rng.normal(size=9)
+    # one-sided labels and mu = 0 leave only the zero vector
+    for y in (np.ones(9), -np.ones(9)):
+        assert np.all(project_box_eq(v, y, 1.0) == 0.0)
+        _check_against_bisection(v, y, 1.0)
+    for m in (1, 9):
+        assert np.all(project_box_eq(v[:m], np.sign(v[:m]), 0.0) == 0.0)
+    for y0 in (1.0, -1.0):
+        _check_against_bisection(np.array([2.5]), np.array([y0]), 1.0)
+    # tied breakpoints: repeated values, and a_i + mu landing on a_j
+    y = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+    _check_against_bisection(np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5]), y, 1.0)
+    _check_against_bisection(np.array([1.0, 2.0, 0.0, -1.0, 3.0, -2.0]), y, 1.0)
+    _check_against_bisection(np.array([1.0, 2.0, 0.0, -1.0, 3.0, -2.0]), y, 2.0)
+    _check_against_bisection(np.zeros(6), y, 1.0)
+    # a point already feasible is its own projection
+    b = np.array([0.25, 0.5, 0.75, 0.0, 0.0, 0.0])
+    assert np.allclose(project_box_eq(b, y, 1.0), b, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
