@@ -152,16 +152,24 @@ def lap_rls_train(
     The graph penalty weight multiplies the ordered-pair Dirichlet energy, so
     the system matrix carries ``2 * gamma * L K``.
     """
-    n = _check_semi(K, g, ls)
-    y = ls.y_ext
-    JK = ls.labeled_mask[:, None] * K.values
-    M = hp.eta * JK + hp.lam * np.eye(n)
-    if hp.gamma > 0:
-        M += 2.0 * hp.gamma * (g.laplacian() @ K.values)
-    alpha = LuFactor(M).solve(hp.eta * y)
+    _check_semi(K, g, ls)
+    lu = _ls_factor(K, g, ls.labeled_mask, hp, gamma=hp.gamma)
+    alpha = lu.solve(hp.eta * ls.y_ext)
     return BinaryModel(
         "lap_rls", alpha, K.bandwidth, hp, K.data, node_values=K.values @ alpha
     )
+
+
+def _ls_factor(K, g, mask, hp, *, r=0.0, gamma=0.0) -> LuFactor:
+    """LU factor of the masked least-squares system
+    ``eta J K + lam I (+ r K) (+ 2 gamma L K)`` with ``J = diag(mask)``,
+    shared by the Laplacian, consensus and warm-start solves."""
+    M = hp.eta * (mask[:, None] * K.values) + hp.lam * np.eye(K.n)
+    if r:
+        M += r * K.values
+    if gamma > 0:
+        M += 2.0 * gamma * (g.laplacian() @ K.values)
+    return LuFactor(M)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +267,16 @@ def svm_value_prox(e, y, r2: float, mu: float) -> tuple[np.ndarray, DualSolution
     return h, DualSolution(beta, obj, kkt, 1)
 
 
-def _recover_bias(y, f_vals, beta, mu, tol=1e-8) -> float:
-    free = (beta > tol) & (beta < mu - tol)
-    if not np.any(free):
-        return 0.0
-    return float(np.mean(y[free] - f_vals[free]))
+def _svm_model(variant, K, hp, prox: SvmProxSolver, y, tol=1e-8) -> BinaryModel:
+    """Solve the margin dual for labels ``y``. With ``use_bias`` the bias is
+    the mean margin residual over the free support vectors (0 without any)."""
+    alpha, sol = prox.solve(y)
+    vals = K.values @ alpha
+    free = (sol.beta > tol) & (sol.beta < hp.mu - tol)
+    bias = float(np.mean(y[free] - vals[free])) if hp.use_bias and np.any(free) else 0.0
+    return BinaryModel(
+        variant, alpha, K.bandwidth, hp, K.data, node_values=vals, bias=bias
+    )
 
 
 def svm_train(K: KernelMatrix, y, hp: HyperParams) -> BinaryModel:
@@ -273,13 +286,7 @@ def svm_train(K: KernelMatrix, y, hp: HyperParams) -> BinaryModel:
         raise DimensionError("y length must match kernel size")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise InvalidParameterError("need both classes present")
-    prox = SvmProxSolver(K, hp)
-    alpha, sol = prox.solve(y)
-    vals = K.values @ alpha
-    bias = _recover_bias(y, vals, sol.beta, hp.mu) if hp.use_bias else 0.0
-    return BinaryModel(
-        "svm", alpha, K.bandwidth, hp, K.data, node_values=vals, bias=bias
-    )
+    return _svm_model("svm", K, hp, SvmProxSolver(K, hp), y)
 
 
 def lap_svm_train(
@@ -289,15 +296,9 @@ def lap_svm_train(
     unlabeled ones receive pseudo-labels from a Laplacian least-squares warm
     start."""
     _check_semi(K, g, ls)
-    warm = lap_rls_train(K, g, ls, hp)
-    y_full = _pseudo_init(ls, warm.node_values)
+    y_full = _pseudo_init(K, g, ls, hp)
     prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
-    alpha, sol = prox.solve(y_full)
-    vals = K.values @ alpha
-    bias = _recover_bias(y_full, vals, sol.beta, hp.mu) if hp.use_bias else 0.0
-    return BinaryModel(
-        "lap_svm", alpha, K.bandwidth, hp, K.data, node_values=vals, bias=bias
-    )
+    return _svm_model("lap_svm", K, hp, prox, y_full)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,9 @@ def lap_svm_train(
 # ---------------------------------------------------------------------------
 
 
-def _check_semi(K: KernelMatrix, g: SimilarityGraph, ls: LabeledSet) -> int:
+def _check_semi(K: KernelMatrix, g: SimilarityGraph, ls) -> int:
+    """Size check of the semi-supervised trainers; ``ls`` is a
+    :class:`LabeledSet` or a multi-class label set."""
     if K.n != g.n_nodes:
         raise DimensionError("kernel and graph sizes differ")
     if ls.n_points != K.n:
@@ -313,10 +316,11 @@ def _check_semi(K: KernelMatrix, g: SimilarityGraph, ls: LabeledSet) -> int:
     return K.n
 
 
-def _pseudo_init(ls: LabeledSet, warm_vals) -> np.ndarray:
-    return np.where(
-        ls.labeled_mask, ls.labels, np.where(np.asarray(warm_vals) >= 0.0, 1.0, -1.0)
-    )
+def _pseudo_init(K, g, ls: LabeledSet, hp) -> np.ndarray:
+    """Labels where labeled, elsewhere the sign of the Laplacian
+    least-squares warm start."""
+    warm = lap_rls_train(K, g, ls, hp).node_values
+    return np.where(ls.labeled_mask, ls.labels, np.where(warm >= 0.0, 1.0, -1.0))
 
 
 def _pseudo_refresh(ls: LabeledSet, prev, vals) -> np.ndarray:
@@ -408,8 +412,7 @@ def tv_svm_train(
     pseudo-labels warm-started from Laplacian least squares and refreshed
     from the consensus variable each sweep."""
     _check_semi(K, g, ls)
-    warm = lap_rls_train(K, g, ls, hp)
-    state = {"y": _pseudo_init(ls, warm.node_values)}
+    state = {"y": _pseudo_init(K, g, ls, hp)}
 
     def h_step(gv, lam2, it):
         if it > 0:
@@ -445,85 +448,127 @@ def _ratio_energy(g: SimilarityGraph, f) -> float:
     return graph_tv(g, f) / dev
 
 
-def _perturbed_restart(y_ext) -> np.ndarray:
-    bump = 1e-3 * np.where(np.arange(y_ext.size) % 2 == 0, 1.0, -1.0)
-    return y_ext + bump
+def _perturbed_restart(f0) -> np.ndarray:
+    bump = 1e-3 * np.where(np.arange(f0.shape[-1]) % 2 == 0, 1.0, -1.0)
+    return f0 + bump
 
 
-def _cheeger_loop(K, g, ls, hp, e_step):
-    """Ratio-descent loop shared by the Cheeger trainers.
+def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
+    """Ratio-descent loop shared by the binary and multi-class Cheeger
+    trainers, over a (c, N) channel array (c = 1 for binary).
 
-    ``e_step(gstep, it) -> (alpha, e)`` supplies the kernel-space proximal
-    (least-squares or margin flavored); the rest is the signed step, the TV
-    shrink weighted by the current ratio energy, median centering, label
-    clamping and sphere renormalization. The best iterate by ratio energy is
-    returned.
+    ``step(gstep, it) -> (alphas, e)`` supplies the kernel-space proximal of
+    every channel (least-squares or margin flavored); the rest is the signed
+    step, the per-channel TV shrink weighted by that channel's ratio energy,
+    median centering, clamping the labeled nodes to ``clamp``, the optional
+    ``coupling(s) -> (s, deviation)`` across channels (the multi-class
+    simplex) and per-channel sphere renormalization. The energy is the sum
+    of the channel ratio energies, and the best iterate by it is returned.
+    An undefined energy or a zero channel restarts from a perturbed ``f0``,
+    at most twice.
     """
     n = K.n
     scale = hp.ball_scale(n)
-    f = ls.y_ext
-    en = _ratio_energy(g, f)  # ratio energy of the current f
-    energies = [en]
-    best_e = en
-    best_f = f.copy()
-    best_alpha = None
+    f = f0
+    ens = [_ratio_energy(g, fk) for fk in f]  # channel energies of the current f
+    energies = [float(sum(ens))]
+    best_e = energies[0]
+    best_f = f
+    best_alphas = None
+    devs: list = []
     restarts = 0
     it = 0
     while it < hp.outer_iters:
-        if not np.isfinite(en):
+        if not np.all(np.isfinite(ens)):
             if restarts >= 2:
                 raise DegenerateInputError("ratio iteration degenerated repeatedly")
             restarts += 1
-            f = _perturbed_restart(ls.y_ext)
-            en = _ratio_energy(g, f)
+            f = _perturbed_restart(f0)
+            ens = [_ratio_energy(g, fk) for fk in f]
             continue
         gstep = f + hp.c * np.sign(f)
-        alpha, e = e_step(gstep, it)
-        # a zero ratio (already-perfect cut) would make the shrink weight
-        # infinite; floor it instead
-        h, _ = tv_prox(
-            g, e, hp.c / max(en, 1e-8), tol=hp.tol, max_iters=hp.inner_iters
-        )
-        t = h - center_median(h)
-        s = np.where(ls.labeled_mask, ls.labels, t)
-        if np.linalg.norm(s) == 0.0:
-            if restarts >= 2:
-                raise DegenerateInputError("all-zero iterate after clamping")
-            restarts += 1
-            f = _perturbed_restart(ls.y_ext)
-            en = _ratio_energy(g, f)
+        alphas, e = step(gstep, it)
+        s = np.empty_like(f)
+        for k in range(len(f)):
+            # a zero ratio (already-perfect cut) would make the shrink weight
+            # infinite; floor it instead
+            h, _ = tv_prox(
+                g, e[k], hp.c / max(ens[k], 1e-8), tol=hp.tol, max_iters=hp.inner_iters
+            )
+            s[k] = np.where(mask, clamp[k], h - center_median(h))
+        if coupling is not None:
+            s, dev = coupling(s)
+            devs.append(dev)
+        # per-channel norms in the binary floating-point order
+        norms = np.array([np.linalg.norm(sk) for sk in s])
+        if np.any(norms == 0.0):
+            ens = [np.inf]  # a collapsed channel restarts like an undefined ratio
             continue
-        f = scale * s / np.linalg.norm(s)
-        _check_divergence(f, n)
-        en = _ratio_energy(g, f)
-        energies.append(en)
-        if en < best_e:
-            best_e = en
-            best_f = f.copy()
-            best_alpha = alpha
+        f = scale * s / norms[:, None]
+        _check_divergence(f.ravel(), n)
+        ens = [_ratio_energy(g, fk) for fk in f]
+        energies.append(float(sum(ens)))
+        if energies[-1] < best_e:
+            best_e, best_f, best_alphas = energies[-1], f, alphas
         it += 1
-    if best_alpha is None:
+    if best_alphas is None:
         # initialization won: represent it through the loop's own kernel map
         rls = SpdFactor(hp.lam * np.eye(n) + hp.r * K.values)
-        best_alpha = rls.solve(hp.r * best_f)
+        best_alphas = rls.solve(hp.r * best_f.T).T
     trace = {"ratio_energy": energies, "best_ratio_energy": best_e}
-    return best_alpha, best_f, trace
+    if coupling is not None:
+        trace["simplex_dev"] = devs
+    return best_alphas, best_f, trace
+
+
+def _ls_ratio_step(K, hp):
+    """Least-squares kernel proximal of every channel for :func:`_ratio_loop`:
+    ``alphas = (lam I + r K)^-1 r gstep``."""
+    factor = SpdFactor(hp.lam * np.eye(K.n) + hp.r * K.values)
+
+    def step(gstep, _it):
+        alphas = factor.solve(hp.r * gstep.T).T
+        return alphas, (K.values @ alphas.T).T
+
+    return step
+
+
+def _margin_step(K, prox: SvmProxSolver, labels, refresh):
+    """Per-channel margin proximal over a (c, N) channel array.
+
+    Returns ``step(target, it, source=None) -> (alphas, values)``. From the
+    second sweep on, the channel labels become ``refresh(labels, source)``
+    (``source`` defaults to the target); each channel's dual QP warm-starts
+    from its previous solution.
+    """
+    state = {"y": labels}
+    betas = [None] * len(labels)
+
+    def step(target, it, source=None):
+        if it > 0:
+            state["y"] = refresh(state["y"], target if source is None else source)
+        alphas = np.zeros_like(target)
+        e = np.zeros_like(target)
+        for k in range(len(target)):
+            alphas[k], sol = prox.solve(state["y"][k], target=target[k], beta0=betas[k])
+            betas[k] = sol.beta
+            e[k] = K.values @ alphas[k]
+        return alphas, e
+
+    return step
 
 
 def cheeger_rls_train(
     K: KernelMatrix, g: SimilarityGraph, ls: LabeledSet, hp: HyperParams
 ) -> BinaryModel:
     """Balanced-cut ratio descent with a kernel least-squares proximal."""
-    n = _check_semi(K, g, ls)
-    factor = SpdFactor(hp.lam * np.eye(n) + hp.r * K.values)
-
-    def e_step(gstep, _it):
-        alpha = factor.solve(hp.r * gstep)
-        return alpha, K.values @ alpha
-
-    alpha, f, trace = _cheeger_loop(K, g, ls, hp, e_step)
+    _check_semi(K, g, ls)
+    y = ls.y_ext[None]
+    alpha, f, trace = _ratio_loop(
+        K, g, ls.labeled_mask, y, y, hp, _ls_ratio_step(K, hp)
+    )
     return BinaryModel(
-        "cheeger_rls", alpha, K.bandwidth, hp, K.data, node_values=f, trace=trace
+        "cheeger_rls", alpha[0], K.bandwidth, hp, K.data, node_values=f[0], trace=trace
     )
 
 
@@ -533,20 +578,16 @@ def cheeger_svm_train(
     """Balanced-cut ratio descent with a margin (SVM) proximal; pseudo-labels
     as in :func:`tv_svm_train`."""
     _check_semi(K, g, ls)
-    warm = lap_rls_train(K, g, ls, hp)
-    prox = SvmProxSolver(K, hp, r=hp.r)
-    state = {"y": _pseudo_init(ls, warm.node_values), "beta": None}
-
-    def e_step(gstep, it):
-        if it > 0:
-            state["y"] = _pseudo_refresh(ls, state["y"], gstep)
-        alpha, sol = prox.solve(state["y"], target=gstep, beta0=state["beta"])
-        state["beta"] = sol.beta
-        return alpha, K.values @ alpha
-
-    alpha, f, trace = _cheeger_loop(K, g, ls, hp, e_step)
+    step = _margin_step(
+        K,
+        SvmProxSolver(K, hp, r=hp.r),
+        _pseudo_init(K, g, ls, hp)[None],
+        lambda prev, vals: _pseudo_refresh(ls, prev, vals),
+    )
+    y = ls.y_ext[None]
+    alpha, f, trace = _ratio_loop(K, g, ls.labeled_mask, y, y, hp, step)
     return BinaryModel(
-        "cheeger_svm", alpha, K.bandwidth, hp, K.data, node_values=f, trace=trace
+        "cheeger_svm", alpha[0], K.bandwidth, hp, K.data, node_values=f[0], trace=trace
     )
 
 
@@ -555,46 +596,88 @@ def cheeger_svm_train(
 # ---------------------------------------------------------------------------
 
 
-def model_to_dict(model: BinaryModel) -> dict:
-    return {
-        "kind": "binary",
+# model-file layout per kind: the coefficient field and its array rank
+_MODEL_COEFS = {"binary": ("alpha", 1), "multiclass": ("alphas", 2)}
+
+
+def _write_model(path, kind: str, model, **head) -> None:
+    """Write a model of ``kind`` as JSON: kind, variant, the ``head`` fields,
+    hyperparameters, coefficients and fitted node values."""
+    coef_key, _ = _MODEL_COEFS[kind]
+    doc = {
+        "kind": kind,
         "variant": model.variant,
-        "n_train": model.n_train,
-        "bandwidth": model.bandwidth,
-        "bias": model.bias,
+        **head,
         "hyperparams": asdict(model.hyperparams) if model.hyperparams else None,
-        "alpha": model.alpha.tolist(),
+        coef_key: getattr(model, coef_key).tolist(),
         "node_values": (
             model.node_values.tolist() if model.node_values is not None else None
         ),
     }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+
+
+def _read_model(path, kind: str) -> dict:
+    """Read a model file written by :func:`_write_model` for ``kind`` and
+    return its model's constructor arguments. A file of the other kind, or a
+    missing or malformed field, raises :class:`InvalidParameterError` naming
+    the file (and the field)."""
+    coef_key, rank = _MODEL_COEFS[kind]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise InvalidParameterError(f"{path} is not a JSON model file: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise InvalidParameterError(f"not a {kind} model file: {path}")
+
+    def array(value):
+        out = np.array(value, dtype=np.float64)
+        if out.ndim != rank:
+            raise ValueError(f"expected a {rank}-d array")
+        return out
+
+    def read(key, convert, optional=False):
+        value = doc.get(key)
+        if optional and value is None:
+            return None
+        try:
+            if value is None:
+                raise TypeError("missing")
+            return convert(value)
+        except InvalidParameterError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(
+                f"{path}: missing or malformed model field {key!r}"
+            ) from exc
+
+    args = {
+        "variant": read("variant", str),
+        coef_key: read(coef_key, array),
+        "bandwidth": read("bandwidth", float),
+        "hyperparams": read(
+            "hyperparams",
+            lambda v: HyperParams.from_dict(v, str(path)) if v else None,
+            optional=True,
+        ),
+        "node_values": read("node_values", array, optional=True),
+    }
+    if kind == "binary":
+        args["bias"] = read("bias", float, optional=True) or 0.0
+    return args
 
 
 def save_model(model: BinaryModel, path) -> None:
     """Write the model header and coefficients as a JSON document."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
+    _write_model(
+        path, "binary", model,
+        n_train=model.n_train, bandwidth=model.bandwidth, bias=model.bias,
+    )
 
 
 def load_model(path) -> BinaryModel:
     """Read a model written by :func:`save_model`. The training-data reference
     is not serialized; reattach it before inductive prediction."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "binary":
-        raise InvalidParameterError(f"not a binary model file: {path}")
-    hp = doc.get("hyperparams")
-    hp = HyperParams.from_dict(hp, str(path)) if hp else None
-    return BinaryModel(
-        doc["variant"],
-        np.array(doc["alpha"], dtype=np.float64),
-        doc["bandwidth"],
-        hp,
-        None,
-        node_values=(
-            np.array(doc["node_values"], dtype=np.float64)
-            if doc.get("node_values") is not None
-            else None
-        ),
-        bias=doc.get("bias", 0.0),
-    )
+    return BinaryModel(**_read_model(path, "binary"))

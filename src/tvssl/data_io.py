@@ -47,13 +47,10 @@ class SplitSpec:
 
     labels_per_class: int
     seed: int = 0
-    run_count: int = 1
 
     def __post_init__(self):
         if self.labels_per_class < 1:
             raise InvalidParameterError("labels_per_class must be >= 1")
-        if self.run_count < 1:
-            raise InvalidParameterError("run_count must be >= 1")
 
 
 def load_csv(

@@ -9,6 +9,8 @@ loops.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -56,6 +58,20 @@ class HyperParams:
     simplex_last: bool = False
 
     def __post_init__(self):
+        # config and model files reach here unchecked: reject wrong types and
+        # NaN/inf by field name before any range check or solver sees them
+        for name in ("eta", "lam", "gamma", "mu", "r", "r1", "r2", "c", "tol"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise InvalidParameterError(f"{name} must be a finite number, got {v!r}")
+        for name in ("outer_iters", "inner_iters"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+        for name in ("normalize", "use_bias", "simplex_last"):
+            v = getattr(self, name)
+            if not isinstance(v, (bool, np.bool_)):
+                raise InvalidParameterError(f"{name} must be true or false, got {v!r}")
         for name in ("eta", "lam", "mu", "r", "r1", "r2", "c", "tol"):
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(f"{name} must be positive")

@@ -227,6 +227,26 @@ def test_cli_misspelled_hyperparameter_exits_one(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "'gama'" in err[0]
 
 
+@pytest.mark.parametrize(
+    "field, value", [("outer_iters", 2.5), ("lam", float("nan"))]
+)
+def test_cli_bad_hyperparameter_value_exits_one_before_fitting(
+    tmp_path, capsys, monkeypatch, field, value
+):
+    cfg = moons_config().to_dict()
+    cfg["hyperparams"] = {"lap_rls": {field: value}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))  # NaN is written as the bare token
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the hyperparameters were checked")
+
+    monkeypatch.setattr(bench_cli, "_fit_once", no_fit)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+
 def test_misspelled_algorithm_under_hyperparams_is_rejected(tmp_path, capsys):
     with pytest.raises(InvalidParameterError, match="'rsl'"):
         moons_config(hyperparams={"rsl": {"lam": 5.0}})

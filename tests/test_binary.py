@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tvssl import binary
 from tvssl.binary import (
     BinaryModel,
     LabeledSet,
@@ -22,7 +23,7 @@ from tvssl.binary import (
     tv_svm_train,
 )
 from tvssl.data_io import SplitSpec, make_split, make_two_moons
-from tvssl.errors import DimensionError, InvalidParameterError
+from tvssl.errors import DegenerateInputError, DimensionError, InvalidParameterError
 from tvssl.graph import SimilarityGraph, build_knn_graph, graph_tv
 from tvssl.kernel import KernelMatrix, median_bandwidth, rbf_gram
 from tvssl.opt_core import HyperParams
@@ -509,6 +510,26 @@ def test_cheeger_svm_clamp_and_energy():
     assert np.all(np.diff(running) <= 1e-12)
 
 
+@pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])
+def test_cheeger_one_class_labels_degenerate_after_two_restarts(trainer, monkeypatch):
+    # every node clamped to +1: each clamped iterate is constant, so its ratio
+    # energy is undefined; the loop restarts twice from a perturbed start and
+    # then gives up
+    restarts = []
+    restart = binary._perturbed_restart
+    monkeypatch.setattr(
+        binary, "_perturbed_restart", lambda f0: restarts.append(1) or restart(f0)
+    )
+    ds = make_two_moons(40, 0.06, seed=5)
+    K = rbf_gram(ds.data, median_bandwidth(ds.data) * 0.5)
+    g = build_knn_graph(ds.data, 6)
+    ls = LabeledSet(np.ones(40), np.ones(40, dtype=bool))
+    hp = HyperParams(lam=1e-4, r=1.0, c=1.0, outer_iters=20, norm_scale="sqrt_n")
+    with pytest.raises(DegenerateInputError):
+        trainer(K, g, ls, hp)
+    assert len(restarts) == 2
+
+
 # ---------------------------------------------------------------------------
 # prediction, serialization, invariances
 # ---------------------------------------------------------------------------
@@ -558,6 +579,41 @@ def test_model_serialization_round_trip(tmp_path):
     assert m2.hyperparams == hp
     m2.train_data = X
     assert np.array_equal(predict_binary(m2, X), predict_binary(m, X))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("variant", None),
+        ("alpha", None),
+        ("bandwidth", None),
+        ("alpha", [[0.1, 0.2], [0.3]]),
+        ("alpha", "abc"),
+        ("bandwidth", "wide"),
+        ("node_values", [[1.0], []]),
+        ("bias", [1.0]),
+        ("hyperparams", 5),
+    ],
+)
+def test_load_model_malformed_field_names_file_and_field(tmp_path, field, value):
+    X, y = two_cluster_data(3, seed=47)
+    path = tmp_path / "model.json"
+    save_model(rls_train(rbf_gram(X, 1.0), y, HyperParams(eta=2.0, lam=0.1)), path)
+    doc = json.loads(path.read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidParameterError, match=f"model.json.*'{field}'"):
+        load_model(path)
+
+
+def test_load_model_rejects_non_json_file(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("{not json")
+    with pytest.raises(InvalidParameterError, match="model.json"):
+        load_model(path)
 
 
 def test_transduction_invariant_to_unlabeled_permutation():

@@ -167,5 +167,3 @@ def test_split_insufficient_members():
 def test_split_spec_validation():
     with pytest.raises(InvalidParameterError):
         SplitSpec(0)
-    with pytest.raises(InvalidParameterError):
-        SplitSpec(1, run_count=0)

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from tvssl.binary import load_model as binary_load_model
+from tvssl.binary import save_model as binary_save_model
 from tvssl.binary import (
     LabeledSet,
     cheeger_rls_train,
@@ -332,6 +334,51 @@ def test_mc_serialization_round_trip(tmp_path):
     assert np.array_equal(
         predict_multiclass(m2, ds.data), predict_multiclass(m, ds.data)
     )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("variant", None),
+        ("alphas", None),
+        ("bandwidth", None),
+        ("alphas", [[0.1, 0.2], [0.3]]),
+        ("alphas", [0.1, 0.2]),
+        ("node_values", [[0.1, 0.2], [0.3]]),
+    ],
+)
+def test_mc_load_model_malformed_field_names_file_and_field(tmp_path, field, value):
+    ds = three_cluster_dataset(per=6)
+    K, g, mls = setup(ds, k=4)
+    path = tmp_path / "mc.json"
+    save_model(lap_rls_mc_train(K, g, mls, HyperParams(outer_iters=2)), path)
+    doc = json.loads(path.read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidParameterError, match=f"mc.json.*'{field}'"):
+        load_model(path)
+
+
+def test_load_model_rejects_the_other_kind(tmp_path):
+    ds = three_cluster_dataset(per=6)
+    K, g, mls = setup(ds, k=4)
+    mc_path = tmp_path / "mc.json"
+    save_model(lap_rls_mc_train(K, g, mls, HyperParams(outer_iters=2)), mc_path)
+    with pytest.raises(InvalidParameterError, match="not a binary model file"):
+        binary_load_model(mc_path)
+
+    ds2 = two_cluster_dataset()
+    K2, g2, _ = setup(ds2, k=3)
+    ls = make_split(ds2, SplitSpec(1, 0))
+    bin_path = tmp_path / "binary.json"
+    binary_save_model(lap_rls_train(K2, g2, ls, HyperParams()), bin_path)
+    with pytest.raises(InvalidParameterError, match="not a multiclass model file"):
+        load_model(bin_path)
+    assert binary_load_model(bin_path).variant == "lap_rls"
+    assert load_model(mc_path).variant == "lap_rls_mc"
 
 
 def test_tv_svm_mc_projection_feasible_each_iteration():

@@ -67,6 +67,34 @@ def test_hyperparams_validation():
         HyperParams(norm_scale="weird")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("outer_iters", 2.5),
+        ("inner_iters", 150.0),
+        ("outer_iters", True),
+        ("lam", float("nan")),
+        ("gamma", float("nan")),
+        ("tol", float("inf")),
+        ("mu", "1.0"),
+        ("c", True),
+        ("normalize", 1),
+        ("use_bias", "false"),
+        ("simplex_last", None),
+    ],
+)
+def test_hyperparams_rejects_wrong_types_and_non_finite_values(field, value):
+    with pytest.raises(InvalidParameterError, match=field):
+        HyperParams(**{field: value})
+    with pytest.raises(InvalidParameterError, match=field):
+        HyperParams.from_dict({field: value}, "a config")
+
+
+def test_hyperparams_accepts_numpy_scalars():
+    hp = HyperParams(lam=np.float64(0.5), outer_iters=np.int64(3), use_bias=np.bool_(True))
+    assert hp.lam == 0.5 and hp.outer_iters == 3 and hp.use_bias
+
+
 def test_ball_scale_modes():
     assert HyperParams(norm_scale="n").ball_scale(9) == 9.0
     assert HyperParams(norm_scale="sqrt_n").ball_scale(9) == 3.0
