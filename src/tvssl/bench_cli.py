@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
@@ -59,6 +61,15 @@ def default_hyperparams(algorithm: str, overrides: dict | None = None) -> HyperP
     return HyperParams.from_dict(merged, algorithm)
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """Reject a config count that is not an integer (bools included) or is
+    below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one benchmark run needs; mirrors the JSON config file."""
@@ -76,18 +87,27 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.algorithms:
             raise InvalidParameterError("algorithm list is empty")
-        if not self.labels_per_class:
-            raise InvalidParameterError("labels_per_class list is empty")
+        if not isinstance(self.labels_per_class, (list, tuple)) or not self.labels_per_class:
+            raise InvalidParameterError("labels_per_class must be a non-empty list")
+        for count in self.labels_per_class:
+            _check_int("labels_per_class entry", count, 1)
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise InvalidParameterError(f"unknown algorithm {a!r}")
+        if not isinstance(self.hyperparams, Mapping):
+            raise InvalidParameterError("hyperparams must be a mapping of algorithm to overrides")
         unknown = sorted(set(self.hyperparams) - set(ALGORITHMS))
         if unknown:
             raise InvalidParameterError(
                 f"unknown algorithm(s) under hyperparams: {', '.join(map(repr, unknown))}"
             )
-        if self.run_count < 1:
-            raise InvalidParameterError("run_count must be >= 1")
+        for algo, overrides in self.hyperparams.items():
+            if not isinstance(overrides, Mapping):
+                raise InvalidParameterError(
+                    f"hyperparams[{algo!r}] must be a mapping, got {overrides!r}"
+                )
+        _check_int("run_count", self.run_count, 1)
+        _check_int("seed", self.seed, 0)
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise InvalidParameterError("holdout_fraction must be in [0, 1)")
 

@@ -333,12 +333,20 @@ def _check_divergence(f, n):
         raise DivergenceError("splitting iteration diverged")
 
 
+def _record_prox(trace, hp, proxes) -> None:
+    """Append one outer iteration's TV proximal work to ``trace``: the
+    iterations summed over channels and the calls that hit ``inner_iters``."""
+    trace["prox_iters"].append(sum(p.iterations_run for p in proxes))
+    trace["prox_cap_hits"].append(sum(p.iterations_run >= hp.inner_iters for p in proxes))
+
+
 def _tv_split_loop(K, g, ls, hp, h_step, objective):
     """Common alternating loop of the TV trainers.
 
     ``h_step(gv, lam2, it) -> h`` provides the fidelity update; the rest
     (kernel shrink, TV proximal on the averaged target, optional ball/zero-
-    mean renormalization, multiplier ascent) is shared.
+    mean renormalization, multiplier ascent) is shared. Each TV proximal
+    starts from the previous one's dual.
     """
     n = K.n
     factor = SpdFactor(hp.lam * np.eye(n) + hp.r1 * K.values)
@@ -346,9 +354,10 @@ def _tv_split_loop(K, g, ls, hp, h_step, objective):
     lam1 = np.zeros(n)
     lam2 = np.zeros(n)
     scale = hp.ball_scale(n)
-    trace = {"objective": [], "consensus": []}
+    trace = {"objective": [], "consensus": [], "prox_iters": [], "prox_cap_hits": []}
     alpha = np.zeros(n)
     f = np.zeros(n)
+    q = None  # dual of the last TV proximal
     for it in range(hp.outer_iters):
         alpha = factor.solve(hp.r1 * gv - lam1)
         f = K.values @ alpha
@@ -357,13 +366,16 @@ def _tv_split_loop(K, g, ls, hp, h_step, objective):
         z1 = f + lam1 / hp.r1
         z2 = h + lam2 / hp.r2
         zbar = (hp.r1 * z1 + hp.r2 * z2) / (hp.r1 + hp.r2)
-        gbar, _ = tv_prox(
+        gbar, prox = tv_prox(
             g,
             zbar,
             hp.gamma / (hp.r1 + hp.r2),
             tol=hp.tol,
             max_iters=hp.inner_iters,
+            q0=q,
         )
+        q = prox.q
+        _record_prox(trace, hp, [prox])
         if hp.normalize and np.linalg.norm(gbar) > 0:
             gv = normalize_ball_zero_mean(gbar, scale)
         else:
@@ -465,7 +477,8 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
     simplex) and per-channel sphere renormalization. The energy is the sum
     of the channel ratio energies, and the best iterate by it is returned.
     An undefined energy or a zero channel restarts from a perturbed ``f0``,
-    at most twice.
+    at most twice. Each channel's TV shrink starts from that channel's
+    previous dual, clipped to the new weight's box.
     """
     n = K.n
     scale = hp.ball_scale(n)
@@ -476,6 +489,8 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
     best_f = f
     best_alphas = None
     devs: list = []
+    trace = {"prox_iters": [], "prox_cap_hits": []}
+    qs = [None] * len(f)  # per-channel dual of the last TV shrink
     restarts = 0
     it = 0
     while it < hp.outer_iters:
@@ -489,21 +504,28 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
         gstep = f + hp.c * np.sign(f)
         alphas, e = step(gstep, it)
         s = np.empty_like(f)
+        proxes = []
         for k in range(len(f)):
             # a zero ratio (already-perfect cut) would make the shrink weight
             # infinite; floor it instead
-            h, _ = tv_prox(
-                g, e[k], hp.c / max(ens[k], 1e-8), tol=hp.tol, max_iters=hp.inner_iters
+            h, prox = tv_prox(
+                g, e[k], hp.c / max(ens[k], 1e-8), tol=hp.tol, max_iters=hp.inner_iters,
+                q0=qs[k],
             )
+            qs[k] = prox.q
+            proxes.append(prox)
             s[k] = np.where(mask, clamp[k], h - center_median(h))
         if coupling is not None:
             s, dev = coupling(s)
-            devs.append(dev)
         # per-channel norms in the binary floating-point order
         norms = np.array([np.linalg.norm(sk) for sk in s])
         if np.any(norms == 0.0):
             ens = [np.inf]  # a collapsed channel restarts like an undefined ratio
             continue
+        # recorded per completed outer step, in line with ratio_energy[1:]
+        _record_prox(trace, hp, proxes)
+        if coupling is not None:
+            devs.append(dev)
         f = scale * s / norms[:, None]
         _check_divergence(f.ravel(), n)
         ens = [_ratio_energy(g, fk) for fk in f]
@@ -515,7 +537,7 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
         # initialization won: represent it through the loop's own kernel map
         rls = SpdFactor(hp.lam * np.eye(n) + hp.r * K.values)
         best_alphas = rls.solve(hp.r * best_f.T).T
-    trace = {"ratio_energy": energies, "best_ratio_energy": best_e}
+    trace.update(ratio_energy=energies, best_ratio_energy=best_e)
     if coupling is not None:
         trace["simplex_dev"] = devs
     return best_alphas, best_f, trace

@@ -78,6 +78,7 @@ class SimilarityGraph:
         np.add.at(deg, self.edge_j, self.edge_w)
         self.degrees = deg
         self._adj = None
+        self._lap = None
         self._tv_op = None  # graph-TV operator, built by opt_core.tv_prox on first use
 
     @property
@@ -101,8 +102,13 @@ class SimilarityGraph:
         return float(self.adjacency[i, j])
 
     def laplacian(self) -> sp.csr_matrix:
-        """Sparse graph Laplacian D - W."""
-        return sp.diags(self.degrees, format="csr") - self.adjacency
+        """Sparse graph Laplacian D - W, built on first use and cached.
+
+        The returned matrix is shared by every caller: do not modify it.
+        """
+        if self._lap is None:
+            self._lap = sp.diags(self.degrees, format="csr") - self.adjacency
+        return self._lap
 
 
 def _check_node_function(g: SimilarityGraph, f) -> np.ndarray:

@@ -26,6 +26,7 @@ from .binary import (
     _margin_step,
     _ratio_loop,
     _read_model,
+    _record_prox,
     _write_model,
 )
 
@@ -187,24 +188,29 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
     consensus ``gch`` with multiplier ``lam``. The consensus is the per-node
     simplex projection of ``f + lam / r``; with ``tv`` each channel first
     takes a TV shrink and the projection is followed by channel
-    renormalization (literal order; ``simplex_last`` swaps the two).
+    renormalization (literal order; ``simplex_last`` swaps the two). Each
+    channel's TV shrink starts from that channel's previous dual.
     """
     n = K.n
     scale = hp.ball_scale(n)
     gch = mls.indicator_targets()
     lam = np.zeros_like(gch)
     trace = {"consensus": [], "simplex_dev": []}
+    if tv:
+        trace.update(prox_iters=[], prox_cap_hits=[])
+        qs = [None] * len(gch)  # per-channel dual of the last TV shrink
     for it in range(hp.outer_iters):
         alphas, f = fidelity(gch, lam, it)
         _check_divergence(f.ravel(), n)
         z = f + lam / hp.r
         if tv:
-            z = np.vstack(
-                [
-                    tv_prox(g, zk, hp.gamma / hp.r, tol=hp.tol, max_iters=hp.inner_iters)[0]
-                    for zk in z
-                ]
-            )
+            shrunk, proxes = zip(*(
+                tv_prox(g, zk, hp.gamma / hp.r, tol=hp.tol, max_iters=hp.inner_iters, q0=qk)
+                for zk, qk in zip(z, qs)
+            ))
+            z = np.vstack(shrunk)
+            qs = [prox.q for prox in proxes]
+            _record_prox(trace, hp, proxes)
             if hp.simplex_last:
                 z = _renormalize_channels(z, scale)
         gch = _simplex_nodes(z)

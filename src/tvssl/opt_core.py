@@ -114,12 +114,15 @@ class ProxTrace:
 
     ``primal_energy`` holds the primal energy at each checkpoint reached
     (every 10th iteration and ``max_iters``), in iteration order; the last
-    entry is the energy of the returned point.
+    entry is the energy of the returned point. ``q`` is the final dual, one
+    entry per edge, for a warm start of the next call; it is ``None`` when
+    the call returned its input (zero weight or no edges).
     """
 
     iterations_run: int
     primal_energy: list = field(default_factory=list)
     final_gap: float = 0.0
+    q: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +286,7 @@ def tv_prox(
     *,
     tol: float = 1e-6,
     max_iters: int = 500,
+    q0=None,
 ) -> tuple[np.ndarray, ProxTrace]:
     """Minimize ``weight * graph_tv(g, x) + 0.5 * ||x - z||^2``.
 
@@ -295,6 +299,12 @@ def tv_prox(
     relative ``tol`` since the previous checkpoint 10 iterations back, or at
     ``max_iters``.
 
+    The dual starts at ``q0`` (one entry per edge, typically ``ProxTrace.q``
+    of a call on a nearby input) clipped to this weight's box, or at zero;
+    the primal starts at the ``z - D^T q`` it implies, which is ``z`` itself
+    for the zero dual. The duality gap certifies any such start, so the stop
+    tests are the same.
+
     Returns the minimizer and a :class:`ProxTrace`.
     """
     z = _check_node_function(g, z)
@@ -302,6 +312,12 @@ def tv_prox(
         raise InvalidParameterError("weight must be nonnegative")
     if max_iters < 1:
         raise InvalidParameterError("max_iters must be >= 1")
+    if q0 is not None:
+        q0 = np.asarray(q0, dtype=np.float64)
+        if q0.shape != (g.n_edges,):
+            raise DimensionError(
+                f"dual start has shape {q0.shape}, graph has {g.n_edges} edges"
+            )
     if weight == 0.0 or g.n_edges == 0:
         return z.copy(), ProxTrace(0, [], 0.0)
 
@@ -320,11 +336,11 @@ def tv_prox(
     # the updates below run in place but in the same operation order as
     # q <- clip(q + step D x_bar, -cap, cap),
     # x <- (x - step D^T q + step z) / (1 + step),  x_bar <- 2 x - x_old
-    x = z.copy()
-    x_bar = z.copy()
+    q = np.zeros(g.n_edges) if q0 is None else np.clip(q0, neg_cap, cap)
+    x = z - Dt @ q
+    x_bar = x.copy()
     x_new = np.empty_like(z)
     step_dtq = np.empty_like(z)
-    q = np.zeros(g.n_edges)
     energies: dict[int, float] = {}  # checkpoint iteration -> primal energy
     for it in range(1, max_iters + 1):
         dq = D @ x_bar
@@ -350,7 +366,7 @@ def tv_prox(
         e_back = energies.get(it - 10)
         if e_back is not None and abs(e_back - e_now) <= tol * max(1.0, abs(e_now)):
             break
-    return x, ProxTrace(it, list(energies.values()), float(max(gap, 0.0)))
+    return x, ProxTrace(it, list(energies.values()), float(max(gap, 0.0)), q)
 
 
 # ---------------------------------------------------------------------------

@@ -76,14 +76,15 @@ def tv_prox_subgradient(graph, z, weight, iters=200000):
     return best_x, best_obj
 
 
-def tv_prox_reference(graph, z, weight, *, tol=1e-6, max_iters=500):
+def tv_prox_reference(graph, z, weight, *, tol=1e-6, max_iters=500, q0=None):
     """Per-call, per-iteration form of the library's primal-dual TV prox.
 
     Rebuilds the difference operator and its norm estimate on every call and
     evaluates the primal energy after every iteration. The library caches the
     operator per graph and evaluates the energy only at checkpoints; both must
-    give the same iterates bit for bit. Returns ``(x, iterations_run,
-    per-iteration energies, final_gap)``.
+    give the same iterates bit for bit. A dual start ``q0`` is clipped to the
+    box and the primal starts at ``z - D^T q``. Returns ``(x, iterations_run,
+    per-iteration energies, final_gap, q)``.
     """
     z = np.asarray(z, dtype=np.float64).ravel()
     n = graph.n_nodes
@@ -114,9 +115,12 @@ def tv_prox_reference(graph, z, weight, *, tol=1e-6, max_iters=500):
     norm_bound = 2.0 * float(np.max(graph.degrees))
     step = 0.99 / np.sqrt(min(max(norm_est, 1e-30), norm_bound))
 
-    x = z.copy()
+    if q0 is None:
+        q = np.zeros(graph.n_edges)
+    else:
+        q = np.clip(np.asarray(q0, dtype=np.float64), -cap, cap)
+    x = z - Dt @ q
     x_bar = x.copy()
-    q = np.zeros(graph.n_edges)
     energies = []
     gap = np.inf
     it = 0
@@ -140,7 +144,7 @@ def tv_prox_reference(graph, z, weight, *, tol=1e-6, max_iters=500):
     if not np.isfinite(gap):
         dtq = Dt @ q
         gap = energies[-1] - float(dtq @ z - 0.5 * (dtq @ dtq))
-    return x, it, energies, float(max(gap, 0.0))
+    return x, it, energies, float(max(gap, 0.0)), q
 
 
 # ---------------------------------------------------------------------------

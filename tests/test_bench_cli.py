@@ -247,6 +247,40 @@ def test_cli_bad_hyperparameter_value_exits_one_before_fitting(
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("run_count", 1.5),
+        ("run_count", True),
+        ("run_count", 0),
+        ("seed", 1.5),
+        ("seed", False),
+        ("seed", -1),
+        ("labels_per_class", [0]),
+        ("labels_per_class", [1.5]),
+        ("labels_per_class", [2, True]),
+        ("labels_per_class", 2),
+        ("hyperparams", {"lap_rls": 5}),
+        ("hyperparams", ["lap_rls"]),
+    ],
+)
+def test_cli_bad_config_value_exits_one_before_fitting(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    cfg = moons_config().to_dict()
+    cfg[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the config was checked")
+
+    monkeypatch.setattr(bench_cli, "_fit_once", no_fit)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+
 def test_misspelled_algorithm_under_hyperparams_is_rejected(tmp_path, capsys):
     with pytest.raises(InvalidParameterError, match="'rsl'"):
         moons_config(hyperparams={"rsl": {"lam": 5.0}})

@@ -22,6 +22,7 @@ from tvssl.binary import (
     tv_rls_train,
     tv_svm_train,
 )
+from tvssl.bench_cli import default_hyperparams
 from tvssl.data_io import SplitSpec, make_split, make_two_moons
 from tvssl.errors import DegenerateInputError, DimensionError, InvalidParameterError
 from tvssl.graph import SimilarityGraph, build_knn_graph, graph_tv
@@ -355,6 +356,21 @@ def test_tv_rls_divergence_guard():
     assert np.all(np.isfinite(m.node_values))
 
 
+def test_tv_rls_prox_warm_start_keeps_inner_iterations_low():
+    # each TV prox starts from the previous outer iteration's dual; started
+    # from zero, it hit the inner_iters cap in almost every call
+    hp = default_hyperparams("tv_rls")
+    for seed in (1, 2, 3):
+        ds = make_two_moons(200, 0.08, seed)
+        g = build_knn_graph(ds.data, 10)
+        K = rbf_gram(ds.data, 0.5 * median_bandwidth(ds.data))
+        m = tv_rls_train(K, g, make_split(ds, SplitSpec(1, seed)), hp)
+        iters, caps = m.trace["prox_iters"], m.trace["prox_cap_hits"]
+        assert len(iters) == len(caps) == len(m.trace["consensus"])
+        assert all(c in (0, 1) for c in caps)
+        assert np.mean(iters) < hp.inner_iters / 2
+
+
 # ---------------------------------------------------------------------------
 # tv_svm
 # ---------------------------------------------------------------------------
@@ -439,6 +455,17 @@ def test_cheeger_rls_energy_bookkeeping():
     assert m.trace["best_ratio_energy"] <= trace[0] + 1e-12
     running = np.minimum.accumulate(trace)
     assert np.all(np.diff(running) <= 1e-12)
+
+
+@pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])
+def test_cheeger_prox_trace_one_entry_per_outer_step(trainer):
+    _, _, K, g, ls = cheeger_toy()
+    hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=12, norm_scale="sqrt_n")
+    m = trainer(K, g, ls, hp)
+    iters, caps = m.trace["prox_iters"], m.trace["prox_cap_hits"]
+    assert len(iters) == len(caps) == len(m.trace["ratio_energy"]) - 1 == hp.outer_iters
+    assert all(1 <= i <= hp.inner_iters for i in iters)
+    assert all(c in (0, 1) for c in caps)
 
 
 def test_cheeger_rls_label_clamp():

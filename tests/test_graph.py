@@ -167,6 +167,16 @@ def test_laplacian_matches_dense():
     assert np.max(np.abs(laplacian_apply(g, f) - L @ f)) < 1e-12
 
 
+def test_laplacian_is_cached_and_equals_degree_minus_adjacency():
+    g = random_graph(8, seed=12)
+    L = g.laplacian()
+    assert g.laplacian() is L
+    W = np.zeros((8, 8))
+    W[g.edge_i, g.edge_j] = g.edge_w
+    W[g.edge_j, g.edge_i] = g.edge_w
+    assert np.max(np.abs(L.toarray() - (np.diag(W.sum(axis=1)) - W))) < 1e-12
+
+
 def test_dirichlet_is_twice_laplacian_quadratic_form():
     for seed in range(5):
         g = random_graph(6, seed=seed)

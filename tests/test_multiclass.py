@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tvssl import multiclass
 from tvssl.binary import load_model as binary_load_model
 from tvssl.binary import save_model as binary_save_model
 from tvssl.binary import (
@@ -404,6 +406,31 @@ def test_cheeger_mc_energy_and_clamp(trainer):
     pred = transductive_classes(m)
     lab = mls.labeled_mask
     assert np.array_equal(pred[lab], mls.labels[lab])
+
+
+def test_cheeger_mc_collapsed_channel_restart_keeps_trace_per_outer_step(monkeypatch):
+    # a channel zeroed by the coupling restarts the step; the prox work and the
+    # simplex deviation of that discarded attempt are not recorded
+    ds = three_cluster_dataset(per=8)
+    K, g, mls = setup(ds)
+    couplings = []
+    coupling = multiclass._simplex_coupling
+
+    def collapse_first(S):
+        proj, dev = coupling(S)
+        if not couplings:
+            proj[0] = 0.0
+        couplings.append(1)
+        return proj, dev
+
+    monkeypatch.setattr(multiclass, "_simplex_coupling", collapse_first)
+    hp = replace(MC_HP, outer_iters=6)
+    m = cheeger_rls_mc_train(K, g, mls, hp)
+    assert len(couplings) == hp.outer_iters + 1
+    steps = len(m.trace["ratio_energy"]) - 1
+    assert steps == hp.outer_iters
+    assert len(m.trace["prox_iters"]) == len(m.trace["prox_cap_hits"]) == steps
+    assert len(m.trace["simplex_dev"]) == steps
 
 
 def test_simplex_last_flag_keeps_final_iterate_feasible():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tvssl.errors import (
     DegenerateInputError,
+    DimensionError,
     FactorizationError,
     InfeasibleConstraintsError,
     InvalidParameterError,
@@ -299,12 +300,13 @@ def test_tv_prox_trace_invariants():
         assert trace.final_gap >= 0.0
 
 
-def _assert_prox_matches_reference(g, z, weight, tol, max_iters):
-    out, trace = tv_prox(g, z, weight, tol=tol, max_iters=max_iters)
-    ref_x, ref_iters, ref_energies, ref_gap = tv_prox_reference(
-        g, z, weight, tol=tol, max_iters=max_iters
+def _assert_prox_matches_reference(g, z, weight, tol, max_iters, q0=None):
+    out, trace = tv_prox(g, z, weight, tol=tol, max_iters=max_iters, q0=q0)
+    ref_x, ref_iters, ref_energies, ref_gap, ref_q = tv_prox_reference(
+        g, z, weight, tol=tol, max_iters=max_iters, q0=q0
     )
     assert out.tobytes() == ref_x.tobytes()
+    assert trace.q.tobytes() == ref_q.tobytes()
     assert trace.iterations_run == ref_iters
     assert trace.final_gap == ref_gap
     assert trace.primal_energy[-1] == ref_energies[-1]
@@ -336,6 +338,88 @@ def test_tv_prox_cached_operator_across_calls_and_graphs():
     for g in (g1, g1, g2, g1, g2, g2, g1):
         z = rng.normal(size=g.n_nodes)
         _assert_prox_matches_reference(g, z, float(rng.uniform(0.05, 1.0)), 1e-5, 77)
+
+
+def test_tv_prox_warm_start_bit_identical_to_per_iteration_reference():
+    graphs = [
+        path_graph([1.0, 0.5, 2.0]),
+        build_knn_graph(make_two_moons(60, 0.1, seed=3).data, 6),
+    ]
+    rng = np.random.default_rng(23)
+    stops = set()
+    for g in graphs:
+        z = rng.normal(size=g.n_nodes)
+        # a dual from a nearby input, as the outer loops pass, and a random
+        # one that partly lies outside every box below
+        _, near = tv_prox(g, z + 0.05 * rng.normal(size=g.n_nodes), 0.3, max_iters=40)
+        starts = [near.q, rng.normal(scale=2.0, size=g.n_edges)]
+        for q0 in starts:
+            for weight in (0.05, 0.3, 1.5):
+                for tol in (1e-1, 1e-3, 1e-6):
+                    for max_iters in (7, 15, 77, 150):
+                        stops.add(
+                            _assert_prox_matches_reference(g, z, weight, tol, max_iters, q0)
+                        )
+    assert stops == {"cap", "gap", "flat"}
+
+
+def test_tv_prox_zero_dual_start_is_the_cold_start():
+    g = build_knn_graph(make_two_moons(60, 0.1, seed=3).data, 6)
+    z = np.random.default_rng(24).normal(size=g.n_nodes)
+    for weight, max_iters in [(0.05, 150), (0.3, 77), (1.5, 15)]:
+        cold, cold_trace = tv_prox(g, z, weight, tol=1e-6, max_iters=max_iters)
+        warm, warm_trace = tv_prox(
+            g, z, weight, tol=1e-6, max_iters=max_iters, q0=np.zeros(g.n_edges)
+        )
+        assert warm.tobytes() == cold.tobytes()
+        assert warm_trace.q.tobytes() == cold_trace.q.tobytes()
+        assert warm_trace.iterations_run == cold_trace.iterations_run
+        assert warm_trace.primal_energy == cold_trace.primal_energy
+        assert warm_trace.final_gap == cold_trace.final_gap
+
+
+def test_tv_prox_restart_from_own_converged_dual_stops_at_first_checkpoint():
+    g = build_knn_graph(make_two_moons(60, 0.1, seed=3).data, 6)
+    z = np.random.default_rng(25).normal(size=g.n_nodes)
+    tol = 1e-6
+    out, trace = tv_prox(g, z, 0.1, tol=tol, max_iters=5000)
+    assert trace.final_gap <= tol and trace.iterations_run > 10  # converged, not at once
+    again, again_trace = tv_prox(g, z, 0.1, tol=tol, max_iters=5000, q0=trace.q)
+    assert again_trace.iterations_run == 10
+    assert again_trace.final_gap <= tol
+    # the objective is 1-strongly convex: a gap <= tol puts each point within
+    # sqrt(2 tol) of the minimizer
+    assert np.linalg.norm(again - out) <= 2.0 * np.sqrt(2.0 * tol)
+
+
+def test_tv_prox_out_of_box_dual_start_is_clipped():
+    g = path_graph([1.0, 0.7])
+    z = np.array([2.0, -0.5, 1.0])
+    weight = 0.5
+    q0 = np.array([50.0, -50.0])  # far outside the box 2 * weight * sqrt(w)
+    out, trace = tv_prox(g, z, weight, tol=1e-9, max_iters=5000, q0=q0)
+    _, oracle_obj = tv_prox_subgradient(g, z, weight)
+    assert tv_prox_objective(g, out, z, weight) <= oracle_obj + 1e-4
+    assert np.all(np.abs(trace.q) <= 2.0 * weight * np.sqrt(g.edge_w))
+
+
+def test_tv_prox_dual_start_of_wrong_length_is_rejected():
+    g = path_graph([1.0, 0.7])
+    for q0 in (np.zeros(1), np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(DimensionError):
+            tv_prox(g, np.zeros(3), 0.5, q0=q0)
+
+
+def test_tv_prox_returned_dual_lies_in_its_box():
+    g = build_knn_graph(make_two_moons(60, 0.1, seed=3).data, 6)
+    rng = np.random.default_rng(26)
+    q = None
+    for weight in (0.05, 1.5, 0.3, 0.05):  # the box shrinks, grows and shrinks
+        _, trace = tv_prox(g, 3.0 * rng.normal(size=g.n_nodes), weight, max_iters=30, q0=q)
+        q = trace.q
+        assert q.shape == (g.n_edges,)
+        assert np.all(np.abs(q) <= 2.0 * weight * np.sqrt(g.edge_w))
+    assert tv_prox(g, np.zeros(g.n_nodes), 0.0)[1].q is None
 
 
 def test_tv_prox_rejects_nonpositive_iteration_cap():
