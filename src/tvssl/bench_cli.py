@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import os
 import sys
@@ -61,13 +62,62 @@ def default_hyperparams(algorithm: str, overrides: dict | None = None) -> HyperP
     return HyperParams.from_dict(merged, algorithm)
 
 
-def _check_int(name: str, value, minimum: int) -> None:
+def _check_int(name: str, value, minimum: int | None) -> None:
     """Reject a config count that is not an integer (bools included) or is
-    below ``minimum``."""
+    below ``minimum`` (if given)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def _check_real(name: str, value, minimum: float) -> None:
+    """Reject a config value that is not a finite real number (bools
+    included) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
     if value < minimum:
         raise InvalidParameterError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def _check_mapping(name: str, spec) -> None:
+    if not isinstance(spec, Mapping):
+        raise InvalidParameterError(f"{name} must be a mapping, got {spec!r}")
+
+
+# The checks below cover the config fields that run_experiment reads, so that
+# a wrong type fails before any fit and not inside a conversion or a solver.
+
+
+def _check_dataset(spec) -> None:
+    _check_mapping("dataset", spec)
+    kind = spec.get("type")
+    if kind == "two_moons":
+        _check_int("dataset n", spec.get("n"), 2)
+        _check_real("dataset noise", spec.get("noise", 0.0), 0.0)
+        _check_int("dataset seed", spec.get("seed", 0), 0)
+    elif kind == "csv":
+        if not isinstance(spec.get("path"), str):
+            raise InvalidParameterError(f"dataset path must be a string, got {spec.get('path')!r}")
+        _check_int("dataset label_column", spec.get("label_column", 0), None)
+    else:
+        raise InvalidParameterError(f"unknown dataset type {kind!r}")
+
+
+def _check_graph(spec) -> None:
+    _check_mapping("graph", spec)
+    _check_int("graph k", spec.get("k", 10), 1)
+    if spec.get("m") is not None:
+        _check_int("graph m", spec["m"], 1)
+    if spec.get("sigma") is not None:
+        _check_real("graph sigma", spec["sigma"], 0.0)
+
+
+def _check_kernel(spec) -> None:
+    _check_mapping("kernel", spec)
+    if spec.get("bandwidth") is not None:
+        _check_real("kernel bandwidth", spec["bandwidth"], 0.0)
+    _check_real("kernel median_factor", spec.get("median_factor", 1.0), 0.0)
 
 
 @dataclass
@@ -102,23 +152,32 @@ class ExperimentConfig:
                 f"unknown algorithm(s) under hyperparams: {', '.join(map(repr, unknown))}"
             )
         for algo, overrides in self.hyperparams.items():
-            if not isinstance(overrides, Mapping):
-                raise InvalidParameterError(
-                    f"hyperparams[{algo!r}] must be a mapping, got {overrides!r}"
-                )
+            _check_mapping(f"hyperparams[{algo!r}]", overrides)
         _check_int("run_count", self.run_count, 1)
         _check_int("seed", self.seed, 0)
+        _check_dataset(self.dataset)
+        _check_graph(self.graph)
+        _check_kernel(self.kernel)
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise InvalidParameterError("holdout_fraction must be in [0, 1)")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        """Read a config file; an unreadable file, malformed JSON or a bad
+        field raises :class:`InvalidParameterError` naming the file."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise InvalidParameterError(f"cannot read config {path}: {exc}") from exc
+        except ValueError as exc:
+            raise InvalidParameterError(f"{path} is not a JSON config: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise InvalidParameterError(f"{path} is not a JSON config object")
         try:
             return cls(**doc)
         except TypeError as exc:
-            raise InvalidParameterError(f"bad experiment config: {exc}") from exc
+            raise InvalidParameterError(f"bad experiment config {path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {

@@ -49,6 +49,17 @@ BINARY_VARIANTS = (
     "cheeger_svm",
 )
 
+# Progress-driven stop rules of the outer loops. Like the ``outer_iters`` and
+# ``inner_iters`` caps they are part of the algorithms and define their output.
+# The ratio loop stops once its best energy has fallen by no more than
+# RATIO_PLATEAU_REL (relative) over the last RATIO_PLATEAU_STEPS steps.
+RATIO_PLATEAU_STEPS = 10
+RATIO_PLATEAU_REL = 1e-3
+# The split and consensus loops solve each TV proximal after the first to the
+# duality gap 0.5 * (PROX_KAPPA * ||z_k - z_{k-1}||)^2 (at least ``tol``),
+# where z is its input: its error is then at most PROX_KAPPA times the move.
+PROX_KAPPA = 1.0
+
 
 @dataclass(eq=False)
 class LabeledSet:
@@ -340,13 +351,37 @@ def _record_prox(trace, hp, proxes) -> None:
     trace["prox_cap_hits"].append(sum(p.iterations_run >= hp.inner_iters for p in proxes))
 
 
-def _tv_split_loop(K, g, ls, hp, h_step, objective):
+def _prox_gap_tol(hp, z, z_prev) -> float:
+    """Duality-gap tolerance of a TV proximal whose input moved from
+    ``z_prev`` (``None`` on the first call) to ``z``:
+    ``max(tol, 0.5 * (PROX_KAPPA * ||z - z_prev||)^2)``. The proximal
+    objective is 1-strongly convex, so that gap puts the returned point
+    within ``PROX_KAPPA * ||z - z_prev||`` of the exact proximal point. As
+    the outer loop settles the move shrinks and the tolerance falls back to
+    ``tol``."""
+    if z_prev is None:
+        return hp.tol
+    dz = z - z_prev
+    return max(hp.tol, 0.5 * PROX_KAPPA**2 * float(dz @ dz))
+
+
+def _tv_split_loop(K, g, ls, hp, h_step):
     """Common alternating loop of the TV trainers.
 
     ``h_step(gv, lam2, it) -> h`` provides the fidelity update; the rest
     (kernel shrink, TV proximal on the averaged target, optional ball/zero-
     mean renormalization, multiplier ascent) is shared. Each TV proximal
-    starts from the previous one's dual.
+    starts from the previous one's dual and stops at the duality gap of
+    :func:`_prox_gap_tol`, loose while the averaged target still moves and
+    ``tol`` once it settles.
+
+    The loop stops when the consensus residual drops to ``tol * n``
+    (``stop_reason`` "consensus") or after ``outer_iters`` steps ("cap").
+    The residual decays slowly, so on real graphs the cap usually ends the
+    loop: ``outer_iters`` and the proximal tolerance rule are part of the
+    algorithm and define its output, not only its running time. The trace
+    records ``outer_steps``, ``stop_reason`` and, per step, the consensus
+    residual and the proximal work.
     """
     n = K.n
     factor = SpdFactor(hp.lam * np.eye(n) + hp.r1 * K.values)
@@ -354,10 +389,12 @@ def _tv_split_loop(K, g, ls, hp, h_step, objective):
     lam1 = np.zeros(n)
     lam2 = np.zeros(n)
     scale = hp.ball_scale(n)
-    trace = {"objective": [], "consensus": [], "prox_iters": [], "prox_cap_hits": []}
+    trace = {"consensus": [], "prox_iters": [], "prox_cap_hits": []}
     alpha = np.zeros(n)
     f = np.zeros(n)
     q = None  # dual of the last TV proximal
+    zbar_prev = None  # input of the last TV proximal
+    stop_reason = "cap"
     for it in range(hp.outer_iters):
         alpha = factor.solve(hp.r1 * gv - lam1)
         f = K.values @ alpha
@@ -373,8 +410,9 @@ def _tv_split_loop(K, g, ls, hp, h_step, objective):
             tol=hp.tol,
             max_iters=hp.inner_iters,
             q0=q,
+            gap_tol=_prox_gap_tol(hp, zbar, zbar_prev),
         )
-        q = prox.q
+        q, zbar_prev = prox.q, zbar
         _record_prox(trace, hp, [prox])
         if hp.normalize and np.linalg.norm(gbar) > 0:
             gv = normalize_ball_zero_mean(gbar, scale)
@@ -384,9 +422,10 @@ def _tv_split_loop(K, g, ls, hp, h_step, objective):
         lam2 += hp.r2 * (h - gv)
         res = float(np.linalg.norm(f - gv) + np.linalg.norm(h - gv))
         trace["consensus"].append(res)
-        trace["objective"].append(objective(alpha, f, h, gv))
         if res <= hp.tol * n:
+            stop_reason = "consensus"
             break
+    trace.update(outer_steps=len(trace["consensus"]), stop_reason=stop_reason)
     return alpha, f, trace
 
 
@@ -394,23 +433,15 @@ def tv_rls_train(
     K: KernelMatrix, g: SimilarityGraph, ls: LabeledSet, hp: HyperParams
 ) -> BinaryModel:
     """Least-squares fidelity with graph-TV regularization, solved by a
-    two-variable splitting with multiplier ascent."""
-    n = _check_semi(K, g, ls)
+    two-variable splitting with multiplier ascent (:func:`_tv_split_loop`)."""
+    _check_semi(K, g, ls)
     diag_h = hp.eta * ls.labeled_mask + hp.r2
     ey = hp.eta * ls.y_ext
 
     def h_step(gv, lam2, _it):
         return (ey + hp.r2 * gv - lam2) / diag_h
 
-    def objective(alpha, f, h, gv):
-        fit = f[ls.labeled_mask] - ls.labels[ls.labeled_mask]
-        return float(
-            0.5 * hp.eta * fit @ fit
-            + 0.5 * hp.lam * alpha @ (K.values @ alpha)
-            + hp.gamma * graph_tv(g, f)
-        )
-
-    alpha, f, trace = _tv_split_loop(K, g, ls, hp, h_step, objective)
+    alpha, f, trace = _tv_split_loop(K, g, ls, hp, h_step)
     return BinaryModel(
         "tv_rls", alpha, K.bandwidth, hp, K.data, node_values=f, trace=trace
     )
@@ -422,7 +453,7 @@ def tv_svm_train(
     """Margin fidelity with graph-TV regularization. The margin subproblem is
     solved exactly through its diagonal dual; unlabeled nodes carry
     pseudo-labels warm-started from Laplacian least squares and refreshed
-    from the consensus variable each sweep."""
+    from the consensus variable each sweep (:func:`_tv_split_loop`)."""
     _check_semi(K, g, ls)
     state = {"y": _pseudo_init(K, g, ls, hp)}
 
@@ -433,16 +464,7 @@ def tv_svm_train(
         h, _sol = svm_value_prox(e, state["y"], hp.r2, hp.mu)
         return h
 
-    def objective(alpha, f, h, gv):
-        yv = state["y"]
-        slack = np.maximum(0.0, 1.0 - yv * h)
-        return float(
-            0.5 * hp.lam * alpha @ (K.values @ alpha)
-            + hp.mu * slack.sum()
-            + hp.gamma * graph_tv(g, gv)
-        )
-
-    alpha, f, trace = _tv_split_loop(K, g, ls, hp, h_step, objective)
+    alpha, f, trace = _tv_split_loop(K, g, ls, hp, h_step)
     return BinaryModel(
         "tv_svm", alpha, K.bandwidth, hp, K.data, node_values=f, trace=trace
     )
@@ -478,7 +500,16 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
     of the channel ratio energies, and the best iterate by it is returned.
     An undefined energy or a zero channel restarts from a perturbed ``f0``,
     at most twice. Each channel's TV shrink starts from that channel's
-    previous dual, clipped to the new weight's box.
+    previous dual, clipped to the new weight's box, and is solved to ``tol``.
+
+    The loop is not a descent: the energy can rise from one step to the
+    next, which is why the best iterate is kept. It stops on a plateau of
+    that best energy, when it has fallen by no more than
+    ``RATIO_PLATEAU_REL`` relative over the last ``RATIO_PLATEAU_STEPS``
+    completed steps (``stop_reason`` "plateau"), or after ``outer_iters``
+    steps ("cap"). Both rules are part of the algorithm and define its
+    output. The trace records ``outer_steps``, ``stop_reason``, the energy
+    before and after every step and, per step, the proximal work.
     """
     n = K.n
     scale = hp.ball_scale(n)
@@ -493,6 +524,7 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
     qs = [None] * len(f)  # per-channel dual of the last TV shrink
     restarts = 0
     it = 0
+    stop_reason = "cap"
     while it < hp.outer_iters:
         if not np.all(np.isfinite(ens)):
             if restarts >= 2:
@@ -533,11 +565,22 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
         if energies[-1] < best_e:
             best_e, best_f, best_alphas = energies[-1], f, alphas
         it += 1
+        if it >= RATIO_PLATEAU_STEPS:
+            # energies[j] follows step j, so this is the best energy of
+            # RATIO_PLATEAU_STEPS steps back; energies are >= 0, and an
+            # undefined (inf) start never counts as a plateau
+            best_back = min(energies[: it - RATIO_PLATEAU_STEPS + 1])
+            if best_e >= (1.0 - RATIO_PLATEAU_REL) * best_back:
+                stop_reason = "plateau"
+                break
     if best_alphas is None:
         # initialization won: represent it through the loop's own kernel map
         rls = SpdFactor(hp.lam * np.eye(n) + hp.r * K.values)
         best_alphas = rls.solve(hp.r * best_f.T).T
-    trace.update(ratio_energy=energies, best_ratio_energy=best_e)
+    trace.update(
+        outer_steps=it, stop_reason=stop_reason,
+        ratio_energy=energies, best_ratio_energy=best_e,
+    )
     if coupling is not None:
         trace["simplex_dev"] = devs
     return best_alphas, best_f, trace

@@ -24,6 +24,7 @@ from .binary import (
     _ls_factor,
     _ls_ratio_step,
     _margin_step,
+    _prox_gap_tol,
     _ratio_loop,
     _read_model,
     _record_prox,
@@ -189,7 +190,15 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
     simplex projection of ``f + lam / r``; with ``tv`` each channel first
     takes a TV shrink and the projection is followed by channel
     renormalization (literal order; ``simplex_last`` swaps the two). Each
-    channel's TV shrink starts from that channel's previous dual.
+    channel's TV shrink starts from that channel's previous dual and stops at
+    the duality gap of :func:`binary._prox_gap_tol` for that channel's input,
+    loose while it still moves and ``tol`` once it settles.
+
+    The loop always runs ``outer_iters`` steps (``stop_reason`` "cap"):
+    the cap and the proximal tolerance rule are part of the algorithm and
+    define its output. The trace records ``outer_steps``, ``stop_reason``
+    and, per step, the consensus residual, the simplex deviation and (with
+    ``tv``) the proximal work.
     """
     n = K.n
     scale = hp.ball_scale(n)
@@ -199,15 +208,20 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
     if tv:
         trace.update(prox_iters=[], prox_cap_hits=[])
         qs = [None] * len(gch)  # per-channel dual of the last TV shrink
+        zs = [None] * len(gch)  # per-channel input of the last TV shrink
     for it in range(hp.outer_iters):
         alphas, f = fidelity(gch, lam, it)
         _check_divergence(f.ravel(), n)
         z = f + lam / hp.r
         if tv:
             shrunk, proxes = zip(*(
-                tv_prox(g, zk, hp.gamma / hp.r, tol=hp.tol, max_iters=hp.inner_iters, q0=qk)
-                for zk, qk in zip(z, qs)
+                tv_prox(
+                    g, zk, hp.gamma / hp.r, tol=hp.tol, max_iters=hp.inner_iters,
+                    q0=qk, gap_tol=_prox_gap_tol(hp, zk, zk_prev),
+                )
+                for zk, zk_prev, qk in zip(z, zs, qs)
             ))
+            zs = list(z)
             z = np.vstack(shrunk)
             qs = [prox.q for prox in proxes]
             _record_prox(trace, hp, proxes)
@@ -219,7 +233,7 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
             gch = _renormalize_channels(gch, scale)
         lam += hp.r * (f - gch)
         trace["consensus"].append(float(np.linalg.norm(f - gch)))
-    trace["g_final"] = gch.tolist()
+    trace.update(outer_steps=hp.outer_iters, stop_reason="cap", g_final=gch.tolist())
     return MulticlassModel(
         variant, alphas, K.bandwidth, hp, K.data, node_values=f, trace=trace
     )

@@ -287,6 +287,7 @@ def tv_prox(
     tol: float = 1e-6,
     max_iters: int = 500,
     q0=None,
+    gap_tol: float | None = None,
 ) -> tuple[np.ndarray, ProxTrace]:
     """Minimize ``weight * graph_tv(g, x) + 0.5 * ||x - z||^2``.
 
@@ -295,9 +296,11 @@ def tv_prox(
     bounded by ``sqrt(2 * max degree)``); the operator and step are built once
     per graph and cached on it. Convergence is checked only at checkpoints,
     every 10th iteration and ``max_iters``: the iteration stops when the
-    duality gap drops below ``tol``, when the primal energy is flat to
-    relative ``tol`` since the previous checkpoint 10 iterations back, or at
-    ``max_iters``.
+    duality gap drops below ``gap_tol`` (``tol`` if not given), when the
+    primal energy is flat to relative ``tol`` since the previous checkpoint
+    10 iterations back, or at ``max_iters``. The objective is 1-strongly
+    convex, so a gap ``eps`` puts the returned point within ``sqrt(2 eps)``
+    of the exact minimizer.
 
     The dual starts at ``q0`` (one entry per edge, typically ``ProxTrace.q``
     of a call on a nearby input) clipped to this weight's box, or at zero;
@@ -320,6 +323,8 @@ def tv_prox(
             )
     if weight == 0.0 or g.n_edges == 0:
         return z.copy(), ProxTrace(0, [], 0.0)
+    if gap_tol is None:
+        gap_tol = tol
 
     D, Dt, sw, step = _tv_operator(g)
     cap = 2.0 * weight * sw  # dual box radius per edge
@@ -360,7 +365,7 @@ def tv_prox(
             continue
         e_now = energies[it] = primal_energy(x)
         gap = e_now - float(dtq @ z - 0.5 * (dtq @ dtq))
-        if gap <= tol:
+        if gap <= gap_tol:
             break
         # a max_iters off the 10-grid has no energy 10 back: the loop ends anyway
         e_back = energies.get(it - 10)

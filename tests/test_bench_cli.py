@@ -281,6 +281,42 @@ def test_cli_bad_config_value_exits_one_before_fitting(
     assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
 
 
+def _two_moons_without_n(cfg):
+    del cfg["dataset"]["n"]
+    return json.dumps(cfg)
+
+
+def _graph_k_not_int(cfg):
+    cfg["graph"] = {"k": "x"}
+    return json.dumps(cfg)
+
+
+@pytest.mark.parametrize(
+    "config_text, message",
+    [
+        (lambda cfg: "{not json", "not a JSON config"),
+        (None, "cannot read config"),
+        (_two_moons_without_n, "dataset n"),
+        (_graph_k_not_int, "graph k"),
+    ],
+    ids=["not_json", "missing_file", "two_moons_without_n", "graph_k_not_int"],
+)
+def test_cli_bad_config_file_exits_one_before_fitting(
+    tmp_path, capsys, monkeypatch, config_text, message
+):
+    cfg_path = tmp_path / "cfg.json"
+    if config_text is not None:
+        cfg_path.write_text(config_text(moons_config().to_dict()))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the config was checked")
+
+    monkeypatch.setattr(bench_cli, "run_experiment", no_fit)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
 def test_misspelled_algorithm_under_hyperparams_is_rejected(tmp_path, capsys):
     with pytest.raises(InvalidParameterError, match="'rsl'"):
         moons_config(hyperparams={"rsl": {"lam": 5.0}})

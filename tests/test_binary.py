@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -371,6 +372,44 @@ def test_tv_rls_prox_warm_start_keeps_inner_iterations_low():
         assert np.mean(iters) < hp.inner_iters / 2
 
 
+def _moons_inputs(seed):
+    ds = make_two_moons(200, 0.08, seed)
+    g = build_knn_graph(ds.data, 10)
+    K = rbf_gram(ds.data, 0.5 * median_bandwidth(ds.data))
+    return K, g, make_split(ds, SplitSpec(1, seed))
+
+
+@pytest.mark.parametrize("trainer", [tv_rls_train, tv_svm_train])
+def test_tv_prox_gap_rule_cuts_inner_iterations(trainer, monkeypatch):
+    # tying each prox's gap to the move of its input saves inner iterations
+    # against solving every prox to tol (kappa = 0)
+    hp = default_hyperparams(trainer.__name__[: -len("_train")])
+    inputs = _moons_inputs(2)
+    m = trainer(*inputs, hp)
+    monkeypatch.setattr(binary, "PROX_KAPPA", 0.0)
+    m_tight = trainer(*inputs, hp)
+    assert m.trace["outer_steps"] == m_tight.trace["outer_steps"] == hp.outer_iters
+    assert m.trace["stop_reason"] == m_tight.trace["stop_reason"] == "cap"
+    assert sum(m.trace["prox_iters"]) < 0.7 * sum(m_tight.trace["prox_iters"])
+
+
+def test_tv_split_loop_prox_gap_tolerance_never_below_tol(monkeypatch):
+    calls = []
+    prox = binary.tv_prox
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs["tol"], kwargs["gap_tol"]))
+        return prox(*args, **kwargs)
+
+    monkeypatch.setattr(binary, "tv_prox", spy)
+    hp = replace(default_hyperparams("tv_rls"), outer_iters=30)
+    tv_rls_train(*_moons_inputs(1), hp)
+    assert len(calls) == hp.outer_iters
+    assert calls[0] == (hp.tol, hp.tol)
+    assert all(tol == hp.tol and gap_tol >= hp.tol for tol, gap_tol in calls)
+    assert any(gap_tol > hp.tol for _, gap_tol in calls)  # the rule is in use
+
+
 # ---------------------------------------------------------------------------
 # tv_svm
 # ---------------------------------------------------------------------------
@@ -463,9 +502,41 @@ def test_cheeger_prox_trace_one_entry_per_outer_step(trainer):
     hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=12, norm_scale="sqrt_n")
     m = trainer(K, g, ls, hp)
     iters, caps = m.trace["prox_iters"], m.trace["prox_cap_hits"]
-    assert len(iters) == len(caps) == len(m.trace["ratio_energy"]) - 1 == hp.outer_iters
+    # one entry per completed step; the plateau rule may end the loop before
+    # outer_iters
+    steps = m.trace["outer_steps"]
+    assert len(iters) == len(caps) == len(m.trace["ratio_energy"]) - 1 == steps
+    assert 1 <= steps <= hp.outer_iters
     assert all(1 <= i <= hp.inner_iters for i in iters)
     assert all(c in (0, 1) for c in caps)
+
+
+@pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])
+def test_cheeger_stops_on_ratio_plateau(trainer):
+    _, _, K, g, ls = cheeger_toy()
+    hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=100, norm_scale="sqrt_n")
+    m = trainer(K, g, ls, hp)
+    steps, window = m.trace["outer_steps"], binary.RATIO_PLATEAU_STEPS
+    assert m.trace["stop_reason"] == "plateau"
+    assert window <= steps < hp.outer_iters
+    best = np.minimum.accumulate(m.trace["ratio_energy"])
+    assert best[-1] == m.trace["best_ratio_energy"]
+
+    def plateau(k):  # the stop test after k completed steps
+        return best[k] >= (1.0 - binary.RATIO_PLATEAU_REL) * best[k - window]
+
+    assert plateau(steps)
+    assert not any(plateau(k) for k in range(window, steps))
+
+
+@pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])
+def test_cheeger_cap_below_plateau_window_stops_on_cap(trainer):
+    _, _, K, g, ls = cheeger_toy()
+    outer = binary.RATIO_PLATEAU_STEPS - 1
+    hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=outer, norm_scale="sqrt_n")
+    m = trainer(K, g, ls, hp)
+    assert m.trace["stop_reason"] == "cap"
+    assert m.trace["outer_steps"] == len(m.trace["ratio_energy"]) - 1 == outer
 
 
 def test_cheeger_rls_label_clamp():

@@ -452,3 +452,28 @@ def test_simplex_last_flag_keeps_final_iterate_feasible():
     m2 = tv_rls_mc_train(K, g, mls, hp2)
     g2 = np.array(m2.trace["g_final"])
     assert np.max(np.abs(g2.sum(axis=0) - 1.0)) > 1e-6
+
+
+@pytest.mark.parametrize(
+    "trainer", [tv_rls_mc_train, tv_svm_mc_train], ids=["tv_rls_mc", "tv_svm_mc"]
+)
+def test_consensus_prox_gap_tolerance_never_below_tol(trainer, monkeypatch):
+    # the first TV shrink of every channel is solved to tol; later ones to a
+    # gap tied to the move of that channel's input, never below tol
+    calls = []
+    prox = multiclass.tv_prox
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs["tol"], kwargs["gap_tol"]))
+        return prox(*args, **kwargs)
+
+    monkeypatch.setattr(multiclass, "tv_prox", spy)
+    ds = three_cluster_dataset(per=8)
+    K, g, mls = setup(ds)
+    m = trainer(K, g, mls, MC_HP)
+    c = mls.class_count
+    assert len(calls) == c * MC_HP.outer_iters == c * m.trace["outer_steps"]
+    assert m.trace["stop_reason"] == "cap"
+    assert calls[:c] == [(MC_HP.tol, MC_HP.tol)] * c
+    assert all(tol == MC_HP.tol and gap_tol >= MC_HP.tol for tol, gap_tol in calls)
+    assert any(gap_tol > MC_HP.tol for _, gap_tol in calls)  # the rule is in use

@@ -300,6 +300,25 @@ def test_tv_prox_trace_invariants():
         assert trace.final_gap >= 0.0
 
 
+def test_tv_prox_gap_tol_bounds_distance_to_minimizer():
+    # a separate gap tolerance ends the iteration at that duality gap, while
+    # the flatness test keeps its tight tol; the objective is 1-strongly
+    # convex, so the point lies within sqrt(2 * gap) of the minimizer
+    g = build_knn_graph(make_two_moons(60, 0.1, seed=3).data, 6)
+    z = np.random.default_rng(5).normal(size=g.n_nodes)
+    exact, tight = tv_prox(g, z, 0.3, tol=1e-12, max_iters=20000)
+    assert tight.final_gap <= 1e-9
+    for gap_tol in (1e-1, 1e-2, 1e-3):
+        out, trace = tv_prox(g, z, 0.3, tol=1e-12, max_iters=20000, gap_tol=gap_tol)
+        assert 0.0 <= trace.final_gap <= gap_tol
+        assert trace.iterations_run < tight.iterations_run
+        assert np.linalg.norm(out - exact) <= np.sqrt(2 * gap_tol) + np.sqrt(2e-9)
+    # without it, the gap test uses tol
+    a, ta = tv_prox(g, z, 0.3, tol=1e-3, max_iters=150)
+    b, tb = tv_prox(g, z, 0.3, tol=1e-3, max_iters=150, gap_tol=1e-3)
+    assert a.tobytes() == b.tobytes() and ta.iterations_run == tb.iterations_run
+
+
 def _assert_prox_matches_reference(g, z, weight, tol, max_iters, q0=None):
     out, trace = tv_prox(g, z, weight, tol=tol, max_iters=max_iters, q0=q0)
     ref_x, ref_iters, ref_energies, ref_gap, ref_q = tv_prox_reference(
