@@ -275,7 +275,7 @@ def svm_value_prox(e, y, r2: float, mu: float) -> tuple[np.ndarray, DualSolution
     h = (y * beta) / r2 + e
     obj = float(beta.sum() - (beta @ beta) / (2.0 * r2) - beta @ (y * e))
     kkt = {"eq": float(abs(beta @ y)), "box": 0.0, "stationarity": 0.0}
-    return h, DualSolution(beta, obj, kkt, 1)
+    return h, DualSolution(beta, obj, kkt, 1, "tol")
 
 
 def _svm_model(variant, K, hp, prox: SvmProxSolver, y, tol=1e-8) -> BinaryModel:
@@ -346,7 +346,8 @@ def _check_divergence(f, n):
 
 def _record_prox(trace, hp, proxes) -> None:
     """Append one outer iteration's TV proximal work to ``trace``: the
-    iterations summed over channels and the calls that hit ``inner_iters``."""
+    iterations summed over channels (one :class:`ProxTrace` each) and the
+    channels that hit ``inner_iters``."""
     trace["prox_iters"].append(sum(p.iterations_run for p in proxes))
     trace["prox_cap_hits"].append(sum(p.iterations_run >= hp.inner_iters for p in proxes))
 
@@ -499,8 +500,9 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
     simplex) and per-channel sphere renormalization. The energy is the sum
     of the channel ratio energies, and the best iterate by it is returned.
     An undefined energy or a zero channel restarts from a perturbed ``f0``,
-    at most twice. Each channel's TV shrink starts from that channel's
-    previous dual, clipped to the new weight's box, and is solved to ``tol``.
+    at most twice. The channels' TV shrinks run as one batched
+    :func:`tv_prox` call per step; each starts from that channel's previous
+    dual, clipped to the new weight's box, and is solved to ``tol``.
 
     The loop is not a descent: the energy can rise from one step to the
     next, which is why the best iterate is kept. It stops on a plateau of
@@ -521,7 +523,7 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
     best_alphas = None
     devs: list = []
     trace = {"prox_iters": [], "prox_cap_hits": []}
-    qs = [None] * len(f)  # per-channel dual of the last TV shrink
+    q = None  # (c, E) duals of the last TV shrink
     restarts = 0
     it = 0
     stop_reason = "cap"
@@ -535,17 +537,15 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
             continue
         gstep = f + hp.c * np.sign(f)
         alphas, e = step(gstep, it)
+        # one batched shrink for all channels; a zero ratio (already-perfect
+        # cut) would make the shrink weight infinite, so it is floored
+        shrunk, prox = tv_prox(
+            g, e, hp.c / np.maximum(ens, 1e-8), tol=hp.tol, max_iters=hp.inner_iters,
+            q0=q,
+        )
+        q = prox.q
         s = np.empty_like(f)
-        proxes = []
-        for k in range(len(f)):
-            # a zero ratio (already-perfect cut) would make the shrink weight
-            # infinite; floor it instead
-            h, prox = tv_prox(
-                g, e[k], hp.c / max(ens[k], 1e-8), tol=hp.tol, max_iters=hp.inner_iters,
-                q0=qs[k],
-            )
-            qs[k] = prox.q
-            proxes.append(prox)
+        for k, h in enumerate(shrunk):
             s[k] = np.where(mask, clamp[k], h - center_median(h))
         if coupling is not None:
             s, dev = coupling(s)
@@ -555,7 +555,7 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
             ens = [np.inf]  # a collapsed channel restarts like an undefined ratio
             continue
         # recorded per completed outer step, in line with ratio_energy[1:]
-        _record_prox(trace, hp, proxes)
+        _record_prox(trace, hp, prox.rows)
         if coupling is not None:
             devs.append(dev)
         f = scale * s / norms[:, None]

@@ -189,10 +189,11 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
     consensus ``gch`` with multiplier ``lam``. The consensus is the per-node
     simplex projection of ``f + lam / r``; with ``tv`` each channel first
     takes a TV shrink and the projection is followed by channel
-    renormalization (literal order; ``simplex_last`` swaps the two). Each
-    channel's TV shrink starts from that channel's previous dual and stops at
-    the duality gap of :func:`binary._prox_gap_tol` for that channel's input,
-    loose while it still moves and ``tol`` once it settles.
+    renormalization (literal order; ``simplex_last`` swaps the two). The
+    channels' TV shrinks run as one batched :func:`tv_prox` call per step;
+    each starts from that channel's previous dual and stops at the duality
+    gap of :func:`binary._prox_gap_tol` for that channel's input, loose
+    while it still moves and ``tol`` once it settles.
 
     The loop always runs ``outer_iters`` steps (``stop_reason`` "cap"):
     the cap and the proximal tolerance rule are part of the algorithm and
@@ -207,24 +208,20 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
     trace = {"consensus": [], "simplex_dev": []}
     if tv:
         trace.update(prox_iters=[], prox_cap_hits=[])
-        qs = [None] * len(gch)  # per-channel dual of the last TV shrink
-        zs = [None] * len(gch)  # per-channel input of the last TV shrink
+        q = None  # (c, E) duals of the last TV shrink
+        z_prev = [None] * len(gch)  # per-channel input of the last TV shrink
     for it in range(hp.outer_iters):
         alphas, f = fidelity(gch, lam, it)
         _check_divergence(f.ravel(), n)
         z = f + lam / hp.r
         if tv:
-            shrunk, proxes = zip(*(
-                tv_prox(
-                    g, zk, hp.gamma / hp.r, tol=hp.tol, max_iters=hp.inner_iters,
-                    q0=qk, gap_tol=_prox_gap_tol(hp, zk, zk_prev),
-                )
-                for zk, zk_prev, qk in zip(z, zs, qs)
-            ))
-            zs = list(z)
-            z = np.vstack(shrunk)
-            qs = [prox.q for prox in proxes]
-            _record_prox(trace, hp, proxes)
+            gap_tol = [_prox_gap_tol(hp, zk, zk_prev) for zk, zk_prev in zip(z, z_prev)]
+            z_prev, (z, prox) = z, tv_prox(
+                g, z, hp.gamma / hp.r, tol=hp.tol, max_iters=hp.inner_iters,
+                q0=q, gap_tol=gap_tol,
+            )
+            q = prox.q
+            _record_prox(trace, hp, prox.rows)
             if hp.simplex_last:
                 z = _renormalize_channels(z, scale)
         gch = _simplex_nodes(z)

@@ -28,6 +28,9 @@ from .errors import (
 from .graph import SimilarityGraph, _check_node_function
 
 _RESIDUAL_RTOL = 1e-8
+# qp_box_eq skips its reference projection only when the step's lower bound
+# on the projected gradient exceeds tol by this factor, far above rounding
+_PG_BOUND_MARGIN = 1.0 + 1e-6
 
 
 @dataclass
@@ -100,12 +103,19 @@ class HyperParams:
 
 @dataclass
 class DualSolution:
-    """Result of :func:`qp_box_eq`: the maximizer, its objective and KKT data."""
+    """Result of :func:`qp_box_eq`: the maximizer, its objective and KKT data.
+
+    ``stop_reason`` is "tol" when the projected-gradient test ended the
+    solve (a closed-form solution counts as such) and "cap" when
+    ``max_iters`` did; a solve that meets ``tol`` on its last allowed
+    iteration is "tol" although ``iterations`` equals the cap.
+    """
 
     beta: np.ndarray
     objective: float
     kkt_residuals: dict
     iterations: int
+    stop_reason: str
 
 
 @dataclass
@@ -116,13 +126,25 @@ class ProxTrace:
     (every 10th iteration and ``max_iters``), in iteration order; the last
     entry is the energy of the returned point. ``q`` is the final dual, one
     entry per edge, for a warm start of the next call; it is ``None`` when
-    the call returned its input (zero weight or no edges).
+    the call returned its input (zero weight or no edges). ``stop_reason``
+    names the test that ended the call: "gap" (duality gap; also a call
+    that returned its input), "flat" (relative energy flatness) or "cap"
+    (``max_iters`` reached with neither test met).
+
+    A call on (c, n) input records one such trace per row in ``rows``. Its
+    own ``iterations_run`` is then the iterations the batch ran (the most
+    of any row), ``final_gap`` the largest row gap, ``stop_reason`` the
+    weakest row stop in the order above, ``q`` the (c, E) duals (zero rows
+    for rows that returned their input; ``None`` if all did) and
+    ``primal_energy`` is empty.
     """
 
     iterations_run: int
     primal_energy: list = field(default_factory=list)
     final_gap: float = 0.0
     q: np.ndarray | None = None
+    stop_reason: str = "gap"
+    rows: list | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +301,30 @@ def _tv_operator(g: SimilarityGraph):
     return g._tv_op
 
 
+def _per_row(value, rows: int, name: str) -> list:
+    """``value`` as one float per input row: a scalar applies to every row,
+    a vector must hold one entry per row."""
+    if np.ndim(value) == 0:
+        return [float(value)] * rows
+    out = np.asarray(value, dtype=np.float64)
+    if out.shape != (rows,):
+        raise DimensionError(f"{name} has shape {out.shape}, input has {rows} row(s)")
+    return out.tolist()
+
+
+# stop tests of tv_prox, from the one that certifies most to the cap
+_PROX_STOPS = ("gap", "flat", "cap")
+
+
 def tv_prox(
     g: SimilarityGraph,
     z,
-    weight: float,
+    weight,
     *,
     tol: float = 1e-6,
     max_iters: int = 500,
     q0=None,
-    gap_tol: float | None = None,
+    gap_tol=None,
 ) -> tuple[np.ndarray, ProxTrace]:
     """Minimize ``weight * graph_tv(g, x) + 0.5 * ||x - z||^2``.
 
@@ -296,11 +333,11 @@ def tv_prox(
     bounded by ``sqrt(2 * max degree)``); the operator and step are built once
     per graph and cached on it. Convergence is checked only at checkpoints,
     every 10th iteration and ``max_iters``: the iteration stops when the
-    duality gap drops below ``gap_tol`` (``tol`` if not given), when the
-    primal energy is flat to relative ``tol`` since the previous checkpoint
-    10 iterations back, or at ``max_iters``. The objective is 1-strongly
-    convex, so a gap ``eps`` puts the returned point within ``sqrt(2 eps)``
-    of the exact minimizer.
+    duality gap drops below ``gap_tol`` (``tol`` if not given; "gap"), when
+    the primal energy is flat to relative ``tol`` since the previous
+    checkpoint 10 iterations back ("flat"), or at ``max_iters`` ("cap"). The
+    objective is 1-strongly convex, so a gap ``eps`` puts the returned point
+    within ``sqrt(2 eps)`` of the exact minimizer.
 
     The dual starts at ``q0`` (one entry per edge, typically ``ProxTrace.q``
     of a call on a nearby input) clipped to this weight's box, or at zero;
@@ -308,45 +345,111 @@ def tv_prox(
     for the zero dual. The duality gap certifies any such start, so the stop
     tests are the same.
 
-    Returns the minimizer and a :class:`ProxTrace`.
+    A 2-D ``z`` of shape (c, n) holds c independent problems, one per row,
+    solved together: one sparse product per iteration serves every row.
+    ``weight``, ``gap_tol`` and the rows of a (c, E) ``q0`` may then differ
+    per row; a scalar applies to every row. Each row stops on its own tests
+    and keeps the point, dual, gap and energies of its stop checkpoint, so
+    it equals a 1-D call on that row bit for bit. The trace then holds one
+    :class:`ProxTrace` per row in ``rows``.
+
+    Returns the minimizer (shaped like ``z``) and a :class:`ProxTrace`.
     """
-    z = _check_node_function(g, z)
-    if weight < 0:
+    batch = np.ndim(z) == 2
+    if batch:
+        Z = np.ascontiguousarray(z, dtype=np.float64)
+        if Z.shape[0] < 1 or Z.shape[1] != g.n_nodes:
+            raise DimensionError(
+                f"input has shape {Z.shape}, expected (rows, {g.n_nodes}) for this graph"
+            )
+    else:
+        Z = _check_node_function(g, z)[None]
+    c, n_edges = Z.shape[0], g.n_edges
+    weights = _per_row(weight, c, "weight")
+    if any(w < 0 for w in weights):
         raise InvalidParameterError("weight must be nonnegative")
     if max_iters < 1:
         raise InvalidParameterError("max_iters must be >= 1")
+    gap_tols = _per_row(tol if gap_tol is None else gap_tol, c, "gap_tol")
     if q0 is not None:
         q0 = np.asarray(q0, dtype=np.float64)
-        if q0.shape != (g.n_edges,):
+        if q0.shape != ((c, n_edges) if batch else (n_edges,)):
             raise DimensionError(
-                f"dual start has shape {q0.shape}, graph has {g.n_edges} edges"
+                f"dual start has shape {q0.shape}, graph has {n_edges} edges"
             )
-    if weight == 0.0 or g.n_edges == 0:
-        return z.copy(), ProxTrace(0, [], 0.0)
-    if gap_tol is None:
-        gap_tol = tol
+        q0 = q0.reshape(c, n_edges)
 
+    # a row with zero weight, or any row on an edgeless graph, is its own prox
+    live = [k for k in range(c) if weights[k] > 0.0 and n_edges]
+    solved = iter(_tv_primal_dual(
+        g, Z[live], [weights[k] for k in live], tol, [gap_tols[k] for k in live],
+        None if q0 is None else q0[live], max_iters,
+    ) if live else ())
+    out = [next(solved) if k in live else (Z[k].copy(), ProxTrace(0, [], 0.0)) for k in range(c)]
+    if not batch:
+        return out[0]
+    rows = [trace for _, trace in out]
+    duals = None
+    if live:
+        duals = np.zeros((c, n_edges))
+        for k in live:
+            duals[k] = rows[k].q
+            rows[k].q = duals[k]
+    summary = ProxTrace(
+        max(t.iterations_run for t in rows),
+        [],
+        max(t.final_gap for t in rows),
+        duals,
+        max((t.stop_reason for t in rows), key=_PROX_STOPS.index),
+        rows,
+    )
+    return np.stack([x for x, _ in out]), summary
+
+
+def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
+    """The iteration of :func:`tv_prox` on the rows of ``Z``, all with a
+    positive weight on a graph with edges; one ``(x, ProxTrace)`` per row.
+
+    The rows run side by side as the columns of (n, k) and (E, k) arrays,
+    one csr product per operator and iteration. A csr product sums each
+    column in the same order as a product with that column alone, and every
+    other update is elementwise, so each column follows the 1-D iteration
+    bit for bit. Checkpoint energies and gaps are computed per row on
+    contiguous rows, as for 1-D input. Rows that stop leave the arrays, and
+    a single row runs on 1-D arrays.
+    """
     D, Dt, sw, step = _tv_operator(g)
-    cap = 2.0 * weight * sw  # dual box radius per edge
+    if len(Z) == 1:
+        z = Z[0]
+        cap = 2.0 * weights[0] * sw  # dual box radius per edge
+    else:
+        z = Z.T.copy()
+        cap = (2.0 * np.array(weights)) * sw[:, None]
     neg_cap = -cap
     step_z = step * z
     denom = 1.0 + step
 
-    def primal_energy(xv):
+    def primal_energy(xv, zv, w):
         return float(
-            2.0 * weight * np.sum(g.edge_w * np.abs(xv[g.edge_i] - xv[g.edge_j]))
-            + 0.5 * np.sum((xv - z) ** 2)
+            2.0 * w * np.sum(g.edge_w * np.abs(xv[g.edge_i] - xv[g.edge_j]))
+            + 0.5 * np.sum((xv - zv) ** 2)
         )
 
     # the updates below run in place but in the same operation order as
     # q <- clip(q + step D x_bar, -cap, cap),
     # x <- (x - step D^T q + step z) / (1 + step),  x_bar <- 2 x - x_old
-    q = np.zeros(g.n_edges) if q0 is None else np.clip(q0, neg_cap, cap)
+    if q0 is None:
+        q = np.zeros(cap.shape)
+    else:
+        q = q0[0].copy() if len(Z) == 1 else q0.T.copy()
+        np.clip(q, neg_cap, cap, out=q)
     x = z - Dt @ q
     x_bar = x.copy()
     x_new = np.empty_like(z)
     step_dtq = np.empty_like(z)
-    energies: dict[int, float] = {}  # checkpoint iteration -> primal energy
+    active = list(range(len(Z)))  # the row of each column still iterating
+    energies = [{} for _ in active]  # per row: checkpoint iteration -> energy
+    results: list = [None] * len(Z)
     for it in range(1, max_iters + 1):
         dq = D @ x_bar
         dq *= step
@@ -363,15 +466,39 @@ def tv_prox(
         x, x_new = x_new, x
         if it % 10 and it != max_iters:
             continue
-        e_now = energies[it] = primal_energy(x)
-        gap = e_now - float(dtq @ z - 0.5 * (dtq @ dtq))
-        if gap <= gap_tol:
+        xs, dtqs = ((x,), (dtq,)) if x.ndim == 1 else (x.T.copy(), dtq.T.copy())
+        keep = []
+        for j, k in enumerate(active):
+            zk, dtqk = Z[k], dtqs[j]
+            e_now = energies[k][it] = primal_energy(xs[j], zk, weights[k])
+            gap = e_now - float(dtqk @ zk - 0.5 * (dtqk @ dtqk))
+            # a max_iters off the 10-grid has no energy 10 back: the row ends anyway
+            e_back = energies[k].get(it - 10)
+            if gap <= gap_tols[k]:
+                reason = "gap"
+            elif e_back is not None and abs(e_back - e_now) <= tol * max(1.0, abs(e_now)):
+                reason = "flat"
+            elif it == max_iters:
+                reason = "cap"
+            else:
+                keep.append(j)
+                continue
+            xk, qk = (x, q) if x.ndim == 1 else (xs[j].copy(), q[:, j].copy())
+            trace = ProxTrace(it, list(energies[k].values()), float(max(gap, 0.0)), qk, reason)
+            results[k] = (xk, trace)
+        if not keep:
             break
-        # a max_iters off the 10-grid has no energy 10 back: the loop ends anyway
-        e_back = energies.get(it - 10)
-        if e_back is not None and abs(e_back - e_now) <= tol * max(1.0, abs(e_now)):
-            break
-    return x, ProxTrace(it, list(energies.values()), float(max(gap, 0.0)), q)
+        if len(keep) < len(active):
+            # one remaining column becomes a 1-D array; fancy indexing copies
+            def columns(a):
+                return a[:, keep[0]].copy() if len(keep) == 1 else a[:, keep]
+
+            active = [active[j] for j in keep]
+            x, x_bar, q, cap, step_z = map(columns, (x, x_bar, q, cap, step_z))
+            neg_cap = -cap
+            x_new = np.empty_like(x)
+            step_dtq = np.empty_like(x)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +563,11 @@ def qp_box_eq(
 
     Projected gradient ascent with exact projection onto the feasible set and
     a Barzilai-Borwein step (fallback 1/L, L from power iteration). Terminates
-    when the projected-gradient norm at the reference step drops below ``tol``
-    or at ``max_iters``. ``Q`` may be a dense array, a scipy sparse matrix or
+    when the projected-gradient norm at the reference step ``1/L`` drops below
+    ``tol`` ("tol") or at ``max_iters`` ("cap"). Each iteration projects its
+    step first; the reference projection runs only when the step cannot
+    decide the test, which leaves every iterate as with both projections.
+    ``Q`` may be a dense array, a scipy sparse matrix or
     any object whose ``Q @ b`` is its product with a vector; it must be
     symmetric PSD.
     """
@@ -459,7 +589,9 @@ def qp_box_eq(
                 "equality with one-sided labels and mu = 0 leaves no feasible point"
             )
         beta = np.zeros(m)
-        return DualSolution(beta, 0.0, {"eq": 0.0, "box": 0.0, "stationarity": 0.0}, 0)
+        return DualSolution(
+            beta, 0.0, {"eq": 0.0, "box": 0.0, "stationarity": 0.0}, 0, "tol"
+        )
 
     q_lin = 1.0 - p  # minimize F(b) = 0.5 b Q b - q_lin @ b
 
@@ -475,19 +607,34 @@ def qp_box_eq(
     t = t_ref
     f_hist: list[float] = []
     pg_norm = np.inf
+    stop_reason = "cap"
     it = 0
     for it in range(1, max_iters + 1):
-        ref = project_box_eq(beta - t_ref * grad, y, mu)
-        pg_norm = float(np.linalg.norm(ref - beta) / t_ref)
-        if pg_norm <= tol:
-            break
         beta_new = project_box_eq(beta - t * grad, y, mu)
         s = beta_new - beta
+        ss = float(s @ s)
+        # The stop test is pg(t_ref) = ||P(beta - t_ref grad) - beta|| / t_ref
+        # <= tol. For feasible beta, ||P(beta - t grad) - beta|| grows and
+        # ||P(beta - t grad) - beta|| / t shrinks with t (Calamai & More 1987,
+        # Lemma 2.2), so pg(t_ref) >= ||s|| / max(t, t_ref). While that bound
+        # clears tol by more than rounding the test cannot stop, and its
+        # projection is skipped; at t == t_ref the step is the test's point.
+        # The last iteration always runs the test, for the returned residual.
+        bound = math.sqrt(ss) / max(t, t_ref)
+        if t == t_ref or it == max_iters or bound <= _PG_BOUND_MARGIN * tol:
+            if t == t_ref:
+                pg_norm = math.sqrt(ss) / t_ref
+            else:
+                ref = project_box_eq(beta - t_ref * grad, y, mu)
+                pg_norm = float(np.linalg.norm(ref - beta) / t_ref)
+            if pg_norm <= tol:
+                stop_reason = "tol"
+                break
         grad_new = matvec(beta_new) - q_lin
         u = grad_new - grad
         su = float(s @ u)
         if su > 1e-30:
-            t = float(np.clip((s @ s) / su, 1e-5 * t_ref, 1e5 * t_ref))
+            t = float(np.clip(ss / su, 1e-5 * t_ref, 1e5 * t_ref))
         else:
             t = t_ref
         f_new = float(0.5 * beta_new @ grad_new - 0.5 * q_lin @ beta_new)
@@ -502,7 +649,7 @@ def qp_box_eq(
         "box": float(max(0.0, -beta.min(), (beta - mu).max())),
         "stationarity": pg_norm if np.isfinite(pg_norm) else 0.0,
     }
-    return DualSolution(beta, obj, kkt, it)
+    return DualSolution(beta, obj, kkt, it, stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +707,7 @@ def normalize_ball_zero_mean(f, scale: float) -> np.ndarray:
         raise DegenerateInputError("cannot normalize the zero vector")
     out = (scale / norm) * f
     out = out - out.mean()
-    if np.allclose(out, 0.0):
+    if np.max(np.abs(out)) <= 1e-8:  # np.allclose(out, 0.0), without its overhead
         warnings.warn(
             "constant input collapsed to zero after centering", RuntimeWarning
         )

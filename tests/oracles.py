@@ -6,6 +6,7 @@ primal), so agreement is meaningful.
 """
 
 import itertools
+import types
 
 import numpy as np
 import scipy.optimize as sopt
@@ -147,6 +148,31 @@ def tv_prox_reference(graph, z, weight, *, tol=1e-6, max_iters=500, q0=None):
     return x, it, energies, float(max(gap, 0.0)), q
 
 
+def tv_prox_row_by_row(prox, graph, z, weight, *, tol, max_iters, q0=None, gap_tol=None):
+    """A batched (c, n) TV prox call made as c calls of ``prox`` on 1-D rows.
+
+    Returns the stacked points and a record with the fields the training
+    loops read from a batched call: ``rows`` (one trace per row) and ``q``
+    (the (c, E) duals, zero for rows that returned their input).
+    """
+    z = np.asarray(z, dtype=np.float64)
+    c = z.shape[0]
+    weights = np.broadcast_to(np.asarray(weight, dtype=np.float64), (c,))
+    gaps = np.broadcast_to(np.asarray(tol if gap_tol is None else gap_tol, dtype=np.float64), (c,))
+    out = [
+        prox(
+            graph, z[k], float(weights[k]), tol=tol, max_iters=max_iters,
+            q0=None if q0 is None else q0[k], gap_tol=float(gaps[k]),
+        )
+        for k in range(c)
+    ]
+    rows = [trace for _, trace in out]
+    q = None
+    if any(t.q is not None for t in rows):
+        q = np.stack([np.zeros(graph.n_edges) if t.q is None else t.q for t in rows])
+    return np.stack([x for x, _ in out]), types.SimpleNamespace(rows=rows, q=q)
+
+
 # ---------------------------------------------------------------------------
 # linear solve oracle
 # ---------------------------------------------------------------------------
@@ -241,6 +267,74 @@ def qp_box_eq_enumerate(Q, p, y, mu):
         if obj > best_obj:
             best_obj, best_b = obj, b.copy()
     return best_b, best_obj
+
+
+def qp_box_eq_two_projections(Q, p, y, mu, project, *, tol=1e-6, max_iters=5000, beta0=None):
+    """The library's projected-gradient dual solver in its two-projection form.
+
+    Every iteration projects at the reference step ``1/L`` for the stop test
+    and again at the Barzilai-Borwein step for the move. The library skips
+    the first projection when the second already decides the test, which
+    must leave every iterate unchanged; with the same ``project`` both give
+    the same results bit for bit. Returns ``(beta, objective,
+    kkt_residuals, iterations, stop_reason)``.
+    """
+    y = np.asarray(y, dtype=np.float64).ravel()
+    m = y.size
+    p = np.full(m, float(p)) if np.isscalar(p) else np.asarray(p, dtype=np.float64).ravel()
+    q_lin = 1.0 - p
+
+    def matvec(b):
+        return np.asarray(Q @ b).ravel()
+
+    v = np.ones(m) + 1e-3 * np.arange(m)
+    v /= np.linalg.norm(v)
+    L = 0.0
+    for _ in range(30):
+        w = matvec(v)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            L = 0.0
+            break
+        L = nw
+        v = w / nw
+    t_ref = 1.0 / max(float(L), 1e-12)
+
+    beta = project(np.zeros(m) if beta0 is None else beta0, y, mu)
+    grad = matvec(beta) - q_lin
+    t = t_ref
+    f_hist = []
+    pg_norm = np.inf
+    stop_reason = "cap"
+    it = 0
+    for it in range(1, max_iters + 1):
+        ref = project(beta - t_ref * grad, y, mu)
+        pg_norm = float(np.linalg.norm(ref - beta) / t_ref)
+        if pg_norm <= tol:
+            stop_reason = "tol"
+            break
+        beta_new = project(beta - t * grad, y, mu)
+        s = beta_new - beta
+        grad_new = matvec(beta_new) - q_lin
+        u = grad_new - grad
+        su = float(s @ u)
+        if su > 1e-30:
+            t = float(np.clip((s @ s) / su, 1e-5 * t_ref, 1e5 * t_ref))
+        else:
+            t = t_ref
+        f_new = float(0.5 * beta_new @ grad_new - 0.5 * q_lin @ beta_new)
+        if f_hist and f_new > max(f_hist[-10:]) + 1e-10 * (1 + abs(f_new)):
+            t = t_ref
+        f_hist.append(f_new)
+        beta, grad = beta_new, grad_new
+
+    obj = float(beta @ np.ones(m) - 0.5 * beta @ matvec(beta) - beta @ p)
+    kkt = {
+        "eq": float(abs(beta @ y)),
+        "box": float(max(0.0, -beta.min(), (beta - mu).max())),
+        "stationarity": pg_norm if np.isfinite(pg_norm) else 0.0,
+    }
+    return beta, obj, kkt, it, stop_reason
 
 
 # ---------------------------------------------------------------------------

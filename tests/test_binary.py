@@ -38,6 +38,7 @@ from oracles import (
     masked_rls_alpha,
     qp_box_eq_enumerate,
     rls_gradient_descent,
+    tv_prox_row_by_row,
     tv_rls_objective,
     value_prox_primal_slsqp,
 )
@@ -509,6 +510,28 @@ def test_cheeger_prox_trace_one_entry_per_outer_step(trainer):
     assert 1 <= steps <= hp.outer_iters
     assert all(1 <= i <= hp.inner_iters for i in iters)
     assert all(c in (0, 1) for c in caps)
+
+
+@pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])
+def test_cheeger_one_row_prox_equals_the_one_dimensional_call(trainer, monkeypatch):
+    # the ratio loop shrinks its single channel as a (1, n) batch, which runs
+    # on 1-D arrays and must give the fit of 1-D calls bit for bit
+    _, _, K, g, ls = cheeger_toy()
+    hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=12, norm_scale="sqrt_n")
+    batched = trainer(K, g, ls, hp)
+    calls = []
+    prox = binary.tv_prox
+
+    def row_by_row(g, z, weight, **kwargs):
+        calls.append(np.shape(z))
+        return tv_prox_row_by_row(prox, g, z, weight, **kwargs)
+
+    monkeypatch.setattr(binary, "tv_prox", row_by_row)
+    single = trainer(K, g, ls, hp)
+    assert calls == [(1, g.n_nodes)] * batched.trace["outer_steps"]
+    assert batched.alpha.tobytes() == single.alpha.tobytes()
+    assert batched.node_values.tobytes() == single.node_values.tobytes()
+    assert repr(batched.trace) == repr(single.trace)
 
 
 @pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tvssl import multiclass
+from tvssl import binary, multiclass
 from tvssl.binary import load_model as binary_load_model
 from tvssl.binary import save_model as binary_save_model
 from tvssl.binary import (
@@ -38,7 +38,7 @@ from tvssl.multiclass import (
 )
 from tvssl.opt_core import HyperParams
 
-from oracles import margin_primal_slsqp, masked_rls_alpha
+from oracles import margin_primal_slsqp, masked_rls_alpha, tv_prox_row_by_row
 
 
 def three_cluster_dataset(per=12, seed=7, spread=0.45):
@@ -459,21 +459,52 @@ def test_simplex_last_flag_keeps_final_iterate_feasible():
 )
 def test_consensus_prox_gap_tolerance_never_below_tol(trainer, monkeypatch):
     # the first TV shrink of every channel is solved to tol; later ones to a
-    # gap tied to the move of that channel's input, never below tol
-    calls = []
+    # gap tied to the move of that channel's input, never below tol. All
+    # channels shrink in one batched call per step, one gap per row.
+    batches, calls = [], []
     prox = multiclass.tv_prox
 
-    def spy(*args, **kwargs):
-        calls.append((kwargs["tol"], kwargs["gap_tol"]))
-        return prox(*args, **kwargs)
+    def spy(g, z, *args, **kwargs):
+        batches.append(np.shape(z))
+        gaps = np.broadcast_to(kwargs["gap_tol"], np.shape(z)[:1])
+        calls.extend((kwargs["tol"], float(gap_tol)) for gap_tol in gaps)
+        return prox(g, z, *args, **kwargs)
 
     monkeypatch.setattr(multiclass, "tv_prox", spy)
     ds = three_cluster_dataset(per=8)
     K, g, mls = setup(ds)
     m = trainer(K, g, mls, MC_HP)
     c = mls.class_count
+    assert batches == [(c, g.n_nodes)] * MC_HP.outer_iters
     assert len(calls) == c * MC_HP.outer_iters == c * m.trace["outer_steps"]
     assert m.trace["stop_reason"] == "cap"
     assert calls[:c] == [(MC_HP.tol, MC_HP.tol)] * c
     assert all(tol == MC_HP.tol and gap_tol >= MC_HP.tol for tol, gap_tol in calls)
     assert any(gap_tol > MC_HP.tol for _, gap_tol in calls)  # the rule is in use
+
+
+@pytest.mark.parametrize(
+    "trainer",
+    [tv_rls_mc_train, tv_svm_mc_train, cheeger_rls_mc_train, cheeger_svm_mc_train],
+    ids=["tv_rls_mc", "tv_svm_mc", "cheeger_rls_mc", "cheeger_svm_mc"],
+)
+def test_batched_channel_prox_equals_one_call_per_channel(trainer, monkeypatch):
+    # one (c, n) prox call per step gives the fit of c one-channel calls bit
+    # for bit, trace included
+    ds = three_cluster_dataset(per=8)
+    K, g, mls = setup(ds)
+    batched = trainer(K, g, mls, MC_HP)
+    calls = []
+    prox = multiclass.tv_prox
+
+    def row_by_row(g, z, weight, **kwargs):
+        calls.append(np.shape(z))
+        return tv_prox_row_by_row(prox, g, z, weight, **kwargs)
+
+    for module in (multiclass, binary):  # the Cheeger loop lives in binary
+        monkeypatch.setattr(module, "tv_prox", row_by_row)
+    single = trainer(K, g, mls, MC_HP)
+    assert calls == [(mls.class_count, g.n_nodes)] * batched.trace["outer_steps"]
+    assert batched.alphas.tobytes() == single.alphas.tobytes()
+    assert batched.node_values.tobytes() == single.node_values.tobytes()
+    assert repr(batched.trace) == repr(single.trace)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -11,6 +13,8 @@ from tvssl.errors import (
     InfeasibleConstraintsError,
     InvalidParameterError,
 )
+from tvssl import opt_core
+from tvssl.binary import _SignedKernel
 from tvssl.data_io import make_two_moons
 from tvssl.graph import SimilarityGraph, build_knn_graph
 from tvssl.opt_core import (
@@ -30,6 +34,7 @@ from tvssl.opt_core import (
 from oracles import (
     project_box_eq_bisection,
     qp_box_eq_enumerate,
+    qp_box_eq_two_projections,
     refined_solve_per_column,
     sort_simplex_projection,
     tv_prox_objective,
@@ -329,6 +334,11 @@ def _assert_prox_matches_reference(g, z, weight, tol, max_iters, q0=None):
     assert trace.iterations_run == ref_iters
     assert trace.final_gap == ref_gap
     assert trace.primal_energy[-1] == ref_energies[-1]
+    # the flatness test needs the checkpoint 10 iterations back
+    flat = ref_iters % 10 == 0 and ref_iters > 10 and abs(
+        ref_energies[-11] - ref_energies[-1]
+    ) <= tol * max(1.0, abs(ref_energies[-1]))
+    assert trace.stop_reason == ("gap" if ref_gap <= tol else "flat" if flat else "cap")
     if ref_iters == max_iters and ref_gap > tol:
         return "cap"
     return "gap" if ref_gap <= tol else "flat"
@@ -446,6 +456,110 @@ def test_tv_prox_rejects_nonpositive_iteration_cap():
         tv_prox(path_graph([1.0]), np.zeros(2), 0.5, max_iters=0)
 
 
+def _assert_rows_match_1d(g, Z, weights, gap_tols, tol, max_iters, q0=None):
+    """Solve the rows of Z in one call and one by one: every row must agree
+    bit for bit. Returns the rows' stop reasons and stop iterations."""
+    X, trace = tv_prox(g, Z, weights, tol=tol, max_iters=max_iters, q0=q0, gap_tol=gap_tols)
+    assert X.shape == Z.shape and len(trace.rows) == len(Z)
+    singles = [
+        tv_prox(
+            g, Z[k], weights[k], tol=tol, max_iters=max_iters,
+            q0=None if q0 is None else q0[k], gap_tol=gap_tols[k],
+        )
+        for k in range(len(Z))
+    ]
+    for k, (row, (x1, t1)) in enumerate(zip(trace.rows, singles)):
+        assert X[k].tobytes() == x1.tobytes()
+        assert row.iterations_run == t1.iterations_run
+        assert row.primal_energy == t1.primal_energy
+        assert row.final_gap == t1.final_gap
+        assert row.stop_reason == t1.stop_reason
+        if t1.q is None:
+            assert row.q is None
+            assert trace.q is None or not trace.q[k].any()
+        else:
+            assert row.q.tobytes() == t1.q.tobytes() == trace.q[k].tobytes()
+    assert trace.iterations_run == max(t.iterations_run for _, t in singles)
+    assert trace.final_gap == max(t.final_gap for _, t in singles)
+    assert trace.stop_reason in {t.stop_reason for _, t in singles}
+    return {t.stop_reason for _, t in singles}, {t.iterations_run for _, t in singles}
+
+
+def test_tv_prox_rows_bit_identical_to_single_calls():
+    graphs = [
+        path_graph([1.0, 0.5, 2.0]),
+        build_knn_graph(make_two_moons(60, 0.1, seed=3).data, 6),
+    ]
+    rng = np.random.default_rng(27)
+    stops, spreads = set(), set()
+    for g in graphs:
+        Z = rng.normal(size=(4, g.n_nodes))
+        weights = np.array([0.05, 0.3, 1.5, 0.0])  # a zero row returns its input
+        gap_tols = np.array([1e-1, 1e-3, 1e-6, 1e-2])
+        _, near = tv_prox(g, Z + 0.05 * rng.normal(size=Z.shape), 0.3, max_iters=40)
+        for q0 in (None, near.q, rng.normal(scale=2.0, size=(4, g.n_edges))):
+            for tol in (1e-3, 1e-6):
+                for max_iters in (7, 15, 77, 150):
+                    got, its = _assert_rows_match_1d(g, Z, weights, gap_tols, tol, max_iters, q0)
+                    stops |= got
+                    spreads.add(len(its))
+    # every stop test ends some row, and rows stop at up to 4 different
+    # iterations, so the batch shrinks down to a single column
+    assert stops == {"cap", "gap", "flat"}
+    assert max(spreads) >= 3
+
+
+def test_tv_prox_single_row_and_scalar_parameters():
+    g = build_knn_graph(make_two_moons(60, 0.1, seed=3).data, 6)
+    z = np.random.default_rng(28).normal(size=g.n_nodes)
+    x1, t1 = tv_prox(g, z, 0.3, tol=1e-6, max_iters=77)
+    X, trace = tv_prox(g, z[None], 0.3, tol=1e-6, max_iters=77)
+    assert X.shape == (1, g.n_nodes) and X[0].tobytes() == x1.tobytes()
+    assert trace.rows[0].primal_energy == t1.primal_energy
+    assert trace.q.shape == (1, g.n_edges) and trace.q[0].tobytes() == t1.q.tobytes()
+    assert (trace.iterations_run, trace.final_gap) == (t1.iterations_run, t1.final_gap)
+    # a scalar weight and gap tolerance apply to every row
+    Z = np.vstack([z, -z, 2.0 * z])
+    _assert_rows_match_1d(g, Z, [0.3] * 3, [1e-4] * 3, 1e-6, 150)
+    X2, t2 = tv_prox(g, Z, 0.3, tol=1e-6, max_iters=150, gap_tol=1e-4)
+    assert X2.tobytes() == tv_prox(g, Z, [0.3] * 3, tol=1e-6, max_iters=150,
+                                   gap_tol=[1e-4] * 3)[0].tobytes()
+
+
+def test_tv_prox_rows_without_work():
+    # an edgeless graph and all-zero weights return the input, with no duals
+    z = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, 2.0, 3.0]])
+    for g, weight in ((SimilarityGraph(4, [], [], []), 1.0), (path_graph([1.0] * 3), 0.0)):
+        X, trace = tv_prox(g, z, weight)
+        assert X.tobytes() == z.tobytes()
+        assert trace.q is None and trace.iterations_run == 0
+        assert [r.stop_reason for r in trace.rows] == ["gap", "gap"]
+
+
+def test_tv_prox_rows_reject_wrong_shapes():
+    g = path_graph([1.0, 0.7])  # 3 nodes, 2 edges
+    Z = np.zeros((2, 3))
+    bad = [
+        dict(z=np.zeros((2, 4))),
+        dict(q0=np.zeros(2)),
+        dict(q0=np.zeros((3, 2))),
+        dict(q0=np.zeros((2, 3))),
+        dict(weight=np.array([0.5, 0.5, 0.5])),
+        dict(weight=np.ones((2, 1))),
+        dict(gap_tol=np.array([1e-3])),
+        dict(gap_tol=np.ones((1, 2))),
+    ]
+    for kwargs in bad:
+        args = {"z": Z, "weight": 0.5, **kwargs}
+        z, weight = args.pop("z"), args.pop("weight")
+        with pytest.raises(DimensionError):
+            tv_prox(g, z, weight, **args)
+    with pytest.raises(DimensionError):
+        tv_prox(g, np.zeros(3), [0.5, 0.5])  # one weight per row of 1-D input
+    with pytest.raises(InvalidParameterError):
+        tv_prox(g, Z, [0.5, -0.5])
+
+
 # ---------------------------------------------------------------------------
 # qp_box_eq
 # ---------------------------------------------------------------------------
@@ -516,6 +630,74 @@ def test_qp_warm_start_converges_faster():
     sol1 = qp_box_eq(Q, 0.0, y, 1.0, tol=1e-8)
     sol2 = qp_box_eq(Q, 0.0, y, 1.0, tol=1e-8, beta0=sol1.beta)
     assert sol2.iterations <= sol1.iterations
+
+
+def _random_dual(m, seed, kind):
+    """A PSD dual quadratic (rank-deficient, so bounds bind), labels and
+    a box, as dense (y y^T) * S or the SVM trainers' signed operator."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, max(1, m // 2)))
+    S = A @ A.T / m + 1e-3 * np.eye(m)
+    y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+    y[0], y[1] = 1.0, -1.0
+    Q = _SignedKernel(S, y) if kind == "signed" else np.outer(y, y) * S
+    return Q, y, float(rng.uniform(0.1, 2.0)), rng
+
+
+@pytest.mark.parametrize("kind", ["dense", "signed"])
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 7, 5000])
+def test_qp_bit_identical_to_two_projection_loop(kind, max_iters):
+    reasons = set()
+    for seed in range(6):
+        m = (5, 40)[seed % 2]
+        Q, y, mu, rng = _random_dual(m, seed, kind)
+        for p in (0.0, 0.3 * rng.normal(size=m)):
+            # no start, an infeasible one, and a converged one that stops at once
+            solved = qp_box_eq(Q, p, y, mu, tol=1e-10).beta
+            for beta0 in (None, rng.uniform(-0.5, 1.5, size=m) * mu, solved):
+                for tol in (1e-6, 1e-9):
+                    sol = qp_box_eq(Q, p, y, mu, tol=tol, max_iters=max_iters, beta0=beta0)
+                    beta, obj, kkt, iters, reason = qp_box_eq_two_projections(
+                        Q, p, y, mu, project_box_eq, tol=tol, max_iters=max_iters, beta0=beta0
+                    )
+                    assert sol.beta.tobytes() == beta.tobytes()
+                    assert sol.objective == obj
+                    assert sol.kkt_residuals == kkt
+                    assert sol.iterations == iters
+                    assert sol.stop_reason == reason
+                    reasons.add(reason)
+    assert reasons == ({"tol"} if max_iters == 5000 else {"tol", "cap"})
+
+
+def test_qp_projects_reference_step_only_when_the_step_cannot_decide(monkeypatch):
+    calls = []
+
+    def counting(v, y, mu):
+        calls.append(1)
+        return project_box_eq(v, y, mu)
+
+    monkeypatch.setattr(opt_core, "project_box_eq", counting)
+    Q, y, mu, _ = _random_dual(60, 11, "signed")
+    sol = qp_box_eq(Q, 0.0, y, mu, tol=1e-9)
+    assert sol.stop_reason == "tol" and sol.iterations > 20
+    # one projection of the start, one per step, and the reference ones:
+    # two per iteration before the skip
+    assert sol.iterations + 1 <= len(calls) < 1.5 * sol.iterations
+
+
+def test_qp_stop_reason_on_the_last_allowed_iteration():
+    Q, y, mu, _ = _random_dual(40, 5, "dense")
+    free = qp_box_eq(Q, 0.0, y, mu, tol=1e-8)
+    n = free.iterations
+    assert free.stop_reason == "tol" and n > 3
+    last = qp_box_eq(Q, 0.0, y, mu, tol=1e-8, max_iters=n)
+    assert (last.iterations, last.stop_reason) == (n, "tol")
+    assert last.beta.tobytes() == free.beta.tobytes()
+    short = qp_box_eq(Q, 0.0, y, mu, tol=1e-8, max_iters=n - 1)
+    assert (short.iterations, short.stop_reason) == (n - 1, "cap")
+    assert short.kkt_residuals["stationarity"] > 1e-8
+    # the closed-form mu = 0 solution counts as converged
+    assert qp_box_eq(Q, 0.0, y, 0.0).stop_reason == "tol"
 
 
 def test_project_box_eq_properties():
@@ -648,6 +830,29 @@ def test_normalize_order_scale_then_center():
     pre_center = (scale / np.linalg.norm(f)) * f
     assert np.linalg.norm(pre_center) == pytest.approx(scale, rel=1e-12)
     assert np.allclose(out, pre_center - pre_center.mean())
+
+
+def test_normalize_collapse_warning_pins_the_allclose_boundary():
+    # the collapse check must stay np.allclose(out, 0.0): max |out| <= 1e-8
+    outs, warned = [], []
+    for d in np.linspace(2.0e-8, 3.6e-8, 161):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = normalize_ball_zero_mean(np.array([1.0, 1.0 + d]), 1.0)
+        outs.append(out)
+        warned.append(any(issubclass(w.category, RuntimeWarning) for w in caught))
+    assert warned == [bool(np.allclose(out, 0.0)) for out in outs]
+    assert True in warned and False in warned  # both sides of the boundary
+    # the last warning and the first silence straddle +-1e-8
+    edge = warned.index(False)
+    assert np.max(np.abs(outs[edge - 1])) <= 1e-8 < np.max(np.abs(outs[edge]))
+    # NaN and inf input end as NaN: no collapse warning under either form
+    for f in (np.array([1.0, np.nan, 2.0]), np.array([1.0, np.inf])):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(invalid="ignore"):
+            warnings.simplefilter("always")
+            out = normalize_ball_zero_mean(f, 1.0)
+        assert np.isnan(out).all() and not np.allclose(out, 0.0)
+        assert not any("collapsed" in str(w.message) for w in caught)
 
 
 def test_normalize_zero_vector_raises():
