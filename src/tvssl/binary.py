@@ -25,6 +25,7 @@ from .errors import (
 from .graph import SimilarityGraph, graph_tv
 from .kernel import KernelMatrix, kernel_expand
 from .opt_core import (
+    _PROX_STOPS,
     DualSolution,
     HyperParams,
     LuFactor,
@@ -346,10 +347,13 @@ def _check_divergence(f, n):
 
 def _record_prox(trace, hp, proxes) -> None:
     """Append one outer iteration's TV proximal work to ``trace``: the
-    iterations summed over channels (one :class:`ProxTrace` each) and the
-    channels that hit ``inner_iters``."""
+    iterations summed over channels (one :class:`ProxTrace` each), the
+    channels that hit ``inner_iters`` and, in ``prox_stops``, how many
+    channels each stop test ended."""
     trace["prox_iters"].append(sum(p.iterations_run for p in proxes))
     trace["prox_cap_hits"].append(sum(p.iterations_run >= hp.inner_iters for p in proxes))
+    stops = [p.stop_reason for p in proxes]
+    trace["prox_stops"].append({reason: stops.count(reason) for reason in _PROX_STOPS})
 
 
 def _prox_gap_tol(hp, z, z_prev) -> float:
@@ -390,7 +394,7 @@ def _tv_split_loop(K, g, ls, hp, h_step):
     lam1 = np.zeros(n)
     lam2 = np.zeros(n)
     scale = hp.ball_scale(n)
-    trace = {"consensus": [], "prox_iters": [], "prox_cap_hits": []}
+    trace = {"consensus": [], "prox_iters": [], "prox_cap_hits": [], "prox_stops": []}
     alpha = np.zeros(n)
     f = np.zeros(n)
     q = None  # dual of the last TV proximal
@@ -522,7 +526,7 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
     best_f = f
     best_alphas = None
     devs: list = []
-    trace = {"prox_iters": [], "prox_cap_hits": []}
+    trace = {"prox_iters": [], "prox_cap_hits": [], "prox_stops": []}
     q = None  # (c, E) duals of the last TV shrink
     restarts = 0
     it = 0

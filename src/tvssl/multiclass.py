@@ -207,7 +207,7 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
     lam = np.zeros_like(gch)
     trace = {"consensus": [], "simplex_dev": []}
     if tv:
-        trace.update(prox_iters=[], prox_cap_hits=[])
+        trace.update(prox_iters=[], prox_cap_hits=[], prox_stops=[])
         q = None  # (c, E) duals of the last TV shrink
         z_prev = [None] * len(gch)  # per-channel input of the last TV shrink
     for it in range(hp.outer_iters):

@@ -18,6 +18,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+# scipy's private csr kernels: the TV prox iteration calls them directly
+# (see _csr_into); scipy's own ``@`` on a csr matrix ends in the same calls
+from scipy.sparse import _sparsetools
+
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -301,6 +305,26 @@ def _tv_operator(g: SimilarityGraph):
     return g._tv_op
 
 
+def _csr_into(M, v, out) -> None:
+    """Write ``M @ v`` into ``out`` for a csr ``M`` and a 1-D ``v``, or the
+    columns of an (n, k) ``v`` into an (E, k) ``out``.
+
+    Calls the kernel that scipy's ``@`` ends in, with the same arguments, so
+    the sums run in the same order and agree bit for bit; it skips the
+    dispatch and the fresh output array of ``@``, which at a few thousand
+    edges cost more than the product. ``v`` and ``out`` should be
+    C-contiguous: scipy copies other layouts in and out.
+    """
+    out.fill(0.0)  # the kernel adds into its output
+    rows, cols = M.shape
+    if v.ndim == 1:
+        _sparsetools.csr_matvec(rows, cols, M.indptr, M.indices, M.data, v, out)
+    else:
+        _sparsetools.csr_matvecs(
+            rows, cols, v.shape[1], M.indptr, M.indices, M.data, v, out
+        )
+
+
 def _per_row(value, rows: int, name: str) -> list:
     """``value`` as one float per input row: a scalar applies to every row,
     a vector must hold one entry per row."""
@@ -310,6 +334,13 @@ def _per_row(value, rows: int, name: str) -> list:
     if out.shape != (rows,):
         raise DimensionError(f"{name} has shape {out.shape}, input has {rows} row(s)")
     return out.tolist()
+
+
+def _check_finite_nonnegative(values, name: str) -> None:
+    """Raise :class:`InvalidParameterError` unless every value is a finite
+    number >= 0; NaN fails both tests, so it cannot pass as zero."""
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise InvalidParameterError(f"{name} must be finite and nonnegative, got {values!r}")
 
 
 # stop tests of tv_prox, from the one that certifies most to the cap
@@ -353,6 +384,10 @@ def tv_prox(
     it equals a 1-D call on that row bit for bit. The trace then holds one
     :class:`ProxTrace` per row in ``rows``.
 
+    A negative or non-finite weight or tolerance, a ``max_iters`` that is
+    not an integer >= 1, and a non-finite ``z`` or ``q0`` raise
+    :class:`InvalidParameterError` before any iteration runs.
+
     Returns the minimizer (shaped like ``z``) and a :class:`ProxTrace`.
     """
     batch = np.ndim(z) == 2
@@ -366,17 +401,24 @@ def tv_prox(
         Z = _check_node_function(g, z)[None]
     c, n_edges = Z.shape[0], g.n_edges
     weights = _per_row(weight, c, "weight")
-    if any(w < 0 for w in weights):
-        raise InvalidParameterError("weight must be nonnegative")
+    _check_finite_nonnegative(weights, "weight")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
+        raise InvalidParameterError(f"max_iters must be an integer, got {max_iters!r}")
     if max_iters < 1:
         raise InvalidParameterError("max_iters must be >= 1")
     gap_tols = _per_row(tol if gap_tol is None else gap_tol, c, "gap_tol")
+    _check_finite_nonnegative([tol], "tol")
+    _check_finite_nonnegative(gap_tols, "gap_tol")
+    if not np.isfinite(Z).all():
+        raise InvalidParameterError("prox input must be finite")
     if q0 is not None:
         q0 = np.asarray(q0, dtype=np.float64)
         if q0.shape != ((c, n_edges) if batch else (n_edges,)):
             raise DimensionError(
                 f"dual start has shape {q0.shape}, graph has {n_edges} edges"
             )
+        if not np.isfinite(q0).all():
+            raise InvalidParameterError("dual start must be finite")
         q0 = q0.reshape(c, n_edges)
 
     # a row with zero weight, or any row on an edgeless graph, is its own prox
@@ -416,7 +458,9 @@ def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
     other update is elementwise, so each column follows the 1-D iteration
     bit for bit. Checkpoint energies and gaps are computed per row on
     contiguous rows, as for 1-D input. Rows that stop leave the arrays, and
-    a single row runs on 1-D arrays.
+    a single row runs on 1-D arrays. The products go through
+    :func:`_csr_into` into buffers kept across iterations, which are made
+    anew, C-contiguous, only when rows leave.
     """
     D, Dt, sw, step = _tv_operator(g)
     if len(Z) == 1:
@@ -445,18 +489,18 @@ def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
         np.clip(q, neg_cap, cap, out=q)
     x = z - Dt @ q
     x_bar = x.copy()
-    x_new = np.empty_like(z)
-    step_dtq = np.empty_like(z)
+    x_new, step_dtq, dtq = (np.empty_like(z) for _ in range(3))
+    dq = np.empty_like(q)
     active = list(range(len(Z)))  # the row of each column still iterating
     energies = [{} for _ in active]  # per row: checkpoint iteration -> energy
     results: list = [None] * len(Z)
     for it in range(1, max_iters + 1):
-        dq = D @ x_bar
+        _csr_into(D, x_bar, dq)
         dq *= step
         q += dq
         np.maximum(q, neg_cap, out=q)
         np.minimum(q, cap, out=q)
-        dtq = Dt @ q
+        _csr_into(Dt, q, dtq)
         np.multiply(dtq, step, out=step_dtq)
         np.subtract(x, step_dtq, out=x_new)
         x_new += step_z
@@ -489,15 +533,14 @@ def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
         if not keep:
             break
         if len(keep) < len(active):
-            # one remaining column becomes a 1-D array; fancy indexing copies
-            def columns(a):
-                return a[:, keep[0]].copy() if len(keep) == 1 else a[:, keep]
-
+            # take copies into C order (a[:, keep] would not be); one
+            # remaining column becomes a 1-D array
+            pick = keep[0] if len(keep) == 1 else keep
             active = [active[j] for j in keep]
-            x, x_bar, q, cap, step_z = map(columns, (x, x_bar, q, cap, step_z))
+            x, x_bar, q, cap, step_z = (a.take(pick, axis=1) for a in (x, x_bar, q, cap, step_z))
             neg_cap = -cap
-            x_new = np.empty_like(x)
-            step_dtq = np.empty_like(x)
+            x_new, step_dtq, dtq = (np.empty_like(x) for _ in range(3))
+            dq = np.empty_like(q)
     return results
 
 
@@ -521,8 +564,8 @@ def project_box_eq(v, y, mu: float) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64).ravel()
     if v.size != y.size:
         raise DimensionError("v and y must have the same length")
-    if mu < 0:
-        raise InvalidParameterError("mu must be nonnegative")
+    if not math.isfinite(mu) or mu < 0:  # a scalar test: this runs per QP iteration
+        raise InvalidParameterError("mu must be finite and nonnegative")
     m = v.size
     pos = y > 0
     n_pos = int(np.count_nonzero(pos))
@@ -569,7 +612,8 @@ def qp_box_eq(
     decide the test, which leaves every iterate as with both projections.
     ``Q`` may be a dense array, a scipy sparse matrix or
     any object whose ``Q @ b`` is its product with a vector; it must be
-    symmetric PSD.
+    symmetric PSD. A non-finite ``p`` or ``beta0`` and a negative or
+    non-finite ``mu`` or ``tol`` raise :class:`InvalidParameterError`.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     m = y.size
@@ -581,8 +625,12 @@ def qp_box_eq(
         p = np.asarray(p, dtype=np.float64).ravel()
     if p.size != m:
         raise DimensionError("p and y must have the same length")
-    if mu < 0:
-        raise InvalidParameterError("mu must be nonnegative")
+    if not np.isfinite(p).all():
+        raise InvalidParameterError("p must be finite")
+    if beta0 is not None and not np.isfinite(beta0).all():
+        raise InvalidParameterError("beta0 must be finite")
+    _check_finite_nonnegative([mu], "mu")
+    _check_finite_nonnegative([tol], "tol")
     if mu == 0.0:
         if np.all(y == y[0]):
             raise InfeasibleConstraintsError(
@@ -679,6 +727,8 @@ def project_simplex_rows(V) -> np.ndarray:
     """Row-wise simplex projection of an (n, c) array (vectorized Michelot)."""
     V = np.atleast_2d(np.asarray(V, dtype=np.float64))
     n, c = V.shape
+    if c < 1:
+        raise InvalidParameterError("need at least one coordinate per row")
     active = np.ones_like(V, dtype=bool)
     tau = (V.sum(axis=1) - 1.0) / c
     for _ in range(c + 1):

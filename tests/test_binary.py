@@ -512,6 +512,31 @@ def test_cheeger_prox_trace_one_entry_per_outer_step(trainer):
     assert all(c in (0, 1) for c in caps)
 
 
+@pytest.mark.parametrize(
+    "trainer", [tv_rls_train, tv_svm_train, cheeger_rls_train, cheeger_svm_train]
+)
+def test_prox_stops_count_each_step_stop_reasons(trainer, monkeypatch):
+    # one {gap, flat, cap} count per outer step, from the traces tv_prox returned
+    seen = []
+    prox = binary.tv_prox
+
+    def spy(*args, **kwargs):
+        x, trace = prox(*args, **kwargs)
+        seen.append([r.stop_reason for r in trace.rows or [trace]])
+        return x, trace
+
+    monkeypatch.setattr(binary, "tv_prox", spy)
+    hp = replace(default_hyperparams(trainer.__name__[: -len("_train")]), outer_iters=40)
+    m = trainer(*_moons_inputs(1), hp)
+    stops = m.trace["prox_stops"]
+    assert len(stops) == len(m.trace["prox_iters"]) == m.trace["outer_steps"] == len(seen)
+    for counts, reasons, caps in zip(stops, seen, m.trace["prox_cap_hits"]):
+        assert list(counts) == ["gap", "flat", "cap"]
+        assert sum(counts.values()) == len(reasons) == 1
+        assert counts == {r: reasons.count(r) for r in counts}
+        assert counts["cap"] <= caps  # a gap met at the cap is a cap hit too
+
+
 @pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])
 def test_cheeger_one_row_prox_equals_the_one_dimensional_call(trainer, monkeypatch):
     # the ratio loop shrinks its single channel as a (1, n) batch, which runs

@@ -508,3 +508,30 @@ def test_batched_channel_prox_equals_one_call_per_channel(trainer, monkeypatch):
     assert batched.alphas.tobytes() == single.alphas.tobytes()
     assert batched.node_values.tobytes() == single.node_values.tobytes()
     assert repr(batched.trace) == repr(single.trace)
+
+
+@pytest.mark.parametrize(
+    "trainer",
+    [tv_rls_mc_train, tv_svm_mc_train, cheeger_rls_mc_train, cheeger_svm_mc_train],
+    ids=["tv_rls_mc", "tv_svm_mc", "cheeger_rls_mc", "cheeger_svm_mc"],
+)
+def test_prox_stops_count_every_channel_once_per_step(trainer, monkeypatch):
+    seen = []
+    prox = multiclass.tv_prox
+
+    def spy(*args, **kwargs):
+        x, trace = prox(*args, **kwargs)
+        seen.append([r.stop_reason for r in trace.rows])
+        return x, trace
+
+    for module in (multiclass, binary):  # the Cheeger loop lives in binary
+        monkeypatch.setattr(module, "tv_prox", spy)
+    ds = three_cluster_dataset(per=8)
+    K, g, mls = setup(ds)
+    m = trainer(K, g, mls, MC_HP)
+    stops = m.trace["prox_stops"]
+    assert len(stops) == len(m.trace["prox_iters"]) == m.trace["outer_steps"] == len(seen)
+    for counts, reasons in zip(stops, seen):
+        assert list(counts) == ["gap", "flat", "cap"]
+        assert sum(counts.values()) == len(reasons) == mls.class_count
+        assert counts == {r: reasons.count(r) for r in counts}

@@ -39,6 +39,7 @@ from oracles import (
     sort_simplex_projection,
     tv_prox_objective,
     tv_prox_reference,
+    tv_prox_row_by_row,
     tv_prox_subgradient,
 )
 
@@ -560,6 +561,89 @@ def test_tv_prox_rows_reject_wrong_shapes():
         tv_prox(g, Z, [0.5, -0.5])
 
 
+def test_csr_into_equals_scipy_matmul_bit_for_bit():
+    g = build_knn_graph(make_two_moons(80, 0.1, seed=4).data, 7)
+    D, Dt, _, _ = opt_core._tv_operator(g)
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(g.n_nodes, 4))
+    q = rng.normal(size=(g.n_edges, 4))
+    # 1-D vectors, (n, k) blocks, and the column subsets left after rows stop:
+    # as picked by take (C order) and by fancy indexing (not C order)
+    inputs = [
+        (x[:, 1].copy(), q[:, 2].copy()),
+        (x, q),
+        (x.take([0, 2, 3], axis=1), q.take([0, 2, 3], axis=1)),
+        (x[:, [0, 3]], q[:, [1, 3]]),
+    ]
+    assert not inputs[3][0].flags.c_contiguous
+    for M, v in [(M, v) for xv, qv in inputs for M, v in ((D, xv), (Dt, qv))]:
+        want = M @ v
+        out = np.full(want.shape, np.nan)  # a reused buffer holds old values
+        opt_core._csr_into(M, v, out)
+        assert out.tobytes() == want.tobytes()
+
+
+def test_tv_prox_rows_stopping_apart_match_single_calls_and_reference():
+    g = build_knn_graph(make_two_moons(60, 0.1, seed=3).data, 6)
+    rng = np.random.default_rng(30)
+    Z = rng.normal(size=(5, g.n_nodes))
+    weights = [0.05, 0.2, 0.6, 1.5, 3.0]
+    _, near = tv_prox(g, Z + 0.05 * rng.normal(size=Z.shape), 0.3, max_iters=40)
+    for q0 in (None, near.q):
+        X, trace = tv_prox(g, Z, weights, tol=1e-6, max_iters=500, q0=q0)
+        # rows leave the batch at several checkpoints, down to one column
+        stops = [row.iterations_run for row in trace.rows]
+        assert len(set(stops)) >= 3 and stops.count(max(stops)) == 1
+        single, _ = tv_prox_row_by_row(tv_prox, g, Z, weights, tol=1e-6, max_iters=500, q0=q0)
+        assert X.tobytes() == single.tobytes()
+        for k, row in enumerate(trace.rows):
+            ref_x, ref_iters, ref_energies, ref_gap, ref_q = tv_prox_reference(
+                g, Z[k], weights[k], tol=1e-6, max_iters=500,
+                q0=None if q0 is None else q0[k],
+            )
+            assert X[k].tobytes() == ref_x.tobytes()
+            assert row.q.tobytes() == trace.q[k].tobytes() == ref_q.tobytes()
+            assert (row.iterations_run, row.final_gap) == (ref_iters, ref_gap)
+            assert row.primal_energy[-1] == ref_energies[-1]
+
+
+def test_tv_prox_rejects_bad_parameters_before_iterating(monkeypatch):
+    def never(*args):
+        raise AssertionError("the iteration ran")
+
+    g = path_graph([1.0, 0.7])  # 3 nodes, 2 edges
+    z, Z = np.array([1.0, -1.0, 0.5]), np.ones((2, 3))
+    good = tv_prox(g, z, 0.5, tol=1e-6, max_iters=25)
+    nan, inf = float("nan"), float("inf")
+    bad = [
+        (z, dict(weight=nan)),
+        (z, dict(weight=inf)),
+        (Z, dict(weight=[0.5, nan])),
+        (z, dict(tol=nan)),
+        (z, dict(tol=-1e-9)),
+        (z, dict(tol=inf)),
+        (z, dict(gap_tol=nan)),
+        (z, dict(gap_tol=-inf)),
+        (Z, dict(gap_tol=[1e-3, nan])),
+        (np.array([1.0, nan, 0.5]), {}),
+        (np.array([[1.0, 2.0, inf], [0.0, 0.0, 0.0]]), {}),
+        (z, dict(q0=np.array([0.0, nan]))),
+        (Z, dict(q0=np.array([[0.0, 0.0], [inf, 0.0]]))),
+        (z, dict(max_iters=10.5)),
+        (z, dict(max_iters=25.0)),
+        (z, dict(max_iters=True)),
+    ]
+    monkeypatch.setattr(opt_core, "_tv_primal_dual", never)
+    for x, kwargs in bad:
+        with pytest.raises(InvalidParameterError):
+            tv_prox(g, x, kwargs.pop("weight", 0.5), **kwargs)
+    monkeypatch.undo()
+    # the boundary values still run: zero tolerances, a numpy integer cap
+    out, trace = tv_prox(g, z, 0.5, tol=0.0, gap_tol=0.0, max_iters=np.int64(25))
+    assert trace.stop_reason == "cap" and trace.iterations_run == 25
+    assert tv_prox(g, z, 0.5, tol=1e-6, max_iters=np.int32(25))[0].tobytes() == good[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # qp_box_eq
 # ---------------------------------------------------------------------------
@@ -700,6 +784,32 @@ def test_qp_stop_reason_on_the_last_allowed_iteration():
     assert qp_box_eq(Q, 0.0, y, 0.0).stop_reason == "tol"
 
 
+def test_qp_and_projection_reject_non_finite_input():
+    Q, y, mu, rng = _random_dual(6, 3, "dense")
+    nan, inf = float("nan"), float("inf")
+    p = rng.normal(size=6)
+    bad = [
+        dict(mu=nan),
+        dict(mu=inf),
+        dict(p=np.where(np.arange(6) == 2, nan, p)),
+        dict(p=inf),
+        dict(beta0=np.full(6, nan)),
+        dict(beta0=np.where(np.arange(6) == 0, -inf, 0.1)),
+        dict(tol=nan),
+        dict(tol=-1e-6),
+    ]
+    for kwargs in bad:
+        args = {"p": p, "mu": mu, **kwargs}
+        with pytest.raises(InvalidParameterError):
+            qp_box_eq(Q, args.pop("p"), y, args.pop("mu"), **args)
+    for m in (nan, inf, -inf, -1.0):
+        with pytest.raises(InvalidParameterError):
+            project_box_eq(p, y, m)
+    # a zero tolerance is valid: the solve runs to its cap
+    sol = qp_box_eq(Q, p, y, mu, tol=0.0, max_iters=5)
+    assert (sol.iterations, sol.stop_reason) == (5, "cap")
+
+
 def test_project_box_eq_properties():
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -802,6 +912,18 @@ def test_simplex_rows_matches_single():
     U = project_simplex_rows(V)
     for i in range(40):
         assert np.allclose(U[i], project_simplex(V[i]), atol=1e-12)
+
+
+def test_simplex_rows_need_a_coordinate():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError):
+            project_simplex_rows(np.zeros((4, 0)))
+        with pytest.raises(InvalidParameterError):
+            project_simplex(np.zeros(0))
+        # no rows is fine: nothing to project
+        assert project_simplex_rows(np.zeros((0, 3))).shape == (0, 3)
+        assert np.array_equal(project_simplex_rows(np.zeros((2, 1))), np.ones((2, 1)))
 
 
 # ---------------------------------------------------------------------------
