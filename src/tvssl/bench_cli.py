@@ -19,7 +19,7 @@ import sys
 import time
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -180,17 +180,7 @@ class ExperimentConfig:
             raise InvalidParameterError(f"bad experiment config {path}: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "algorithms": list(self.algorithms),
-            "labels_per_class": list(self.labels_per_class),
-            "run_count": self.run_count,
-            "seed": self.seed,
-            "graph": self.graph,
-            "kernel": self.kernel,
-            "hyperparams": self.hyperparams,
-            "holdout_fraction": self.holdout_fraction,
-        }
+        return asdict(self)
 
 
 @dataclass

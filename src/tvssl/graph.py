@@ -13,6 +13,7 @@ multiplies the same quantity everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ class SimilarityGraph:
     edge_i, edge_j : int arrays
         Endpoints of each undirected edge, stored once per unordered pair.
     edge_w : float array
-        Positive edge weights.
+        Finite positive edge weights.
     """
 
     n_nodes: int
@@ -61,8 +62,8 @@ class SimilarityGraph:
                 raise InvalidParameterError("edge endpoint out of range")
             if np.any(self.edge_i == self.edge_j):
                 raise InvalidParameterError("self-loops are not allowed")
-            if np.any(self.edge_w <= 0):
-                raise InvalidParameterError("edge weights must be positive")
+            if not np.all(np.isfinite(self.edge_w) & (self.edge_w > 0)):
+                raise InvalidParameterError("edge weights must be finite and positive")
             # normalize to i < j and reject duplicate pairs
             lo = np.minimum(self.edge_i, self.edge_j)
             hi = np.maximum(self.edge_i, self.edge_j)
@@ -228,7 +229,8 @@ def load_edge_list(path, n_nodes: int | None = None) -> SimilarityGraph:
     """Read a graph saved by :func:`save_edge_list`.
 
     ``n_nodes`` defaults to ``max(index) + 1``; pass it explicitly when the
-    graph has trailing isolated nodes.
+    graph has trailing isolated nodes. A line that is not two integers and a
+    finite positive weight raises :class:`InvalidParameterError` naming it.
     """
     ei, ej, w = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -236,13 +238,18 @@ def load_edge_list(path, n_nodes: int | None = None) -> SimilarityGraph:
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != 3:
+            try:
+                i, j, wij = int(parts[0]), int(parts[1]), float(parts[2])
+            except (ValueError, IndexError):
+                wij = math.nan
+            if len(parts) != 3 or not (math.isfinite(wij) and wij > 0):
                 raise InvalidParameterError(
-                    f"line {lineno}: expected 'i j w', got {line.strip()!r}"
+                    f"line {lineno}: expected 'i j w' with integers i, j and a finite w > 0,"
+                    f" got {line.strip()!r}"
                 )
-            ei.append(int(parts[0]))
-            ej.append(int(parts[1]))
-            w.append(float(parts[2]))
+            ei.append(i)
+            ej.append(j)
+            w.append(wij)
     if n_nodes is None:
         if not ei:
             raise InvalidParameterError("empty edge list and no n_nodes given")

@@ -51,11 +51,15 @@ class MultiLabelSet:
     class_count: int
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64).ravel()
+        raw = np.asarray(self.labels).ravel()
+        if raw.size == 0:
+            raise InvalidParameterError("need at least one point")
         if self.class_count < 2:
             raise InvalidParameterError("need at least two classes")
-        if self.labels.min() < 0 or self.labels.max() > self.class_count:
-            raise InvalidParameterError("labels must lie in 0..class_count")
+        # tested before the integer cast, which would truncate 1.7 to 1
+        if not np.isin(raw, np.arange(self.class_count + 1)).all():
+            raise InvalidParameterError("labels must be whole numbers in 0..class_count")
+        self.labels = raw.astype(np.int64)
         present = np.unique(self.labels[self.labels > 0])
         if present.size < self.class_count:
             raise InvalidParameterError("every class needs at least one label")

@@ -19,7 +19,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 # scipy's private csr kernels: the TV prox iteration calls them directly
-# (see _csr_into); scipy's own ``@`` on a csr matrix ends in the same calls
+# (see _csr_product); scipy's own ``@`` on a csr matrix ends in the same calls
 from scipy.sparse import _sparsetools
 
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     InfeasibleConstraintsError,
     InvalidParameterError,
 )
-from .graph import SimilarityGraph, _check_node_function
+from .graph import SimilarityGraph, _check_node_function, graph_tv
 
 _RESIDUAL_RTOL = 1e-8
 # qp_box_eq skips its reference projection only when the step's lower bound
@@ -305,24 +305,30 @@ def _tv_operator(g: SimilarityGraph):
     return g._tv_op
 
 
-def _csr_into(M, v, out) -> None:
-    """Write ``M @ v`` into ``out`` for a csr ``M`` and a 1-D ``v``, or the
-    columns of an (n, k) ``v`` into an (E, k) ``out``.
+def _csr_product(M, v, out):
+    """Bind ``out <- M @ v`` for a csr ``M`` and C-contiguous (n, k) ``v``
+    and (E, k) ``out``: returns a function of no arguments that writes the
+    product of ``v``'s current contents into ``out``.
 
-    Calls the kernel that scipy's ``@`` ends in, with the same arguments, so
-    the sums run in the same order and agree bit for bit; it skips the
-    dispatch and the fresh output array of ``@``, which at a few thousand
-    edges cost more than the product. ``v`` and ``out`` should be
-    C-contiguous: scipy copies other layouts in and out.
+    It calls the kernel that scipy's ``@`` ends in, with the same arguments,
+    so the sums agree bit for bit, without ``@``'s dispatch and fresh output
+    array, which at a few thousand edges cost more than the product. k = 1
+    takes the single-vector kernel on flat views, about twice as fast.
     """
-    out.fill(0.0)  # the kernel adds into its output
-    rows, cols = M.shape
-    if v.ndim == 1:
-        _sparsetools.csr_matvec(rows, cols, M.indptr, M.indices, M.data, v, out)
+    if not (v.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("csr product buffers must be C-contiguous")  # else bound to copies
+    rows, cols, k = *M.shape, v.shape[1]
+    csr = (M.indptr, M.indices, M.data)
+    if k == 1:
+        kernel, args = _sparsetools.csr_matvec, (rows, cols, *csr, v.reshape(-1), out.reshape(-1))
     else:
-        _sparsetools.csr_matvecs(
-            rows, cols, v.shape[1], M.indptr, M.indices, M.data, v, out
-        )
+        kernel, args = _sparsetools.csr_matvecs, (rows, cols, k, *csr, v, out)
+
+    def product():
+        out.fill(0.0)  # the kernel adds into its output
+        kernel(*args)
+
+    return product
 
 
 def _per_row(value, rows: int, name: str) -> list:
@@ -377,12 +383,14 @@ def tv_prox(
     tests are the same.
 
     A 2-D ``z`` of shape (c, n) holds c independent problems, one per row,
-    solved together: one sparse product per iteration serves every row.
-    ``weight``, ``gap_tol`` and the rows of a (c, E) ``q0`` may then differ
-    per row; a scalar applies to every row. Each row stops on its own tests
-    and keeps the point, dual, gap and energies of its stop checkpoint, so
-    it equals a 1-D call on that row bit for bit. The trace then holds one
-    :class:`ProxTrace` per row in ``rows``.
+    solved together as the columns of one array (a 1-D ``z`` is a single
+    column): one sparse product per iteration serves every row. ``weight``,
+    ``gap_tol`` and the rows of a (c, E) ``q0`` may then differ per row; a
+    scalar applies to every row. Each row stops on its own tests and keeps
+    the point, dual, gap and energies of its stop checkpoint, so it equals a
+    1-D call on that row bit for bit; its column iterates on, unread, until
+    the last row stops. The trace then holds one :class:`ProxTrace` per row
+    in ``rows``.
 
     A negative or non-finite weight or tolerance, a ``max_iters`` that is
     not an integer >= 1, and a non-finite ``z`` or ``q0`` raise
@@ -452,32 +460,23 @@ def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
     """The iteration of :func:`tv_prox` on the rows of ``Z``, all with a
     positive weight on a graph with edges; one ``(x, ProxTrace)`` per row.
 
-    The rows run side by side as the columns of (n, k) and (E, k) arrays,
-    one csr product per operator and iteration. A csr product sums each
-    column in the same order as a product with that column alone, and every
-    other update is elementwise, so each column follows the 1-D iteration
-    bit for bit. Checkpoint energies and gaps are computed per row on
-    contiguous rows, as for 1-D input. Rows that stop leave the arrays, and
-    a single row runs on 1-D arrays. The products go through
-    :func:`_csr_into` into buffers kept across iterations, which are made
-    anew, C-contiguous, only when rows leave.
+    The rows run as the columns of (n, k) and (E, k) arrays, k = 1 for one
+    row, with one csr product per operator and iteration, bound once by
+    :func:`_csr_product`. A csr product sums each column as a product with
+    that column alone, and every other update is elementwise, so each column
+    follows its row's own iteration bit for bit. A stopped row keeps the
+    point, dual, gap and energies of its stop checkpoint; its column
+    iterates on, unread, until every row has stopped.
     """
     D, Dt, sw, step = _tv_operator(g)
-    if len(Z) == 1:
-        z = Z[0]
-        cap = 2.0 * weights[0] * sw  # dual box radius per edge
-    else:
-        z = Z.T.copy()
-        cap = (2.0 * np.array(weights)) * sw[:, None]
+    z = Z.T.copy()  # one column per row
+    cap = (2.0 * np.array(weights)) * sw[:, None]  # dual box radius per edge
     neg_cap = -cap
     step_z = step * z
     denom = 1.0 + step
 
     def primal_energy(xv, zv, w):
-        return float(
-            2.0 * w * np.sum(g.edge_w * np.abs(xv[g.edge_i] - xv[g.edge_j]))
-            + 0.5 * np.sum((xv - zv) ** 2)
-        )
+        return float(w * graph_tv(g, xv) + 0.5 * np.sum((xv - zv) ** 2))
 
     # the updates below run in place but in the same operation order as
     # q <- clip(q + step D x_bar, -cap, cap),
@@ -485,22 +484,23 @@ def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
     if q0 is None:
         q = np.zeros(cap.shape)
     else:
-        q = q0[0].copy() if len(Z) == 1 else q0.T.copy()
+        q = q0.T.copy()
         np.clip(q, neg_cap, cap, out=q)
-    x = z - Dt @ q
-    x_bar = x.copy()
-    x_new, step_dtq, dtq = (np.empty_like(z) for _ in range(3))
+    x_bar, x_new, step_dtq, dtq = (np.empty_like(z) for _ in range(4))
     dq = np.empty_like(q)
-    active = list(range(len(Z)))  # the row of each column still iterating
-    energies = [{} for _ in active]  # per row: checkpoint iteration -> energy
-    results: list = [None] * len(Z)
+    apply_d, apply_dt = _csr_product(D, x_bar, dq), _csr_product(Dt, q, dtq)
+    apply_dt()
+    x = z - dtq
+    x_bar[:] = x
+    energies = [{} for _ in weights]  # per row: checkpoint iteration -> energy
+    results: list = [None] * len(weights)
     for it in range(1, max_iters + 1):
-        _csr_into(D, x_bar, dq)
+        apply_d()
         dq *= step
         q += dq
         np.maximum(q, neg_cap, out=q)
         np.minimum(q, cap, out=q)
-        _csr_into(Dt, q, dtq)
+        apply_dt()
         np.multiply(dtq, step, out=step_dtq)
         np.subtract(x, step_dtq, out=x_new)
         x_new += step_z
@@ -510,11 +510,12 @@ def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
         x, x_new = x_new, x
         if it % 10 and it != max_iters:
             continue
-        xs, dtqs = ((x,), (dtq,)) if x.ndim == 1 else (x.T.copy(), dtq.T.copy())
-        keep = []
-        for j, k in enumerate(active):
-            zk, dtqk = Z[k], dtqs[j]
-            e_now = energies[k][it] = primal_energy(xs[j], zk, weights[k])
+        xs, dtqs = x.T.copy(), dtq.T.copy()  # contiguous: a strided dot may sum otherwise
+        for k, zk in enumerate(Z):
+            if results[k] is not None:
+                continue
+            dtqk = dtqs[k]
+            e_now = energies[k][it] = primal_energy(xs[k], zk, weights[k])
             gap = e_now - float(dtqk @ zk - 0.5 * (dtqk @ dtqk))
             # a max_iters off the 10-grid has no energy 10 back: the row ends anyway
             e_back = energies[k].get(it - 10)
@@ -525,22 +526,11 @@ def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
             elif it == max_iters:
                 reason = "cap"
             else:
-                keep.append(j)
                 continue
-            xk, qk = (x, q) if x.ndim == 1 else (xs[j].copy(), q[:, j].copy())
-            trace = ProxTrace(it, list(energies[k].values()), float(max(gap, 0.0)), qk, reason)
-            results[k] = (xk, trace)
-        if not keep:
+            results[k] = (xs[k].copy(), ProxTrace(
+                it, list(energies[k].values()), float(max(gap, 0.0)), q[:, k].copy(), reason))
+        if None not in results:
             break
-        if len(keep) < len(active):
-            # take copies into C order (a[:, keep] would not be); one
-            # remaining column becomes a 1-D array
-            pick = keep[0] if len(keep) == 1 else keep
-            active = [active[j] for j in keep]
-            x, x_bar, q, cap, step_z = (a.take(pick, axis=1) for a in (x, x_bar, q, cap, step_z))
-            neg_cap = -cap
-            x_new, step_dtq, dtq = (np.empty_like(x) for _ in range(3))
-            dq = np.empty_like(q)
     return results
 
 

@@ -31,6 +31,13 @@ def moons_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def test_config_to_dict_round_trips_and_writes_tuples_as_lists():
+    cfg = moons_config(hyperparams={"lap_rls": {"gamma": 0.5}}, holdout_fraction=0.2)
+    assert ExperimentConfig(**cfg.to_dict()) == cfg
+    as_tuples = moons_config(algorithms=("rls", "lap_rls"), labels_per_class=(2,))
+    assert json.dumps(as_tuples.to_dict()) == json.dumps(moons_config().to_dict())
+
+
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         moons_config(algorithms=[])

@@ -539,8 +539,8 @@ def test_prox_stops_count_each_step_stop_reasons(trainer, monkeypatch):
 
 @pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])
 def test_cheeger_one_row_prox_equals_the_one_dimensional_call(trainer, monkeypatch):
-    # the ratio loop shrinks its single channel as a (1, n) batch, which runs
-    # on 1-D arrays and must give the fit of 1-D calls bit for bit
+    # the ratio loop shrinks its single channel as a (1, n) batch, which
+    # must give the fit of 1-D calls bit for bit
     _, _, K, g, ls = cheeger_toy()
     hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=12, norm_scale="sqrt_n")
     batched = trainer(K, g, ls, hp)

@@ -110,6 +110,13 @@ def test_rejects_self_loops_and_nonpositive_weights():
         SimilarityGraph(3, [0], [1], [0.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_rejects_non_finite_weights(bad):
+    # NaN passes a "weight <= 0" test, and would make the degrees NaN
+    with pytest.raises(InvalidParameterError, match="finite"):
+        SimilarityGraph(3, [0, 1], [1, 2], [1.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # energies
 # ---------------------------------------------------------------------------
@@ -236,6 +243,16 @@ def test_edge_list_round_trip(tmp_path):
     assert np.array_equal(g.edge_i, g2.edge_i)
     assert np.array_equal(g.edge_j, g2.edge_j)
     assert np.array_equal(g.edge_w, g2.edge_w)  # full-precision decimals
+
+
+@pytest.mark.parametrize(
+    "line", ["1 2 nan", "1 2 inf", "1 2 -0.5", "1 x 0.3", "1.5 2 0.3", "1 2 0.3x"]
+)
+def test_edge_list_rejects_bad_line_naming_it(tmp_path, line):
+    path = tmp_path / "g.txt"
+    path.write_text(f"0 1 0.5\n{line}\n")
+    with pytest.raises(InvalidParameterError, match="line 2"):
+        load_edge_list(path)
 
 
 def test_edge_list_infers_node_count(tmp_path):

@@ -104,6 +104,19 @@ def test_multilabel_set_validation():
         MultiLabelSet(np.array([1, 1, 0]), 2)  # class 2 never labeled
 
 
+@pytest.mark.parametrize(
+    "labels", [np.array([], dtype=int), [1.7, 2.2, 0.0], [1.0, np.nan, 2.0], [1.0, np.inf, 2.0]]
+)
+def test_multilabel_set_rejects_empty_and_fractional_labels(labels):
+    with pytest.raises(InvalidParameterError):
+        MultiLabelSet(labels, 2)
+
+
+def test_multilabel_set_accepts_whole_float_labels():
+    mls = MultiLabelSet([1.0, 2.0, 0.0], 2)
+    assert mls.labels.dtype == np.int64 and mls.labels.tolist() == [1, 2, 0]
+
+
 # ---------------------------------------------------------------------------
 # recovery of generated clusters
 # ---------------------------------------------------------------------------
