@@ -34,6 +34,7 @@ from .opt_core import (
     normalize_ball_zero_mean,
     project_box_eq,
     qp_box_eq,
+    solve_low_rank_update,
     tv_prox,
 )
 
@@ -189,15 +190,35 @@ def _ls_factor(K, g, mask, hp, *, r=0.0, gamma=0.0) -> LuFactor:
 # ---------------------------------------------------------------------------
 
 
+# The dual product gathers the rows of S on the support of its input when
+# S has at least _GATHER_MIN_N rows and the support is at most 1/_GATHER_DIV
+# of them. Measured with one BLAS thread: at n = 1600 the dense product
+# takes 0.93 ms, the gathered one 0.09 ms at 5% support and 0.73 ms at 25%,
+# and the two break even at 30%; at n = 300-400 gathering wins below about
+# 25%; at n <= 200 a product takes under 11 us either way, and gathering
+# saves at most 1.3 us and costs up to 8 us.
+_GATHER_MIN_N = 300
+_GATHER_DIV = 4
+
+
 class _SignedKernel:
     """The SVM dual's quadratic ``(y y^T) * S``, applied to a vector as
-    ``y * (S @ (y * b))`` without forming the dense product."""
+    ``y * (S @ (y * b))`` without forming the dense product.
+
+    The dual's iterates are sparse (a few percent of the points are support
+    vectors), so on a large S a sparse ``v = y * b`` is applied as
+    ``v[nz] @ S[nz]``: S is symmetric, and its rows are contiguous."""
 
     def __init__(self, S, y):
         self.S, self.y = S, y
 
     def __matmul__(self, b):
-        return self.y * (self.S @ (self.y * b))
+        v = self.y * b
+        n = v.shape[0]
+        if n >= _GATHER_MIN_N and _GATHER_DIV * np.count_nonzero(v) <= n:
+            nz = np.flatnonzero(v)
+            return self.y * (v[nz] @ self.S[nz])
+        return self.y * (self.S @ v)
 
 
 class SvmProxSolver:
@@ -211,7 +232,8 @@ class SvmProxSolver:
     via its box/equality dual. The factorization and the dual's quadratic
     kernel are built once; ``solve`` may then be called repeatedly with fresh
     labels and targets (warm-startable). ``gamma`` scales the ordered-pair
-    Dirichlet energy, matching the rest of the package.
+    Dirichlet energy, matching the rest of the package. ``factor`` holds the
+    factor of ``lam I + r K + 2 gamma L K``.
     """
 
     def __init__(
@@ -236,15 +258,17 @@ class SvmProxSolver:
             if laplacian is None:
                 raise InvalidParameterError("gamma > 0 requires a Laplacian")
             B += 2.0 * gamma * (laplacian @ K.values)
-            self._factor = LuFactor(B)
-            S = self._factor.solve(K.values, trans=True)
+            self.factor = LuFactor(B)
+            S = self.factor.solve(K.values, trans=True)
         else:
-            self._factor = SpdFactor(B)
-            S = self._factor.solve(K.values)
-        dev = float(np.max(np.abs(S - S.T)))
+            self.factor = SpdFactor(B)
+            S = self.factor.solve(K.values)
+        # one n x n buffer holds the asymmetry and then the symmetrized S
+        buf = np.subtract(S, S.T)
+        dev = float(np.max(np.abs(buf, out=buf)))
         if dev > 0:
             logger.debug("symmetrizing dual kernel, max deviation %.3e", dev)
-        self.S = 0.5 * (S + S.T)
+        self.S = np.multiply(np.add(S, S.T, out=buf), 0.5, out=buf)
 
     def solve(self, y, target=None, beta0=None) -> tuple[np.ndarray, DualSolution]:
         """Return (alpha, dual solution) for labels y and proximity target."""
@@ -260,7 +284,7 @@ class SvmProxSolver:
         sol = qp_box_eq(
             Q, p, y, self.mu, tol=self.qp_tol, max_iters=self.qp_iters, beta0=beta0
         )
-        alpha = self._factor.solve(y * sol.beta + rhs_extra)
+        alpha = self.factor.solve(y * sol.beta + rhs_extra)
         return alpha, sol
 
 
@@ -281,13 +305,20 @@ def svm_value_prox(e, y, r2: float, mu: float) -> tuple[np.ndarray, DualSolution
 
 def _svm_model(variant, K, hp, prox: SvmProxSolver, y, tol=1e-8) -> BinaryModel:
     """Solve the margin dual for labels ``y``. With ``use_bias`` the bias is
-    the mean margin residual over the free support vectors (0 without any)."""
+    the mean margin residual over the free support vectors (0 without any).
+    The trace records the dual's ``qp_iters``, ``qp_stop_reason`` and
+    ``support``, the number of nonzero dual coefficients."""
     alpha, sol = prox.solve(y)
     vals = K.values @ alpha
     free = (sol.beta > tol) & (sol.beta < hp.mu - tol)
     bias = float(np.mean(y[free] - vals[free])) if hp.use_bias and np.any(free) else 0.0
+    trace = {
+        "qp_iters": sol.iterations,
+        "qp_stop_reason": sol.stop_reason,
+        "support": int(np.count_nonzero(sol.beta)),
+    }
     return BinaryModel(
-        variant, alpha, K.bandwidth, hp, K.data, node_values=vals, bias=bias
+        variant, alpha, K.bandwidth, hp, K.data, node_values=vals, bias=bias, trace=trace
     )
 
 
@@ -306,10 +337,10 @@ def lap_svm_train(
 ) -> BinaryModel:
     """Laplacian-regularized SVM; margin constraints cover every node, so the
     unlabeled ones receive pseudo-labels from a Laplacian least-squares warm
-    start."""
+    start, solved on the margin solver's own factor (:func:`_pseudo_init`)."""
     _check_semi(K, g, ls)
-    y_full = _pseudo_init(K, g, ls, hp)
     prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
+    y_full = _pseudo_init(K, g, ls, hp, factor=prox.factor)
     return _svm_model("lap_svm", K, hp, prox, y_full)
 
 
@@ -328,10 +359,23 @@ def _check_semi(K: KernelMatrix, g: SimilarityGraph, ls) -> int:
     return K.n
 
 
-def _pseudo_init(K, g, ls: LabeledSet, hp) -> np.ndarray:
+def _pseudo_init(K, g, ls: LabeledSet, hp, factor=None) -> np.ndarray:
     """Labels where labeled, elsewhere the sign of the Laplacian
-    least-squares warm start."""
-    warm = lap_rls_train(K, g, ls, hp).node_values
+    least-squares warm start.
+
+    ``factor``, when given, holds ``B = lam I + 2 gamma L K`` (the matrix
+    lap_svm's :class:`SvmProxSolver` factors). The warm start's system
+    ``(B + eta J K) alpha = eta y`` with ``J = diag(mask)`` is then solved
+    as a rank-m update of B, m the number of labeled points, instead of
+    building and factoring its n x n matrix."""
+    if factor is None:
+        warm = lap_rls_train(K, g, ls, hp).node_values
+    else:
+        mask = ls.labeled_mask
+        U = np.zeros((K.n, ls.n_labeled))
+        U[np.flatnonzero(mask), np.arange(ls.n_labeled)] = hp.eta
+        alpha = solve_low_rank_update(factor, U, K.values[mask], hp.eta * ls.y_ext)
+        warm = K.values @ alpha
     return np.where(ls.labeled_mask, ls.labels, np.where(warm >= 0.0, 1.0, -1.0))
 
 

@@ -14,6 +14,7 @@ multiplies the same quantity everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +49,11 @@ class SimilarityGraph:
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.edge_i = np.asarray(self.edge_i, dtype=np.int64).ravel()
-        self.edge_j = np.asarray(self.edge_j, dtype=np.int64).ravel()
+        if isinstance(self.n_nodes, bool) or not isinstance(self.n_nodes, numbers.Integral):
+            raise InvalidParameterError(f"n_nodes must be an integer, got {self.n_nodes!r}")
+        self.n_nodes = int(self.n_nodes)
+        self.edge_i = _node_indices(self.edge_i)
+        self.edge_j = _node_indices(self.edge_j)
         self.edge_w = np.asarray(self.edge_w, dtype=np.float64).ravel()
         if not (self.edge_i.size == self.edge_j.size == self.edge_w.size):
             raise DimensionError("edge arrays must have equal length")
@@ -112,6 +116,19 @@ class SimilarityGraph:
         return self._lap
 
 
+def _node_indices(values) -> np.ndarray:
+    """Edge endpoints as int64. Whole-valued floats pass; fractional,
+    non-finite, boolean and non-numeric entries raise
+    :class:`InvalidParameterError` instead of being truncated."""
+    arr = np.asarray(values).ravel()
+    whole = arr.dtype.kind in "iu" or arr.size == 0 or (
+        arr.dtype.kind == "f" and np.all(np.isfinite(arr)) and np.all(arr == np.floor(arr))
+    )
+    if not whole:
+        raise InvalidParameterError("edge endpoints must be integer node indices")
+    return arr.astype(np.int64)
+
+
 def _check_node_function(g: SimilarityGraph, f) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64).ravel()
     if f.size != g.n_nodes:
@@ -119,6 +136,11 @@ def _check_node_function(g: SimilarityGraph, f) -> np.ndarray:
             f"node function has length {f.size}, graph has {g.n_nodes} nodes"
         )
     return f
+
+
+# build_knn_graph selects neighbors on blocks of this many rows of the
+# squared-distance matrix, so that its temporaries stay small beside it
+_KNN_ROWS = 256
 
 
 def build_knn_graph(
@@ -162,30 +184,48 @@ def build_knn_graph(
     d2 = sq[:, None] + sq[None, :] - 2.0 * (data @ data.T)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, np.inf)
-    # stable argsort: equal distances keep ascending index order
-    order = np.argsort(d2, axis=1, kind="stable")
 
     if sigma_mode == "fixed":
         if sigma is None or sigma <= 0:
             raise InvalidParameterError("fixed mode requires sigma > 0")
-        scale_i = np.full(n, float(sigma))
+        mm = k
     elif sigma_mode == "self_tuning":
         mm = k if m is None else int(m)
         if not 1 <= mm < n:
             raise InvalidParameterError(f"m must satisfy 1 <= m < {n}, got {mm}")
-        mth = order[:, mm - 1]
-        scale_i = np.sqrt(d2[np.arange(n), mth])
+    else:
+        raise InvalidParameterError(f"unknown sigma_mode {sigma_mode!r}")
+
+    # The k nearest neighbors of a stable sort by distance: every point closer
+    # than the k-th distance, then the points at that distance in ascending
+    # index order. A row with exactly k points within its k-th distance needs
+    # no tie-break; the other rows are sorted stably on their own. Rows go in
+    # blocks of _KNN_ROWS, so that the selection makes no n x n temporary.
+    kths = sorted({k - 1, mm - 1})
+    mth = np.empty(n)  # squared distance to the mm-th neighbor
+    rows, cols = [], []
+    for start in range(0, n, _KNN_ROWS):
+        block = d2[start : start + _KNN_ROWS]
+        part = np.partition(block, kths, axis=1)
+        mth[start : start + len(block)] = part[:, mm - 1]
+        near = block <= part[:, k - 1, None]
+        tied = np.flatnonzero(np.count_nonzero(near, axis=1) != k)
+        near[tied] = False
+        r, c = np.nonzero(near)
+        rows += [r + start, np.repeat(tied + start, k)]
+        cols += [c, np.argsort(block[tied], axis=1, kind="stable")[:, :k].ravel()]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+
+    if sigma_mode == "fixed":
+        scale_i = np.full(n, float(sigma))
+    else:
+        scale_i = np.sqrt(mth)
         if np.any(scale_i == 0.0):
             bad = int(np.flatnonzero(scale_i == 0.0)[0])
             raise DegenerateScaleError(
                 f"self-tuning scale is zero at point {bad} (duplicate points)"
             )
-    else:
-        raise InvalidParameterError(f"unknown sigma_mode {sigma_mode!r}")
 
-    nbrs = order[:, :k]
-    rows = np.repeat(np.arange(n), k)
-    cols = nbrs.ravel()
     lo = np.minimum(rows, cols)
     hi = np.maximum(rows, cols)
     keys = np.unique(lo * n + hi)  # union over directions
@@ -230,9 +270,11 @@ def load_edge_list(path, n_nodes: int | None = None) -> SimilarityGraph:
 
     ``n_nodes`` defaults to ``max(index) + 1``; pass it explicitly when the
     graph has trailing isolated nodes. A line that is not two integers and a
-    finite positive weight raises :class:`InvalidParameterError` naming it.
+    finite positive weight, a self-loop and a repeat of an earlier line's
+    pair raise :class:`InvalidParameterError` naming the line.
     """
     ei, ej, w = [], [], []
+    seen = {}  # unordered pair -> line it was read on
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -247,6 +289,15 @@ def load_edge_list(path, n_nodes: int | None = None) -> SimilarityGraph:
                     f"line {lineno}: expected 'i j w' with integers i, j and a finite w > 0,"
                     f" got {line.strip()!r}"
                 )
+            if i == j:
+                raise InvalidParameterError(f"line {lineno}: self-loop {line.strip()!r}")
+            pair = (min(i, j), max(i, j))
+            if pair in seen:
+                raise InvalidParameterError(
+                    f"line {lineno}: {line.strip()!r} repeats the pair {pair} of line"
+                    f" {seen[pair]}"
+                )
+            seen[pair] = lineno
             ei.append(i)
             ej.append(j)
             w.append(wij)

@@ -1,10 +1,10 @@
 """Optimization primitives shared by all classifiers.
 
-Contents: cached SPD/LU linear solves with a residual contract, the graph-TV
-proximal map solved by a primal-dual iteration, a projected-gradient solver
-for box-constrained duals with one linear equality, Michelot's simplex
-projection, and the ball/zero-mean renormalization used by the splitting
-loops.
+Contents: cached SPD/LU linear solves with a residual contract (also of a
+low-rank update of a factored matrix), the graph-TV proximal map solved by a
+primal-dual iteration, a projected-gradient solver for box-constrained duals
+with one linear equality, Michelot's simplex projection, and the
+ball/zero-mean renormalization used by the splitting loops.
 """
 
 from __future__ import annotations
@@ -237,15 +237,54 @@ class LuFactor:
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise FactorizationError("LU factorization failed") from exc
 
+    def _solve_once(self, b, trans: int = 0):
+        return sla.lu_solve(self._lu, b, trans=trans, check_finite=False)
+
     def solve(self, b, trans: bool = False) -> np.ndarray:
         """Solve A x = b (or A^T x = b when ``trans``) to relative residual 1e-8."""
         A = self._A.T if trans else self._A
         t = 1 if trans else 0
+        return _refined_solve(A, lambda rhs: self._solve_once(rhs, t), b)
 
-        def once(rhs):
-            return sla.lu_solve(self._lu, rhs, trans=t, check_finite=False)
 
-        return _refined_solve(A, once, b)
+class _UpdatedMatrix:
+    """``A + U @ V`` as an operator (``op @ X``), without forming the sum."""
+
+    def __init__(self, A, U, V):
+        self.A, self.U, self.V = A, U, V
+
+    def __matmul__(self, X):
+        return self.A @ X + self.U @ (self.V @ X)
+
+
+def solve_low_rank_update(factor, U, V, b) -> np.ndarray:
+    """Solve ``(A + U V) x = b`` on a factor of A (:class:`SpdFactor` or
+    :class:`LuFactor`), for an (n, m) ``U`` and an (m, n) ``V``.
+
+    By the Sherman-Morrison-Woodbury identity,
+    ``x = z - A^-1 U (I + V A^-1 U)^-1 V z`` with ``z = A^-1 b``: m + 1
+    solves against the factor and an m x m LU instead of a factorization of
+    the n x n sum, which is never formed. The result is held to the residual
+    contract ``||(A + U V) x - b|| <= 1e-8 ||b||`` against the sum itself.
+    """
+    U = np.asarray(U, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    n = factor._A.shape[0]
+    if U.ndim != 2 or U.shape[0] != n or V.shape != (U.shape[1], n):
+        raise DimensionError("U must be (n, m) and V (m, n) for an n x n factor")
+    # unrefined solves: the refinement below holds the sum to the contract
+    AU = factor._solve_once(U)
+    with warnings.catch_warnings():  # a singular capacitance raises below
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(np.eye(U.shape[1]) + V @ AU, check_finite=False)
+    if not np.all(np.isfinite(lu)) or np.any(lu.diagonal() == 0.0):
+        raise FactorizationError("the low-rank update leaves the system singular")
+
+    def once(rhs):
+        z = factor._solve_once(rhs)
+        return z - AU @ sla.lu_solve((lu, piv), V @ z, check_finite=False)
+
+    return _refined_solve(_UpdatedMatrix(factor._A, U, V), once, b)
 
 
 def solve_spd(A, b) -> np.ndarray:

@@ -31,6 +31,29 @@ def knn_union_pairs(data, k):
     return pairs
 
 
+def knn_graph_argsort(data, k, m=None, sigma=None):
+    """Edges and weights of ``graph.build_knn_graph`` by a full stable argsort
+    of each row of squared distances (the construction it used to run):
+    self-tuning scales with ``m`` (default ``k``), or a fixed ``sigma``."""
+    data = np.asarray(data, dtype=np.float64)
+    n = len(data)
+    sq = np.sum(data * data, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (data @ data.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")
+    if sigma is None:
+        scale = np.sqrt(d2[np.arange(n), order[:, (k if m is None else m) - 1]])
+    else:
+        scale = np.full(n, float(sigma))
+    rows = np.repeat(np.arange(n), k)
+    cols = order[:, :k].ravel()
+    keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    ei, ej = keys // n, keys % n
+    w = np.exp(-d2[ei, ej] / (scale[ei] * scale[ej]))
+    return ei[w > 0], ej[w > 0], w[w > 0]
+
+
 def ordered_pair_energy(edge_i, edge_j, edge_w, f, power):
     """Sum of w_ij |f_i - f_j|^power over both orientations, by explicit loop."""
     total = 0.0

@@ -280,6 +280,113 @@ def test_lap_svm_beats_feasible_perturbations():
         assert obj >= base - 1e-8
 
 
+class _RowRecorder(np.ndarray):
+    """An array that records the row indices it is gathered at."""
+
+    def __getitem__(self, idx):
+        self.gathered.append(idx)
+        return np.asarray(self)[idx]
+
+
+def _dual_product_case(n, nnz, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    S = (A @ A.T / n).view(_RowRecorder)
+    S.gathered = []
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    b = np.zeros(n)
+    b[rng.choice(n, nnz, replace=False)] = rng.uniform(0.1, 1.0, nnz)
+    return S, y, b
+
+
+@pytest.mark.parametrize("n", [150, 1600])
+@pytest.mark.parametrize("support", ["none", "one", "at_rule", "over_rule"])
+def test_signed_kernel_gathered_product_equals_the_dense_one(n, support):
+    nnz = {"none": 0, "one": 1, "at_rule": n // 4, "over_rule": n // 4 + 1}[support]
+    S, y, b = _dual_product_case(n, nnz, seed=n + nnz)
+    got = binary._SignedKernel(S, y) @ b
+    dense = y * (np.asarray(S) @ (y * b))
+    assert got.shape == (n,)
+    assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+    # rows are gathered only on a large S at a support of at most a quarter
+    assert bool(S.gathered) == (n >= 300 and 4 * nnz <= n)
+
+
+def _lap_svm_inputs(n, per_class, seed=5):
+    ds = make_two_moons(n, 0.08, seed)
+    g = build_knn_graph(ds.data, 10)
+    K = rbf_gram(ds.data, 0.5 * median_bandwidth(ds.data))
+    split = make_split(ds, SplitSpec(per_class, seed))
+    return K, g, split, default_hyperparams("lap_svm", None)
+
+
+def test_qp_through_the_signed_kernel_equals_the_dense_dual():
+    K, g, split, hp = _lap_svm_inputs(400, 2)
+    prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
+    y = binary._pseudo_init(K, g, split, hp)
+    dense = np.outer(y, y) * prox.S
+    signed = binary._SignedKernel(prox.S, y)
+    a = binary.qp_box_eq(signed, 0.0, y, hp.mu, tol=prox.qp_tol)
+    b = binary.qp_box_eq(dense, 0.0, y, hp.mu, tol=prox.qp_tol)
+    assert a.stop_reason == b.stop_reason == "tol"
+    assert 4 * np.count_nonzero(a.beta) <= len(y)  # the gathered product ran
+    assert abs(a.objective - b.objective) <= 1e-12 * abs(b.objective)
+    assert np.linalg.norm(a.beta - b.beta) <= 1e-6 * np.linalg.norm(b.beta)
+    assert a.kkt_residuals["stationarity"] <= prox.qp_tol
+    assert abs(a.iterations - b.iterations) <= 0.05 * b.iterations + 5
+
+
+@pytest.mark.parametrize("per_class", [1, 50])
+def test_lap_svm_warm_start_on_the_solver_factor_equals_the_full_lu(monkeypatch, per_class):
+    K, g, split, hp = _lap_svm_inputs(300, per_class)
+    prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
+    solved = []
+    real = binary.solve_low_rank_update
+
+    def spy(*args):
+        solved.append(real(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(binary, "solve_low_rank_update", spy)
+    fast = binary._pseudo_init(K, g, split, hp, factor=prox.factor)
+    full = binary._pseudo_init(K, g, split, hp)
+    assert np.array_equal(fast, full)
+    alpha = solved[0]
+    alpha_full = lap_rls_train(K, g, split, hp).alpha
+    assert np.max(np.abs(alpha - alpha_full)) <= 1e-10 * np.max(np.abs(alpha_full))
+    # the residual contract against the full matrix of the old system
+    mask = split.labeled_mask
+    M = (
+        hp.eta * (mask[:, None] * K.values) + hp.lam * np.eye(K.n)
+        + 2.0 * hp.gamma * (g.laplacian() @ K.values)
+    )
+    rhs = hp.eta * split.y_ext
+    assert np.linalg.norm(M @ alpha - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+
+def test_lap_svm_factors_once_and_traces_its_dual(monkeypatch):
+    K, g, split, hp = _lap_svm_inputs(200, 1)
+    factors = []
+    real_init = binary.LuFactor.__init__
+
+    def counting_init(self, A):
+        factors.append(A.shape)
+        real_init(self, A)
+
+    monkeypatch.setattr(binary.LuFactor, "__init__", counting_init)
+    m = lap_svm_train(K, g, split, hp)
+    assert factors == [(K.n, K.n)]  # the warm start reuses the margin solver's LU
+    prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
+    _alpha, sol = prox.solve(binary._pseudo_init(K, g, split, hp, factor=prox.factor))
+    assert m.trace == {
+        "qp_iters": sol.iterations,
+        "qp_stop_reason": sol.stop_reason,
+        "support": int(np.count_nonzero(sol.beta)),
+    }
+    assert m.trace["qp_stop_reason"] == "tol" and 0 < m.trace["support"] < K.n
+    assert lap_svm_train(K, g, split, hp).trace == m.trace
+
+
 # ---------------------------------------------------------------------------
 # tv_rls
 # ---------------------------------------------------------------------------

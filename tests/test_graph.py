@@ -20,6 +20,7 @@ from tvssl.graph import (
 )
 from tvssl.data_io import make_two_moons
 
+import oracles
 from oracles import knn_union_pairs, ordered_pair_energy
 
 
@@ -260,3 +261,83 @@ def test_edge_list_infers_node_count(tmp_path):
     path = tmp_path / "g.txt"
     save_edge_list(g, path)
     assert load_edge_list(path).n_nodes == 4
+
+
+@pytest.mark.parametrize("ei", [[0.5], [1.5], [float("nan")], [True], ["0"]])
+def test_rejects_fractional_and_non_integer_endpoints(ei):
+    # a cast to int64 used to truncate 0.5 to 0 and build the edge 0-1
+    with pytest.raises(InvalidParameterError, match="endpoints"):
+        SimilarityGraph(3, ei, [1], [1.0])
+    with pytest.raises(InvalidParameterError, match="endpoints"):
+        SimilarityGraph(3, [1], ei, [1.0])
+
+
+def test_accepts_whole_float_and_numpy_integer_endpoints():
+    g = SimilarityGraph(np.int64(3), [0.0, 2.0], np.array([1, 1], dtype=np.uint8), [1.0, 2.0])
+    assert g.n_nodes == 3 and type(g.n_nodes) is int
+    assert g.edge_i.dtype == np.int64
+    assert set(zip(g.edge_i.tolist(), g.edge_j.tolist())) == {(0, 1), (1, 2)}
+
+
+@pytest.mark.parametrize("n_nodes", [2.5, 3.0, True, "3", None])
+def test_rejects_non_integer_node_count(n_nodes):
+    # 2.5 used to escape as numpy's TypeError from np.zeros
+    with pytest.raises(InvalidParameterError, match="n_nodes"):
+        SimilarityGraph(n_nodes, [0], [1], [1.0])
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("0 1 0.5\n2 2 1.0\n", "line 2: self-loop"),
+        ("0 1 0.5\n1 0 0.7\n", r"line 2: .* repeats the pair \(0, 1\) of line 1"),
+        ("0 1 0.5\n1 2 0.5\n\n0 1 0.9\n", "line 4: .* of line 1"),
+    ],
+)
+def test_edge_list_names_the_line_of_a_self_loop_or_repeated_pair(tmp_path, text, match):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidParameterError, match=match):
+        load_edge_list(path)
+
+
+def _tie_heavy_inputs():
+    """Point sets whose k-th neighbor distance is tied in most rows."""
+    rng = np.random.default_rng(7)
+    xs, ys = np.meshgrid(np.arange(8.0), np.arange(8.0))
+    return {
+        "grid8": np.c_[xs.ravel(), ys.ravel()],
+        "line": np.arange(30.0)[:, None],
+        "integers": rng.permutation(np.unique(rng.integers(0, 6, size=(60, 2)), axis=0)) * 1.0,
+        "random": rng.normal(size=(40, 3)),
+    }
+
+
+@pytest.mark.parametrize("name", ["grid8", "line", "integers", "random"])
+@pytest.mark.parametrize("k_of_n", [lambda n: 1, lambda n: 3, lambda n: 5, lambda n: n - 1])
+@pytest.mark.parametrize("m", [None, 3, 1])
+@pytest.mark.parametrize("sigma", [None, 1.3])
+def test_knn_graph_equals_the_stable_argsort_build_bit_for_bit(name, k_of_n, m, sigma):
+    data = _tie_heavy_inputs()[name]
+    k = k_of_n(len(data))
+    mode = "self_tuning" if sigma is None else "fixed"
+    g = build_knn_graph(data, k, m=m, sigma_mode=mode, sigma=sigma)
+    ei, ej, w = oracles.knn_graph_argsort(data, k, m=m, sigma=sigma)
+    assert np.array_equal(g.edge_i, ei) and np.array_equal(g.edge_j, ej)
+    assert np.array_equal(g.edge_w, w)
+    pairs = set(zip(ei.tolist(), ej.tolist()))
+    if name != "random":  # integer coordinates: both distance routes are exact
+        brute = knn_union_pairs(data, k)
+        # scaled by the nearest distance, far pairs underflow to weight 0 and drop
+        assert pairs == brute if (m != 1 or sigma) else pairs <= brute
+
+
+def test_knn_graph_breaks_ties_by_index_on_a_large_grid():
+    xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0))
+    data = np.c_[xs.ravel(), ys.ravel()]
+    for k in (1, 5, 10):
+        for m in (None, 3):
+            g = build_knn_graph(data, k, m=m)
+            ei, ej, w = oracles.knn_graph_argsort(data, k, m=m)
+            assert np.array_equal(g.edge_i, ei) and np.array_equal(g.edge_j, ej)
+            assert np.array_equal(g.edge_w, w)
