@@ -26,7 +26,7 @@ import numpy as np
 
 from . import binary, multiclass
 from .data_io import Dataset, SplitSpec, load_csv, make_split, make_two_moons, save_csv
-from .errors import InvalidParameterError, TvsslError
+from .errors import InvalidParameterError, TvsslError, check_int
 from .graph import SimilarityGraph, build_knn_graph, save_edge_list
 from .kernel import KernelMatrix, median_bandwidth, rbf_gram
 from .opt_core import HyperParams
@@ -62,15 +62,6 @@ def default_hyperparams(algorithm: str, overrides: dict | None = None) -> HyperP
     return HyperParams.from_dict(merged, algorithm)
 
 
-def _check_int(name: str, value, minimum: int | None) -> None:
-    """Reject a config count that is not an integer (bools included) or is
-    below ``minimum`` (if given)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value!r}")
-
-
 def _check_real(name: str, value, minimum: float) -> None:
     """Reject a config value that is not a finite real number (bools
     included) or is below ``minimum``."""
@@ -93,22 +84,22 @@ def _check_dataset(spec) -> None:
     _check_mapping("dataset", spec)
     kind = spec.get("type")
     if kind == "two_moons":
-        _check_int("dataset n", spec.get("n"), 2)
+        check_int("dataset n", spec.get("n"), 2)
         _check_real("dataset noise", spec.get("noise", 0.0), 0.0)
-        _check_int("dataset seed", spec.get("seed", 0), 0)
+        check_int("dataset seed", spec.get("seed", 0), 0)
     elif kind == "csv":
         if not isinstance(spec.get("path"), str):
             raise InvalidParameterError(f"dataset path must be a string, got {spec.get('path')!r}")
-        _check_int("dataset label_column", spec.get("label_column", 0), None)
+        check_int("dataset label_column", spec.get("label_column", 0), None)
     else:
         raise InvalidParameterError(f"unknown dataset type {kind!r}")
 
 
 def _check_graph(spec) -> None:
     _check_mapping("graph", spec)
-    _check_int("graph k", spec.get("k", 10), 1)
+    check_int("graph k", spec.get("k", 10), 1)
     if spec.get("m") is not None:
-        _check_int("graph m", spec["m"], 1)
+        check_int("graph m", spec["m"], 1)
     if spec.get("sigma") is not None:
         _check_real("graph sigma", spec["sigma"], 0.0)
 
@@ -140,7 +131,7 @@ class ExperimentConfig:
         if not isinstance(self.labels_per_class, (list, tuple)) or not self.labels_per_class:
             raise InvalidParameterError("labels_per_class must be a non-empty list")
         for count in self.labels_per_class:
-            _check_int("labels_per_class entry", count, 1)
+            check_int("labels_per_class entry", count, 1)
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise InvalidParameterError(f"unknown algorithm {a!r}")
@@ -153,8 +144,8 @@ class ExperimentConfig:
             )
         for algo, overrides in self.hyperparams.items():
             _check_mapping(f"hyperparams[{algo!r}]", overrides)
-        _check_int("run_count", self.run_count, 1)
-        _check_int("seed", self.seed, 0)
+        check_int("run_count", self.run_count, 1)
+        check_int("seed", self.seed, 0)
         _check_dataset(self.dataset)
         _check_graph(self.graph)
         _check_kernel(self.kernel)

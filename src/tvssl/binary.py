@@ -40,17 +40,6 @@ from .opt_core import (
 
 logger = logging.getLogger(__name__)
 
-BINARY_VARIANTS = (
-    "rls",
-    "svm",
-    "lap_rls",
-    "lap_svm",
-    "tv_rls",
-    "tv_svm",
-    "cheeger_rls",
-    "cheeger_svm",
-)
-
 # Progress-driven stop rules of the outer loops. Like the ``outer_iters`` and
 # ``inner_iters`` caps they are part of the algorithms and define their output.
 # The ratio loop stops once its best energy has fallen by no more than
@@ -150,8 +139,7 @@ def rls_train(K: KernelMatrix, y, hp: HyperParams) -> BinaryModel:
         raise DimensionError("y length must match kernel size")
     if y.size < 2 or not (np.any(y > 0) and np.any(y < 0)):
         raise InvalidParameterError("need both classes present")
-    A = hp.eta * K.values + hp.lam * np.eye(K.n)
-    alpha = SpdFactor(A).solve(hp.eta * y)
+    alpha = _kernel_factor(K, hp, r=hp.eta).solve(hp.eta * y)
     return BinaryModel(
         "rls", alpha, K.bandwidth, hp, K.data, node_values=K.values @ alpha
     )
@@ -166,22 +154,34 @@ def lap_rls_train(
     the system matrix carries ``2 * gamma * L K``.
     """
     _check_semi(K, g, ls)
-    lu = _ls_factor(K, g, ls.labeled_mask, hp, gamma=hp.gamma)
+    lu = _kernel_factor(
+        K, hp, mask=ls.labeled_mask, laplacian=g.laplacian(), gamma=hp.gamma
+    )
     alpha = lu.solve(hp.eta * ls.y_ext)
     return BinaryModel(
         "lap_rls", alpha, K.bandwidth, hp, K.data, node_values=K.values @ alpha
     )
 
 
-def _ls_factor(K, g, mask, hp, *, r=0.0, gamma=0.0) -> LuFactor:
-    """LU factor of the masked least-squares system
-    ``eta J K + lam I (+ r K) (+ 2 gamma L K)`` with ``J = diag(mask)``,
-    shared by the Laplacian, consensus and warm-start solves."""
-    M = hp.eta * (mask[:, None] * K.values) + hp.lam * np.eye(K.n)
+def _kernel_factor(K, hp, *, r=0.0, mask=None, laplacian=None, gamma=0.0):
+    """Factor of ``lam I (+ eta J K) (+ r K) (+ 2 gamma L K)`` with
+    ``J = diag(mask)`` and ``L = laplacian``: the one kernel-space system
+    behind every trainer's step.
+
+    Without a label mask or a graph term the matrix is symmetric by
+    construction and gets a Cholesky :class:`SpdFactor`; otherwise an
+    :class:`LuFactor`."""
+    M = hp.lam * np.eye(K.n)
+    if mask is not None:
+        M += hp.eta * (mask[:, None] * K.values)
     if r:
         M += r * K.values
     if gamma > 0:
-        M += 2.0 * gamma * (g.laplacian() @ K.values)
+        if laplacian is None:
+            raise InvalidParameterError("gamma > 0 requires a Laplacian")
+        M += 2.0 * gamma * (laplacian @ K.values)
+    elif mask is None:
+        return SpdFactor(M)
     return LuFactor(M)
 
 
@@ -232,8 +232,8 @@ class SvmProxSolver:
     via its box/equality dual. The factorization and the dual's quadratic
     kernel are built once; ``solve`` may then be called repeatedly with fresh
     labels and targets (warm-startable). ``gamma`` scales the ordered-pair
-    Dirichlet energy, matching the rest of the package. ``factor`` holds the
-    factor of ``lam I + r K + 2 gamma L K``.
+    Dirichlet energy, matching the rest of the package. ``factor`` holds
+    :func:`_kernel_factor`'s factor of ``lam I + r K + 2 gamma L K``.
     """
 
     def __init__(
@@ -247,21 +247,14 @@ class SvmProxSolver:
         qp_tol: float = 1e-6,
         qp_iters: int = 5000,
     ):
-        n = K.n
-        self.K = K.values
         self.mu = hp.mu
         self.r = float(r)
         self.qp_tol = qp_tol
         self.qp_iters = qp_iters
-        B = hp.lam * np.eye(n) + self.r * K.values
-        if gamma > 0.0:
-            if laplacian is None:
-                raise InvalidParameterError("gamma > 0 requires a Laplacian")
-            B += 2.0 * gamma * (laplacian @ K.values)
-            self.factor = LuFactor(B)
+        self.factor = _kernel_factor(K, hp, r=self.r, laplacian=laplacian, gamma=gamma)
+        if isinstance(self.factor, LuFactor):
             S = self.factor.solve(K.values, trans=True)
         else:
-            self.factor = SpdFactor(B)
             S = self.factor.solve(K.values)
         # one n x n buffer holds the asymmetry and then the symmetrized S
         buf = np.subtract(S, S.T)
@@ -433,7 +426,7 @@ def _tv_split_loop(K, g, ls, hp, h_step):
     residual and the proximal work.
     """
     n = K.n
-    factor = SpdFactor(hp.lam * np.eye(n) + hp.r1 * K.values)
+    factor = _kernel_factor(K, hp, r=hp.r1)
     gv = ls.y_ext
     lam1 = np.zeros(n)
     lam2 = np.zeros(n)
@@ -536,12 +529,14 @@ def _perturbed_restart(f0) -> np.ndarray:
     return f0 + bump
 
 
-def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
+def _ratio_loop(K, g, mask, f0, clamp, hp, step, factor, coupling=None):
     """Ratio-descent loop shared by the binary and multi-class Cheeger
     trainers, over a (c, N) channel array (c = 1 for binary).
 
     ``step(gstep, it) -> (alphas, e)`` supplies the kernel-space proximal of
-    every channel (least-squares or margin flavored); the rest is the signed
+    every channel (least-squares or margin flavored); ``factor`` holds the
+    caller's factor of ``lam I + r K``, which maps an initialization that no
+    step improves on to its coefficients. The rest is the signed
     step, the per-channel TV shrink weighted by that channel's ratio energy,
     median centering, clamping the labeled nodes to ``clamp``, the optional
     ``coupling(s) -> (s, deviation)`` across channels (the multi-class
@@ -623,8 +618,7 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
                 break
     if best_alphas is None:
         # initialization won: represent it through the loop's own kernel map
-        rls = SpdFactor(hp.lam * np.eye(n) + hp.r * K.values)
-        best_alphas = rls.solve(hp.r * best_f.T).T
+        best_alphas = factor.solve(hp.r * best_f.T).T
     trace.update(
         outer_steps=it, stop_reason=stop_reason,
         ratio_energy=energies, best_ratio_energy=best_e,
@@ -635,15 +629,15 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, coupling=None):
 
 
 def _ls_ratio_step(K, hp):
-    """Least-squares kernel proximal of every channel for :func:`_ratio_loop`:
-    ``alphas = (lam I + r K)^-1 r gstep``."""
-    factor = SpdFactor(hp.lam * np.eye(K.n) + hp.r * K.values)
+    """Least-squares kernel proximal of every channel for :func:`_ratio_loop`,
+    ``alphas = (lam I + r K)^-1 r gstep``, and the factor it solves with."""
+    factor = _kernel_factor(K, hp, r=hp.r)
 
     def step(gstep, _it):
         alphas = factor.solve(hp.r * gstep.T).T
         return alphas, (K.values @ alphas.T).T
 
-    return step
+    return step, factor
 
 
 def _margin_step(K, prox: SvmProxSolver, labels, refresh):
@@ -678,7 +672,7 @@ def cheeger_rls_train(
     _check_semi(K, g, ls)
     y = ls.y_ext[None]
     alpha, f, trace = _ratio_loop(
-        K, g, ls.labeled_mask, y, y, hp, _ls_ratio_step(K, hp)
+        K, g, ls.labeled_mask, y, y, hp, *_ls_ratio_step(K, hp)
     )
     return BinaryModel(
         "cheeger_rls", alpha[0], K.bandwidth, hp, K.data, node_values=f[0], trace=trace
@@ -691,14 +685,15 @@ def cheeger_svm_train(
     """Balanced-cut ratio descent with a margin (SVM) proximal; pseudo-labels
     as in :func:`tv_svm_train`."""
     _check_semi(K, g, ls)
+    prox = SvmProxSolver(K, hp, r=hp.r)
     step = _margin_step(
         K,
-        SvmProxSolver(K, hp, r=hp.r),
+        prox,
         _pseudo_init(K, g, ls, hp)[None],
         lambda prev, vals: _pseudo_refresh(ls, prev, vals),
     )
     y = ls.y_ext[None]
-    alpha, f, trace = _ratio_loop(K, g, ls.labeled_mask, y, y, hp, step)
+    alpha, f, trace = _ratio_loop(K, g, ls.labeled_mask, y, y, hp, step, prox.factor)
     return BinaryModel(
         "cheeger_svm", alpha[0], K.bandwidth, hp, K.data, node_values=f[0], trace=trace
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binary import LabeledSet
-from .errors import CsvParseError, InvalidParameterError
+from .errors import CsvParseError, InvalidParameterError, check_int, whole_numbers
 from .multiclass import MultiLabelSet
 
 
@@ -26,7 +26,7 @@ class Dataset:
 
     def __post_init__(self):
         self.data = np.atleast_2d(np.asarray(self.data, dtype=np.float64))
-        self.true_labels = np.asarray(self.true_labels, dtype=np.int64).ravel()
+        self.true_labels = whole_numbers(self.true_labels, "class indices")
         if self.data.shape[0] != self.true_labels.size:
             raise InvalidParameterError("row count and label count differ")
         if self.true_labels.size and self.true_labels.min() < 1:
@@ -43,14 +43,15 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """How to draw a labeled subset: exactly ``labels_per_class`` per class."""
+    """How to draw a labeled subset: exactly ``labels_per_class`` per class,
+    drawn by numpy's generator seeded with the nonnegative ``seed``."""
 
     labels_per_class: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.labels_per_class < 1:
-            raise InvalidParameterError("labels_per_class must be >= 1")
+        check_int("labels_per_class", self.labels_per_class, 1)
+        check_int("seed", self.seed, 0)
 
 
 def load_csv(

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of integer
+input that raise them at its boundary."""
+
+import numbers
+
+import numpy as np
 
 
 class TvsslError(Exception):
@@ -39,3 +44,26 @@ class InfeasibleConstraintsError(TvsslError, ValueError):
 
 class CsvParseError(TvsslError, ValueError):
     """A CSV file could not be parsed; the message carries the line number."""
+
+
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """Reject a count that is not an integer (bools included) or is below
+    ``minimum`` (if given)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` as a flat int64 array. Whole-valued floats pass; fractional,
+    non-finite, boolean and non-numeric entries raise
+    :class:`InvalidParameterError` naming ``what`` instead of being
+    truncated."""
+    arr = np.asarray(values).ravel()
+    whole = arr.dtype.kind in "iu" or arr.size == 0 or (
+        arr.dtype.kind == "f" and np.all(np.isfinite(arr)) and np.all(arr == np.floor(arr))
+    )
+    if not whole:
+        raise InvalidParameterError(f"{what} must be whole numbers")
+    return arr.astype(np.int64)

@@ -14,7 +14,6 @@ multiplies the same quantity everywhere.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,8 @@ from .errors import (
     DimensionError,
     InvalidParameterError,
     NonFiniteInputError,
+    check_int,
+    whole_numbers,
 )
 
 
@@ -49,11 +50,10 @@ class SimilarityGraph:
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if isinstance(self.n_nodes, bool) or not isinstance(self.n_nodes, numbers.Integral):
-            raise InvalidParameterError(f"n_nodes must be an integer, got {self.n_nodes!r}")
+        check_int("n_nodes", self.n_nodes)
         self.n_nodes = int(self.n_nodes)
-        self.edge_i = _node_indices(self.edge_i)
-        self.edge_j = _node_indices(self.edge_j)
+        self.edge_i = whole_numbers(self.edge_i, "edge endpoints")
+        self.edge_j = whole_numbers(self.edge_j, "edge endpoints")
         self.edge_w = np.asarray(self.edge_w, dtype=np.float64).ravel()
         if not (self.edge_i.size == self.edge_j.size == self.edge_w.size):
             raise DimensionError("edge arrays must have equal length")
@@ -114,19 +114,6 @@ class SimilarityGraph:
         if self._lap is None:
             self._lap = sp.diags(self.degrees, format="csr") - self.adjacency
         return self._lap
-
-
-def _node_indices(values) -> np.ndarray:
-    """Edge endpoints as int64. Whole-valued floats pass; fractional,
-    non-finite, boolean and non-numeric entries raise
-    :class:`InvalidParameterError` instead of being truncated."""
-    arr = np.asarray(values).ravel()
-    whole = arr.dtype.kind in "iu" or arr.size == 0 or (
-        arr.dtype.kind == "f" and np.all(np.isfinite(arr)) and np.all(arr == np.floor(arr))
-    )
-    if not whole:
-        raise InvalidParameterError("edge endpoints must be integer node indices")
-    return arr.astype(np.int64)
 
 
 def _check_node_function(g: SimilarityGraph, f) -> np.ndarray:

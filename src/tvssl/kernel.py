@@ -24,7 +24,6 @@ class KernelMatrix:
 
     values: np.ndarray
     bandwidth: float
-    family: str = "rbf"
     data: np.ndarray | None = None
 
     def __post_init__(self):
@@ -64,7 +63,7 @@ def rbf_gram(data, bandwidth: float) -> KernelMatrix:
     vals = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
     vals = 0.5 * (vals + vals.T)
     np.fill_diagonal(vals, 1.0)
-    return KernelMatrix(vals, float(bandwidth), "rbf", data)
+    return KernelMatrix(vals, float(bandwidth), data=data)
 
 
 def kernel_expand(alpha, train, query, bandwidth: float) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 from .graph import SimilarityGraph
 from .kernel import KernelMatrix, kernel_expand
 from .opt_core import HyperParams, project_simplex_rows, tv_prox
@@ -21,7 +21,7 @@ from .binary import (
     SvmProxSolver,
     _check_divergence,
     _check_semi,
-    _ls_factor,
+    _kernel_factor,
     _ls_ratio_step,
     _margin_step,
     _prox_gap_tol,
@@ -32,15 +32,6 @@ from .binary import (
 )
 
 logger = logging.getLogger(__name__)
-
-MULTICLASS_VARIANTS = (
-    "lap_rls_mc",
-    "lap_svm_mc",
-    "tv_rls_mc",
-    "tv_svm_mc",
-    "cheeger_rls_mc",
-    "cheeger_svm_mc",
-)
 
 
 @dataclass(eq=False)
@@ -54,6 +45,7 @@ class MultiLabelSet:
         raw = np.asarray(self.labels).ravel()
         if raw.size == 0:
             raise InvalidParameterError("need at least one point")
+        check_int("class_count", self.class_count)
         if self.class_count < 2:
             raise InvalidParameterError("need at least two classes")
         # tested before the integer cast, which would truncate 1.7 to 1
@@ -173,7 +165,9 @@ def _margin_channels(K, g, mls, hp, prox: SvmProxSolver):
     """Per-channel margin proximal whose pseudo-labels start from the
     per-channel Laplacian least-squares closed form and are refreshed by
     argmax."""
-    lu = _ls_factor(K, g, mls.labeled_mask, hp, gamma=hp.gamma)
+    lu = _kernel_factor(
+        K, hp, mask=mls.labeled_mask, laplacian=g.laplacian(), gamma=hp.gamma
+    )
     warm = lu.solve(hp.eta * mls.indicator_targets().T).T @ K.values
     return _margin_step(
         K, prox, _margin_pseudo(mls, warm), lambda _prev, vals: _margin_pseudo(mls, vals)
@@ -244,7 +238,9 @@ def _ls_fidelity(K, g, mls, hp, gamma):
     """Least-squares channel fit to the consensus: one LU solve for all
     channels against 0/1 indicator targets."""
     y_ch = mls.indicator_targets()
-    lu = _ls_factor(K, g, mls.labeled_mask, hp, r=hp.r, gamma=gamma)
+    lu = _kernel_factor(
+        K, hp, r=hp.r, mask=mls.labeled_mask, laplacian=g.laplacian(), gamma=gamma
+    )
 
     def fidelity(gch, lam, _it):
         alphas = lu.solve((hp.eta * y_ch + hp.r * gch - lam).T).T
@@ -311,7 +307,7 @@ def cheeger_rls_mc_train(
     _check_semi(K, g, mls)
     y = mls.indicator_targets()
     alphas, f, trace = _ratio_loop(
-        K, g, mls.labeled_mask, y, y, hp, _ls_ratio_step(K, hp), _simplex_coupling
+        K, g, mls.labeled_mask, y, y, hp, *_ls_ratio_step(K, hp), _simplex_coupling
     )
     return MulticlassModel(
         "cheeger_rls_mc", alphas, K.bandwidth, hp, K.data, node_values=f, trace=trace
@@ -324,10 +320,10 @@ def cheeger_svm_mc_train(
     """Per-channel ratio descent with a margin proximal and joint simplex
     projection; pseudo-labels refreshed from the signed step."""
     _check_semi(K, g, mls)
-    step = _margin_channels(K, g, mls, hp, SvmProxSolver(K, hp, r=hp.r))
+    prox = SvmProxSolver(K, hp, r=hp.r)
     alphas, f, trace = _ratio_loop(
         K, g, mls.labeled_mask, mls.indicator_targets(), mls.margin_targets(),
-        hp, step, _simplex_coupling,
+        hp, _margin_channels(K, g, mls, hp, prox), prox.factor, _simplex_coupling,
     )
     return MulticlassModel(
         "cheeger_svm_mc", alphas, K.bandwidth, hp, K.data, node_values=f, trace=trace

@@ -1,10 +1,11 @@
 """Optimization primitives shared by all classifiers.
 
-Contents: cached SPD/LU linear solves with a residual contract (also of a
-low-rank update of a factored matrix), the graph-TV proximal map solved by a
-primal-dual iteration, a projected-gradient solver for box-constrained duals
-with one linear equality, Michelot's simplex projection, and the
-ball/zero-mean renormalization used by the splitting loops.
+Contents: SPD/LU factors, each solved many times under a residual contract
+(also through a low-rank update of the factored matrix), the graph-TV
+proximal map solved by a primal-dual iteration, a projected-gradient solver
+for box-constrained duals with one linear equality, Michelot's simplex
+projection, and the ball/zero-mean renormalization used by the splitting
+loops.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     FactorizationError,
     InfeasibleConstraintsError,
     InvalidParameterError,
+    check_int,
 )
 from .graph import SimilarityGraph, _check_node_function, graph_tv
 
@@ -46,6 +48,12 @@ class HyperParams:
     consensus penalties, and ``c`` the ratio-descent step constant. The
     boolean flags toggle documented algorithm variants and default to the
     literal update order.
+
+    The dataclass defaults are not the shipped ones: those are per algorithm
+    in ``configs/defaults.json``, read by ``bench_cli.default_hyperparams``
+    (for instance ``lam=1e-4``, ``gamma=1.0``, ``r1=r2=5.0`` and
+    ``norm_scale="sqrt_n"``, which is why the README's quick start passes
+    them by hand).
     """
 
     eta: float = 1.0
@@ -72,9 +80,7 @@ class HyperParams:
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
                 raise InvalidParameterError(f"{name} must be a finite number, got {v!r}")
         for name in ("outer_iters", "inner_iters"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+            check_int(name, getattr(self, name))
         for name in ("normalize", "use_bias", "simplex_last"):
             v = getattr(self, name)
             if not isinstance(v, (bool, np.bool_)):
@@ -287,17 +293,6 @@ def solve_low_rank_update(factor, U, V, b) -> np.ndarray:
     return _refined_solve(_UpdatedMatrix(factor._A, U, V), once, b)
 
 
-def solve_spd(A, b) -> np.ndarray:
-    """One-shot solve. Symmetric input takes the Cholesky path (with the
-    jitter policy); nonsymmetric input is routed to dense LU. Both enforce
-    ``||Ax - b|| <= 1e-8 ||b||``."""
-    A = _as_square(A)
-    scale = np.max(np.abs(A)) or 1.0
-    if np.max(np.abs(A - A.T)) <= 1e-12 * scale:
-        return SpdFactor(A).solve(b)
-    return LuFactor(A).solve(b)
-
-
 def _power_norm(matvec, n: int, iters: int) -> float:
     """Largest singular value estimate of a symmetric PSD operator."""
     v = np.ones(n) + 1e-3 * np.arange(n)
@@ -449,10 +444,7 @@ def tv_prox(
     c, n_edges = Z.shape[0], g.n_edges
     weights = _per_row(weight, c, "weight")
     _check_finite_nonnegative(weights, "weight")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
-        raise InvalidParameterError(f"max_iters must be an integer, got {max_iters!r}")
-    if max_iters < 1:
-        raise InvalidParameterError("max_iters must be >= 1")
+    check_int("max_iters", max_iters, 1)
     gap_tols = _per_row(tol if gap_tol is None else gap_tol, c, "gap_tol")
     _check_finite_nonnegative([tol], "tol")
     _check_finite_nonnegative(gap_tols, "gap_tol")

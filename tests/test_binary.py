@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tvssl import binary
+from tvssl import binary, multiclass
 from tvssl.binary import (
     BinaryModel,
     LabeledSet,
@@ -24,11 +24,11 @@ from tvssl.binary import (
     tv_svm_train,
 )
 from tvssl.bench_cli import default_hyperparams
-from tvssl.data_io import SplitSpec, make_split, make_two_moons
+from tvssl.data_io import Dataset, SplitSpec, make_split, make_two_moons
 from tvssl.errors import DegenerateInputError, DimensionError, InvalidParameterError
 from tvssl.graph import SimilarityGraph, build_knn_graph, graph_tv
 from tvssl.kernel import KernelMatrix, median_bandwidth, rbf_gram
-from tvssl.opt_core import HyperParams
+from tvssl.opt_core import HyperParams, SpdFactor
 
 from oracles import (
     exhaustive_two_level_ratio,
@@ -692,6 +692,102 @@ def test_cheeger_cap_below_plateau_window_stops_on_cap(trainer):
     m = trainer(K, g, ls, hp)
     assert m.trace["stop_reason"] == "cap"
     assert m.trace["outer_steps"] == len(m.trace["ratio_energy"]) - 1 == outer
+
+
+@pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])
+def test_cheeger_initialization_won_reuses_the_callers_factor(trainer, monkeypatch):
+    # two chains with no edge between them, labeled +1 and -1 throughout: the
+    # labels already cut the graph at ratio energy 0, so no step improves on
+    # the initialization and its coefficients come from the loop's own
+    # lam I + r K factor, not from a second one
+    X, y = two_cluster_data(4, seed=5)
+    K = rbf_gram(X, 1.0)
+    g = SimilarityGraph(8, [0, 1, 2, 4, 5, 6], [1, 2, 3, 5, 6, 7], np.ones(6))
+    ls = LabeledSet(y, np.ones(8, dtype=bool))
+    hp = default_hyperparams(trainer.__name__[: -len("_train")])
+    spd = []
+    real_init = binary.SpdFactor.__init__
+
+    def counting_init(self, A):
+        spd.append(A.shape)
+        real_init(self, A)
+
+    monkeypatch.setattr(binary.SpdFactor, "__init__", counting_init)
+    m = trainer(K, g, ls, hp)
+    assert spd == [(8, 8)]
+    monkeypatch.undo()
+    assert m.trace["best_ratio_energy"] == 0.0 and m.trace["stop_reason"] == "plateau"
+    assert m.node_values.tobytes() == y.tobytes()
+    alpha = SpdFactor(hp.lam * np.eye(8) + hp.r * K.values).solve(hp.r * y)
+    assert m.alpha.tobytes() == alpha.tobytes()
+
+
+def _hand_systems(name, K, L, mask, hp):
+    """The matrices each trainer factors, written out by hand in call order:
+    ``(factor class, matrix)``."""
+    I, JK, LK = np.eye(K.shape[0]), mask[:, None] * K, L @ K
+    lap_ls = hp.eta * JK + hp.lam * I + 2.0 * hp.gamma * LK  # Laplacian warm start
+    spd_r = ("SpdFactor", hp.lam * I + hp.r * K)
+    return {
+        "rls": [("SpdFactor", hp.eta * K + hp.lam * I)],
+        "svm": [("SpdFactor", hp.lam * I)],
+        "lap_rls": [("LuFactor", lap_ls)],
+        "lap_svm": [("LuFactor", hp.lam * I + 2.0 * hp.gamma * LK)],
+        "tv_rls": [("SpdFactor", hp.lam * I + hp.r1 * K)],
+        "tv_svm": [("LuFactor", lap_ls), ("SpdFactor", hp.lam * I + hp.r1 * K)],
+        "cheeger_rls": [spd_r],
+        "cheeger_svm": [spd_r, ("LuFactor", lap_ls)],
+        "lap_rls_mc": [
+            ("LuFactor", hp.eta * JK + hp.lam * I + hp.r * K + 2.0 * hp.gamma * LK)
+        ],
+        "lap_svm_mc": [
+            ("LuFactor", hp.lam * I + hp.r * K + 2.0 * hp.gamma * LK),
+            ("LuFactor", lap_ls),
+        ],
+        "tv_rls_mc": [("LuFactor", hp.eta * JK + hp.lam * I + hp.r * K)],
+        "tv_svm_mc": [spd_r, ("LuFactor", lap_ls)],
+        "cheeger_rls_mc": [spd_r],
+        "cheeger_svm_mc": [spd_r, ("LuFactor", lap_ls)],
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "rls", "svm", "lap_rls", "lap_svm", "tv_rls", "tv_svm", "cheeger_rls",
+        "cheeger_svm", "lap_rls_mc", "lap_svm_mc", "tv_rls_mc", "tv_svm_mc",
+        "cheeger_rls_mc", "cheeger_svm_mc",
+    ],
+)
+def test_each_trainer_factors_its_hand_assembled_system(name, monkeypatch):
+    seen = []
+    for cls in (binary.SpdFactor, binary.LuFactor):
+
+        def spy(self, A, _init=cls.__init__, _kind=cls.__name__):
+            seen.append((_kind, np.array(A)))
+            _init(self, A)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    ds = make_two_moons(40, 0.08, 1)
+    if name.endswith("_mc"):
+        centres = np.repeat([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]], 10, axis=0)
+        noise = np.random.default_rng(1).normal(size=(30, 2))
+        ds = Dataset(centres + noise, np.repeat([1, 2, 3], 10))
+    g = build_knn_graph(ds.data, 6)
+    K = rbf_gram(ds.data, 0.5 * median_bandwidth(ds.data))
+    hp = replace(default_hyperparams(name), outer_iters=3, inner_iters=20)
+    if name in ("rls", "svm"):
+        mask = np.ones(ds.n_points, dtype=bool)
+        getattr(binary, name + "_train")(K, np.where(ds.true_labels == 1, 1.0, -1.0), hp)
+    else:
+        split = make_split(ds, SplitSpec(2, 1))
+        mask = split.labeled_mask
+        module = multiclass if name.endswith("_mc") else binary
+        getattr(module, name + "_train")(K, g, split, hp)
+    expected = _hand_systems(name, K.values, g.laplacian(), mask, hp)
+    assert [kind for kind, _ in seen] == [kind for kind, _ in expected]
+    for (_, got), (_, want) in zip(seen, expected):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_cheeger_rls_label_clamp():

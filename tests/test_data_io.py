@@ -167,3 +167,24 @@ def test_split_insufficient_members():
 def test_split_spec_validation():
     with pytest.raises(InvalidParameterError):
         SplitSpec(0)
+
+
+@pytest.mark.parametrize(
+    "args", [(1.5,), (1, 0.5), (1, -1), (True,), (1, False), ("1",)]
+)
+def test_split_spec_rejects_non_integer_counts_and_negative_seeds(args):
+    with pytest.raises(InvalidParameterError):
+        SplitSpec(*args)
+
+
+@pytest.mark.parametrize(
+    "labels", [[1, 1.7], [1.0, np.nan], [1.0, np.inf], [True, False], ["1", "2"]]
+)
+def test_dataset_rejects_labels_that_are_not_whole_numbers(labels):
+    with pytest.raises(InvalidParameterError):
+        Dataset(np.zeros((2, 1)), labels)
+
+
+def test_dataset_accepts_whole_float_labels():
+    ds = Dataset(np.zeros((3, 1)), [1.0, 2.0, 1.0])
+    assert ds.true_labels.dtype == np.int64 and ds.true_labels.tolist() == [1, 2, 1]

@@ -112,6 +112,12 @@ def test_multilabel_set_rejects_empty_and_fractional_labels(labels):
         MultiLabelSet(labels, 2)
 
 
+@pytest.mark.parametrize("class_count", [2.5, 2.0, True, "2"])
+def test_multilabel_set_rejects_non_integer_class_count(class_count):
+    with pytest.raises(InvalidParameterError, match="class_count"):
+        MultiLabelSet([1, 2, 0], class_count)
+
+
 def test_multilabel_set_accepts_whole_float_labels():
     mls = MultiLabelSet([1.0, 2.0, 0.0], 2)
     assert mls.labels.dtype == np.int64 and mls.labels.tolist() == [1, 2, 0]

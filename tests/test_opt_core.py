@@ -28,7 +28,6 @@ from tvssl.opt_core import (
     project_simplex_rows,
     qp_box_eq,
     solve_low_rank_update,
-    solve_spd,
     tv_prox,
 )
 
@@ -115,12 +114,12 @@ def test_ball_scale_modes():
 
 def test_solve_identity():
     b = np.array([3.0, -1.0, 2.0])
-    assert np.allclose(solve_spd(np.eye(3), b), b)
+    assert np.allclose(SpdFactor(np.eye(3)).solve(b), b)
 
 
 def test_solve_diagonal():
     assert np.allclose(
-        solve_spd(2.0 * np.eye(3), np.array([2.0, 4.0, 6.0])), [1.0, 2.0, 3.0]
+        SpdFactor(2.0 * np.eye(3)).solve(np.array([2.0, 4.0, 6.0])), [1.0, 2.0, 3.0]
     )
 
 
@@ -129,7 +128,7 @@ def test_solve_random_spd_residual():
         n = 10
         A = random_spd(n, seed)
         b = np.random.default_rng(seed + 100).normal(size=n)
-        x = solve_spd(A, b)
+        x = SpdFactor(A).solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
@@ -142,7 +141,7 @@ def test_solve_routes_nonsymmetric_to_lu():
     L[0, 1] = -0.3
     M = 2.0 * mask[:, None] * K + 0.05 * np.eye(n) + 0.4 * (L @ K)
     b = rng.normal(size=n)
-    x = solve_spd(M, b)
+    x = LuFactor(M).solve(b)
     assert np.linalg.norm(M @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
@@ -166,7 +165,7 @@ def test_lu_factor_transposed_solve():
 
 
 def test_zero_rhs_gives_zero():
-    assert np.all(solve_spd(random_spd(4, 0), np.zeros(4)) == 0.0)
+    assert np.all(SpdFactor(random_spd(4, 0)).solve(np.zeros(4)) == 0.0)
 
 
 def _mismatched(factor_cls, A, delta):
