@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import numbers
 import os
 import sys
 import time
@@ -26,7 +24,7 @@ import numpy as np
 
 from . import binary, multiclass
 from .data_io import Dataset, SplitSpec, load_csv, make_split, make_two_moons, save_csv
-from .errors import InvalidParameterError, TvsslError, check_int
+from .errors import InvalidParameterError, TvsslError, check_int, check_real
 from .graph import SimilarityGraph, build_knn_graph, save_edge_list
 from .kernel import KernelMatrix, median_bandwidth, rbf_gram
 from .opt_core import HyperParams
@@ -62,15 +60,6 @@ def default_hyperparams(algorithm: str, overrides: dict | None = None) -> HyperP
     return HyperParams.from_dict(merged, algorithm)
 
 
-def _check_real(name: str, value, minimum: float) -> None:
-    """Reject a config value that is not a finite real number (bools
-    included) or is below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
-    if value < minimum:
-        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value!r}")
-
-
 def _check_mapping(name: str, spec) -> None:
     if not isinstance(spec, Mapping):
         raise InvalidParameterError(f"{name} must be a mapping, got {spec!r}")
@@ -85,7 +74,7 @@ def _check_dataset(spec) -> None:
     kind = spec.get("type")
     if kind == "two_moons":
         check_int("dataset n", spec.get("n"), 2)
-        _check_real("dataset noise", spec.get("noise", 0.0), 0.0)
+        check_real("dataset noise", spec.get("noise", 0.0), 0.0)
         check_int("dataset seed", spec.get("seed", 0), 0)
     elif kind == "csv":
         if not isinstance(spec.get("path"), str):
@@ -101,14 +90,14 @@ def _check_graph(spec) -> None:
     if spec.get("m") is not None:
         check_int("graph m", spec["m"], 1)
     if spec.get("sigma") is not None:
-        _check_real("graph sigma", spec["sigma"], 0.0)
+        check_real("graph sigma", spec["sigma"], 0.0)
 
 
 def _check_kernel(spec) -> None:
     _check_mapping("kernel", spec)
     if spec.get("bandwidth") is not None:
-        _check_real("kernel bandwidth", spec["bandwidth"], 0.0)
-    _check_real("kernel median_factor", spec.get("median_factor", 1.0), 0.0)
+        check_real("kernel bandwidth", spec["bandwidth"], 0.0)
+    check_real("kernel median_factor", spec.get("median_factor", 1.0), 0.0)
 
 
 @dataclass

@@ -11,7 +11,6 @@ inductive prediction through the kernel expansion.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -21,6 +20,7 @@ from .errors import (
     DimensionError,
     DivergenceError,
     InvalidParameterError,
+    check_real,
 )
 from .graph import SimilarityGraph, graph_tv
 from .kernel import KernelMatrix, kernel_expand
@@ -38,17 +38,17 @@ from .opt_core import (
     tv_prox,
 )
 
-logger = logging.getLogger(__name__)
-
 # Progress-driven stop rules of the outer loops. Like the ``outer_iters`` and
 # ``inner_iters`` caps they are part of the algorithms and define their output.
 # The ratio loop stops once its best energy has fallen by no more than
 # RATIO_PLATEAU_REL (relative) over the last RATIO_PLATEAU_STEPS steps.
 RATIO_PLATEAU_STEPS = 10
 RATIO_PLATEAU_REL = 1e-3
-# The split and consensus loops solve each TV proximal after the first to the
+# Every outer loop solves each TV proximal of a channel after the first to the
 # duality gap 0.5 * (PROX_KAPPA * ||z_k - z_{k-1}||)^2 (at least ``tol``),
-# where z is its input: its error is then at most PROX_KAPPA times the move.
+# where z is its input: the proximal objective is 1-strongly convex, so its
+# error is then at most PROX_KAPPA times the move (Chambolle & Pock, JMIV
+# 2011). The first proximal of a channel is solved to ``tol``.
 PROX_KAPPA = 1.0
 
 
@@ -256,12 +256,10 @@ class SvmProxSolver:
             S = self.factor.solve(K.values, trans=True)
         else:
             S = self.factor.solve(K.values)
-        # one n x n buffer holds the asymmetry and then the symmetrized S
-        buf = np.subtract(S, S.T)
-        dev = float(np.max(np.abs(buf, out=buf)))
-        if dev > 0:
-            logger.debug("symmetrizing dual kernel, max deviation %.3e", dev)
-        self.S = np.multiply(np.add(S, S.T, out=buf), 0.5, out=buf)
+        # symmetrized into a fresh buffer: writing into S would keep the
+        # solver's memory order, which changes the rounding of the products
+        buf = np.add(S, S.T)
+        self.S = np.multiply(buf, 0.5, out=buf)
 
     def solve(self, y, target=None, beta0=None) -> tuple[np.ndarray, DualSolution]:
         """Return (alpha, dual solution) for labels y and proximity target."""
@@ -283,8 +281,10 @@ class SvmProxSolver:
 
 def svm_value_prox(e, y, r2: float, mu: float) -> tuple[np.ndarray, DualSolution]:
     """Minimize ``mu * sum(slack) + r2/2 ||h - e||^2`` under the margin
-    constraints ``y_i (h_i + b) >= 1 - slack_i``. The dual has a diagonal
-    quadratic, so one exact projected step solves it."""
+    constraints ``y_i (h_i + b) >= 1 - slack_i`` for a finite positive
+    ``r2``. The dual has a diagonal quadratic, so one exact projected step
+    solves it."""
+    check_real("r2", r2, 0.0, strict=True)
     e = np.asarray(e, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if e.size != y.size:
@@ -382,29 +382,46 @@ def _check_divergence(f, n):
         raise DivergenceError("splitting iteration diverged")
 
 
-def _record_prox(trace, hp, proxes) -> None:
-    """Append one outer iteration's TV proximal work to ``trace``: the
-    iterations summed over channels (one :class:`ProxTrace` each), the
-    channels that hit ``inner_iters`` and, in ``prox_stops``, how many
-    channels each stop test ended."""
-    trace["prox_iters"].append(sum(p.iterations_run for p in proxes))
-    trace["prox_cap_hits"].append(sum(p.iterations_run >= hp.inner_iters for p in proxes))
-    stops = [p.stop_reason for p in proxes]
-    trace["prox_stops"].append({reason: stops.count(reason) for reason in _PROX_STOPS})
+class _ProxChain:
+    """The warm-started chain of batched TV proximal calls of one outer loop.
 
+    Each call shrinks a (c, n) array, one row per channel, in one
+    :func:`tv_prox` call. A row starts from that channel's previous dual and
+    stops at the duality gap of the ``PROX_KAPPA`` rule for the move of its
+    input, ``tol`` on the first call. :meth:`record` appends the last call's work to the trace lists
+    ``prox_iters`` (iterations summed over channels), ``prox_cap_hits``
+    (channels that hit ``inner_iters``) and ``prox_stops`` (how many
+    channels each stop test ended).
+    """
 
-def _prox_gap_tol(hp, z, z_prev) -> float:
-    """Duality-gap tolerance of a TV proximal whose input moved from
-    ``z_prev`` (``None`` on the first call) to ``z``:
-    ``max(tol, 0.5 * (PROX_KAPPA * ||z - z_prev||)^2)``. The proximal
-    objective is 1-strongly convex, so that gap puts the returned point
-    within ``PROX_KAPPA * ||z - z_prev||`` of the exact proximal point. As
-    the outer loop settles the move shrinks and the tolerance falls back to
-    ``tol``."""
-    if z_prev is None:
-        return hp.tol
-    dz = z - z_prev
-    return max(hp.tol, 0.5 * PROX_KAPPA**2 * float(dz @ dz))
+    def __init__(self, g, hp, trace):
+        self.g, self.hp, self.trace = g, hp, trace
+        self.q = None  # (c, E) duals of the last call
+        self.z_prev = None  # (c, n) input of the last call
+        self.rows = []  # per-row traces of the last call
+        trace.update(prox_iters=[], prox_cap_hits=[], prox_stops=[])
+
+    def __call__(self, z, weight):
+        hp = self.hp
+        if self.z_prev is None:
+            gap_tol = hp.tol
+        else:
+            gap_tol = [
+                max(hp.tol, 0.5 * PROX_KAPPA**2 * float(dz @ dz)) for dz in z - self.z_prev
+            ]
+        x, prox = tv_prox(
+            self.g, z, weight, tol=hp.tol, max_iters=hp.inner_iters, q0=self.q,
+            gap_tol=gap_tol,
+        )
+        self.q, self.z_prev, self.rows = prox.q, z, prox.rows
+        return x
+
+    def record(self) -> None:
+        rows, trace = self.rows, self.trace
+        trace["prox_iters"].append(sum(p.iterations_run for p in rows))
+        trace["prox_cap_hits"].append(sum(p.iterations_run >= self.hp.inner_iters for p in rows))
+        stops = [p.stop_reason for p in rows]
+        trace["prox_stops"].append({reason: stops.count(reason) for reason in _PROX_STOPS})
 
 
 def _tv_split_loop(K, g, ls, hp, h_step):
@@ -412,10 +429,8 @@ def _tv_split_loop(K, g, ls, hp, h_step):
 
     ``h_step(gv, lam2, it) -> h`` provides the fidelity update; the rest
     (kernel shrink, TV proximal on the averaged target, optional ball/zero-
-    mean renormalization, multiplier ascent) is shared. Each TV proximal
-    starts from the previous one's dual and stops at the duality gap of
-    :func:`_prox_gap_tol`, loose while the averaged target still moves and
-    ``tol`` once it settles.
+    mean renormalization, multiplier ascent) is shared. The TV proximals of
+    the averaged target form one :class:`_ProxChain` of one-row calls.
 
     The loop stops when the consensus residual drops to ``tol * n``
     (``stop_reason`` "consensus") or after ``outer_iters`` steps ("cap").
@@ -431,11 +446,10 @@ def _tv_split_loop(K, g, ls, hp, h_step):
     lam1 = np.zeros(n)
     lam2 = np.zeros(n)
     scale = hp.ball_scale(n)
-    trace = {"consensus": [], "prox_iters": [], "prox_cap_hits": [], "prox_stops": []}
+    trace = {"consensus": []}
+    chain = _ProxChain(g, hp, trace)
     alpha = np.zeros(n)
     f = np.zeros(n)
-    q = None  # dual of the last TV proximal
-    zbar_prev = None  # input of the last TV proximal
     stop_reason = "cap"
     for it in range(hp.outer_iters):
         alpha = factor.solve(hp.r1 * gv - lam1)
@@ -445,17 +459,8 @@ def _tv_split_loop(K, g, ls, hp, h_step):
         z1 = f + lam1 / hp.r1
         z2 = h + lam2 / hp.r2
         zbar = (hp.r1 * z1 + hp.r2 * z2) / (hp.r1 + hp.r2)
-        gbar, prox = tv_prox(
-            g,
-            zbar,
-            hp.gamma / (hp.r1 + hp.r2),
-            tol=hp.tol,
-            max_iters=hp.inner_iters,
-            q0=q,
-            gap_tol=_prox_gap_tol(hp, zbar, zbar_prev),
-        )
-        q, zbar_prev = prox.q, zbar
-        _record_prox(trace, hp, [prox])
+        gbar = chain(zbar[None], hp.gamma / (hp.r1 + hp.r2))[0]
+        chain.record()
         if hp.normalize and np.linalg.norm(gbar) > 0:
             gv = normalize_ball_zero_mean(gbar, scale)
         else:
@@ -543,9 +548,9 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, factor, coupling=None):
     simplex) and per-channel sphere renormalization. The energy is the sum
     of the channel ratio energies, and the best iterate by it is returned.
     An undefined energy or a zero channel restarts from a perturbed ``f0``,
-    at most twice. The channels' TV shrinks run as one batched
-    :func:`tv_prox` call per step; each starts from that channel's previous
-    dual, clipped to the new weight's box, and is solved to ``tol``.
+    at most twice. The channels' TV shrinks form one :class:`_ProxChain`;
+    each starts from that channel's previous dual, clipped to the new
+    weight's box.
 
     The loop is not a descent: the energy can rise from one step to the
     next, which is why the best iterate is kept. It stops on a plateau of
@@ -565,8 +570,8 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, factor, coupling=None):
     best_f = f
     best_alphas = None
     devs: list = []
-    trace = {"prox_iters": [], "prox_cap_hits": [], "prox_stops": []}
-    q = None  # (c, E) duals of the last TV shrink
+    trace = {}
+    chain = _ProxChain(g, hp, trace)
     restarts = 0
     it = 0
     stop_reason = "cap"
@@ -582,11 +587,7 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, factor, coupling=None):
         alphas, e = step(gstep, it)
         # one batched shrink for all channels; a zero ratio (already-perfect
         # cut) would make the shrink weight infinite, so it is floored
-        shrunk, prox = tv_prox(
-            g, e, hp.c / np.maximum(ens, 1e-8), tol=hp.tol, max_iters=hp.inner_iters,
-            q0=q,
-        )
-        q = prox.q
+        shrunk = chain(e, hp.c / np.maximum(ens, 1e-8))
         s = np.empty_like(f)
         for k, h in enumerate(shrunk):
             s[k] = np.where(mask, clamp[k], h - center_median(h))
@@ -598,7 +599,7 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, factor, coupling=None):
             ens = [np.inf]  # a collapsed channel restarts like an undefined ratio
             continue
         # recorded per completed outer step, in line with ratio_energy[1:]
-        _record_prox(trace, hp, prox.rows)
+        chain.record()
         if coupling is not None:
             devs.append(dev)
         f = scale * s / norms[:, None]

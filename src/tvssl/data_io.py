@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binary import LabeledSet
-from .errors import CsvParseError, InvalidParameterError, check_int, whole_numbers
+from .errors import CsvParseError, InvalidParameterError, check_int, check_real, whole_numbers
 from .multiclass import MultiLabelSet
 
 
@@ -133,14 +133,14 @@ def make_two_moons(n: int, noise: float, seed: int = 0) -> Dataset:
 
     The first n/2 points trace the upper unit half circle, the rest the
     lower one shifted to interleave; classes are 1 and 2. Deterministic per
-    seed (PCG64).
+    seed (PCG64). ``n`` is an even integer >= 2, ``noise`` a finite number
+    >= 0 and ``seed`` an integer >= 0.
     """
+    check_int("n", n, 2)
     if n % 2 != 0:
         raise InvalidParameterError("n must be even")
-    if n < 2:
-        raise InvalidParameterError("n must be >= 2")
-    if noise < 0:
-        raise InvalidParameterError("noise must be >= 0")
+    check_real("noise", noise, 0.0)
+    check_int("seed", seed, 0)
     half = n // 2
     t = np.linspace(0.0, np.pi, half)
     upper = np.column_stack([np.cos(t), np.sin(t)])

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the checks of integer
+"""Exception types shared across the package, and the checks of scalar
 input that raise them at its boundary."""
 
+import math
 import numbers
 
 import numpy as np
@@ -53,6 +54,17 @@ def check_int(name: str, value, minimum: int | None = None) -> None:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise InvalidParameterError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, minimum: float | None = None, *, strict: bool = False) -> None:
+    """Reject a value that is not a finite real number (bools included) or is
+    below ``minimum`` (at or below it with ``strict``), if given. NaN fails
+    the first test, so it cannot pass a range check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
+    if minimum is not None and (value <= minimum if strict else value < minimum):
+        bound = ">" if strict else ">="
+        raise InvalidParameterError(f"{name} must be {bound} {minimum}, got {value!r}")
 
 
 def whole_numbers(values, what: str) -> np.ndarray:

@@ -25,6 +25,7 @@ from .errors import (
     InvalidParameterError,
     NonFiniteInputError,
     check_int,
+    check_real,
     whole_numbers,
 )
 
@@ -150,7 +151,8 @@ def build_knn_graph(
     Raises
     ------
     InvalidParameterError
-        If ``k`` is out of range or ``sigma`` is missing/nonpositive.
+        If ``k`` or ``m`` is not an integer in range, or a fixed ``sigma``
+        is missing, non-finite or nonpositive.
     NonFiniteInputError
         If a point has a NaN or infinite coordinate.
     DegenerateScaleError
@@ -164,24 +166,25 @@ def build_knn_graph(
     n = data.shape[0]
     if n < 2:
         raise InvalidParameterError("need at least two points")
+    check_int("k", k)
     if not 1 <= k < n:
         raise InvalidParameterError(f"k must satisfy 1 <= k < {n}, got {k}")
+    if sigma_mode == "fixed":
+        check_real("fixed-mode sigma", sigma, 0.0, strict=True)
+        mm = k
+    elif sigma_mode == "self_tuning":
+        if m is not None:
+            check_int("m", m)
+        mm = k if m is None else m
+        if not 1 <= mm < n:
+            raise InvalidParameterError(f"m must satisfy 1 <= m < {n}, got {mm}")
+    else:
+        raise InvalidParameterError(f"unknown sigma_mode {sigma_mode!r}")
 
     sq = np.sum(data * data, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (data @ data.T)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, np.inf)
-
-    if sigma_mode == "fixed":
-        if sigma is None or sigma <= 0:
-            raise InvalidParameterError("fixed mode requires sigma > 0")
-        mm = k
-    elif sigma_mode == "self_tuning":
-        mm = k if m is None else int(m)
-        if not 1 <= mm < n:
-            raise InvalidParameterError(f"m must satisfy 1 <= m < {n}, got {mm}")
-    else:
-        raise InvalidParameterError(f"unknown sigma_mode {sigma_mode!r}")
 
     # The k nearest neighbors of a stable sort by distance: every point closer
     # than the k-th distance, then the points at that distance in ascending

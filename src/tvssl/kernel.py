@@ -11,6 +11,8 @@ from .errors import (
     DimensionError,
     InvalidParameterError,
     NonFiniteInputError,
+    check_int,
+    check_real,
 )
 
 
@@ -52,9 +54,9 @@ def _check_finite(points: np.ndarray, what: str) -> None:
 
 
 def rbf_gram(data, bandwidth: float) -> KernelMatrix:
-    """Gram matrix K_ij = exp(-||x_i - x_j||^2 / (2 * bandwidth^2))."""
-    if bandwidth is None or bandwidth <= 0:
-        raise InvalidParameterError("bandwidth must be positive")
+    """Gram matrix K_ij = exp(-||x_i - x_j||^2 / (2 * bandwidth^2)) for a
+    finite positive ``bandwidth``."""
+    check_real("bandwidth", bandwidth, 0.0, strict=True)
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise InvalidParameterError("data must be a 2-D array of points")
@@ -67,9 +69,9 @@ def rbf_gram(data, bandwidth: float) -> KernelMatrix:
 
 
 def kernel_expand(alpha, train, query, bandwidth: float) -> np.ndarray:
-    """Evaluate sum_j k(x_q, x_j) * alpha_j for each query row x_q."""
-    if bandwidth is None or bandwidth <= 0:
-        raise InvalidParameterError("bandwidth must be positive")
+    """Evaluate sum_j k(x_q, x_j) * alpha_j for each query row x_q, for a
+    finite positive ``bandwidth``."""
+    check_real("bandwidth", bandwidth, 0.0, strict=True)
     alpha = np.asarray(alpha, dtype=np.float64).ravel()
     train = np.atleast_2d(np.asarray(train, dtype=np.float64))
     query = np.atleast_2d(np.asarray(query, dtype=np.float64))
@@ -88,8 +90,11 @@ def median_bandwidth(data, max_points: int = 1000, seed: int = 0) -> float:
     """Median pairwise distance over a (subsampled) point set.
 
     The usual default bandwidth when nothing better is known. Subsampling is
-    deterministic given ``seed``.
+    deterministic given ``seed``, an integer >= 0; ``max_points`` is an
+    integer >= 2.
     """
+    check_int("max_points", max_points, 2)
+    check_int("seed", seed, 0)
     data = np.asarray(data, dtype=np.float64)
     _check_finite(data, "data points")
     n = data.shape[0]

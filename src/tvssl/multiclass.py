@@ -8,7 +8,6 @@ Decisions are by channel argmax with ties going to the smallest class index.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,22 +15,19 @@ import numpy as np
 from .errors import InvalidParameterError, check_int
 from .graph import SimilarityGraph
 from .kernel import KernelMatrix, kernel_expand
-from .opt_core import HyperParams, project_simplex_rows, tv_prox
+from .opt_core import HyperParams, project_simplex_rows
 from .binary import (
     SvmProxSolver,
+    _ProxChain,
     _check_divergence,
     _check_semi,
     _kernel_factor,
     _ls_ratio_step,
     _margin_step,
-    _prox_gap_tol,
     _ratio_loop,
     _read_model,
-    _record_prox,
     _write_model,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(eq=False)
@@ -188,10 +184,8 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
     simplex projection of ``f + lam / r``; with ``tv`` each channel first
     takes a TV shrink and the projection is followed by channel
     renormalization (literal order; ``simplex_last`` swaps the two). The
-    channels' TV shrinks run as one batched :func:`tv_prox` call per step;
-    each starts from that channel's previous dual and stops at the duality
-    gap of :func:`binary._prox_gap_tol` for that channel's input, loose
-    while it still moves and ``tol`` once it settles.
+    channels' TV shrinks form one :class:`binary._ProxChain`, one batched
+    call per step.
 
     The loop always runs ``outer_iters`` steps (``stop_reason`` "cap"):
     the cap and the proximal tolerance rule are part of the algorithm and
@@ -205,21 +199,14 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
     lam = np.zeros_like(gch)
     trace = {"consensus": [], "simplex_dev": []}
     if tv:
-        trace.update(prox_iters=[], prox_cap_hits=[], prox_stops=[])
-        q = None  # (c, E) duals of the last TV shrink
-        z_prev = [None] * len(gch)  # per-channel input of the last TV shrink
+        chain = _ProxChain(g, hp, trace)
     for it in range(hp.outer_iters):
         alphas, f = fidelity(gch, lam, it)
         _check_divergence(f.ravel(), n)
         z = f + lam / hp.r
         if tv:
-            gap_tol = [_prox_gap_tol(hp, zk, zk_prev) for zk, zk_prev in zip(z, z_prev)]
-            z_prev, (z, prox) = z, tv_prox(
-                g, z, hp.gamma / hp.r, tol=hp.tol, max_iters=hp.inner_iters,
-                q0=q, gap_tol=gap_tol,
-            )
-            q = prox.q
-            _record_prox(trace, hp, prox.rows)
+            z = chain(z, hp.gamma / hp.r)
+            chain.record()
             if hp.simplex_last:
                 z = _renormalize_channels(z, scale)
         gch = _simplex_nodes(z)

@@ -11,7 +11,6 @@ loops.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -30,6 +29,7 @@ from .errors import (
     InfeasibleConstraintsError,
     InvalidParameterError,
     check_int,
+    check_real,
 )
 from .graph import SimilarityGraph, _check_node_function, graph_tv
 
@@ -76,9 +76,7 @@ class HyperParams:
         # config and model files reach here unchecked: reject wrong types and
         # NaN/inf by field name before any range check or solver sees them
         for name in ("eta", "lam", "gamma", "mu", "r", "r1", "r2", "c", "tol"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                raise InvalidParameterError(f"{name} must be a finite number, got {v!r}")
+            check_real(name, getattr(self, name))
         for name in ("outer_iters", "inner_iters"):
             check_int(name, getattr(self, name))
         for name in ("normalize", "use_bias", "simplex_last"):
@@ -376,13 +374,6 @@ def _per_row(value, rows: int, name: str) -> list:
     return out.tolist()
 
 
-def _check_finite_nonnegative(values, name: str) -> None:
-    """Raise :class:`InvalidParameterError` unless every value is a finite
-    number >= 0; NaN fails both tests, so it cannot pass as zero."""
-    if not all(math.isfinite(v) and v >= 0 for v in values):
-        raise InvalidParameterError(f"{name} must be finite and nonnegative, got {values!r}")
-
-
 # stop tests of tv_prox, from the one that certifies most to the cap
 _PROX_STOPS = ("gap", "flat", "cap")
 
@@ -443,11 +434,13 @@ def tv_prox(
         Z = _check_node_function(g, z)[None]
     c, n_edges = Z.shape[0], g.n_edges
     weights = _per_row(weight, c, "weight")
-    _check_finite_nonnegative(weights, "weight")
+    for w in weights:
+        check_real("weight", w, 0.0)
     check_int("max_iters", max_iters, 1)
     gap_tols = _per_row(tol if gap_tol is None else gap_tol, c, "gap_tol")
-    _check_finite_nonnegative([tol], "tol")
-    _check_finite_nonnegative(gap_tols, "gap_tol")
+    check_real("tol", tol, 0.0)
+    for t in gap_tols:
+        check_real("gap_tol", t, 0.0)
     if not np.isfinite(Z).all():
         raise InvalidParameterError("prox input must be finite")
     if q0 is not None:
@@ -650,8 +643,8 @@ def qp_box_eq(
         raise InvalidParameterError("p must be finite")
     if beta0 is not None and not np.isfinite(beta0).all():
         raise InvalidParameterError("beta0 must be finite")
-    _check_finite_nonnegative([mu], "mu")
-    _check_finite_nonnegative([tol], "tol")
+    check_real("mu", mu, 0.0)
+    check_real("tol", tol, 0.0)
     if mu == 0.0:
         if np.all(y == y[0]):
             raise InfeasibleConstraintsError(
@@ -768,11 +761,10 @@ def normalize_ball_zero_mean(f, scale: float) -> np.ndarray:
     """Rescale to ||f||_2 = scale, then subtract the mean (in that order).
 
     Raises on zero input; a constant input collapses to zeros and is flagged
-    with a RuntimeWarning.
+    with a RuntimeWarning. ``scale`` must be a finite positive number.
     """
     f = np.asarray(f, dtype=np.float64).ravel()
-    if scale <= 0:
-        raise InvalidParameterError("scale must be positive")
+    check_real("scale", scale, 0.0, strict=True)
     norm = np.linalg.norm(f)
     if norm == 0.0:
         raise DegenerateInputError("cannot normalize the zero vector")

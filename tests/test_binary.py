@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -505,9 +506,10 @@ def test_tv_split_loop_prox_gap_tolerance_never_below_tol(monkeypatch):
     calls = []
     prox = binary.tv_prox
 
-    def spy(*args, **kwargs):
-        calls.append((kwargs["tol"], kwargs["gap_tol"]))
-        return prox(*args, **kwargs)
+    def spy(g, z, *args, **kwargs):
+        (gap_tol,) = np.broadcast_to(kwargs["gap_tol"], np.shape(z)[:1])
+        calls.append((kwargs["tol"], float(gap_tol)))
+        return prox(g, z, *args, **kwargs)
 
     monkeypatch.setattr(binary, "tv_prox", spy)
     hp = replace(default_hyperparams("tv_rls"), outer_iters=30)
@@ -516,6 +518,44 @@ def test_tv_split_loop_prox_gap_tolerance_never_below_tol(monkeypatch):
     assert calls[0] == (hp.tol, hp.tol)
     assert all(tol == hp.tol and gap_tol >= hp.tol for tol, gap_tol in calls)
     assert any(gap_tol > hp.tol for _, gap_tol in calls)  # the rule is in use
+
+
+@pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])
+def test_ratio_loop_prox_gap_tolerance_never_below_tol(trainer, monkeypatch):
+    # the ratio loop's shrinks follow the split loop's rule: the first to tol,
+    # each later one to a gap tied to the move of its input, never below tol
+    calls = []
+    prox = binary.tv_prox
+
+    def spy(g, z, *args, **kwargs):
+        (gap_tol,) = np.broadcast_to(kwargs["gap_tol"], np.shape(z)[:1])
+        calls.append((kwargs["tol"], float(gap_tol)))
+        return prox(g, z, *args, **kwargs)
+
+    monkeypatch.setattr(binary, "tv_prox", spy)
+    hp = default_hyperparams(trainer.__name__[: -len("_train")])
+    m = trainer(*_moons_inputs(1), hp)
+    assert len(calls) == m.trace["outer_steps"] >= 2
+    assert calls[0] == (hp.tol, hp.tol)
+    assert all(tol == hp.tol and gap_tol >= hp.tol for tol, gap_tol in calls)
+    assert any(gap_tol > hp.tol for _, gap_tol in calls)  # the rule is in use
+
+
+@pytest.mark.parametrize(
+    "trainer", [tv_rls_train, tv_svm_train, cheeger_rls_train, cheeger_svm_train]
+)
+def test_every_tv_prox_call_comes_from_the_prox_chain(trainer, monkeypatch):
+    callers = []
+    prox = binary.tv_prox
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return prox(*args, **kwargs)
+
+    monkeypatch.setattr(binary, "tv_prox", spy)
+    hp = replace(default_hyperparams(trainer.__name__[: -len("_train")]), outer_iters=15)
+    m = trainer(*_moons_inputs(1), hp)
+    assert callers == [binary._ProxChain.__call__.__code__] * m.trace["outer_steps"]
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +578,13 @@ def test_value_prox_matches_slsqp():
         )
         assert abs(ours - obj_oracle) < 1e-6
         assert np.linalg.norm(h - h_oracle) < 1e-4
+
+
+@pytest.mark.parametrize("r2", [0.0, -1.0, float("nan"), float("inf")])
+def test_value_prox_rejects_a_bad_proximity_weight(r2):
+    # r2 = 0 returned NaN with RuntimeWarnings
+    with pytest.raises(InvalidParameterError):
+        svm_value_prox(np.array([0.5, -0.2]), np.array([1.0, -1.0]), r2, 1.0)
 
 
 def test_tv_svm_no_tv_term_consensus_converges():

@@ -95,6 +95,20 @@ def test_two_moons_deterministic_per_seed():
     assert not np.array_equal(a.data, c.data)
 
 
+@pytest.mark.parametrize(
+    "args",
+    # a NaN noise gave noiseless moons, and a float n or seed raised a raw
+    # TypeError
+    [(20, float("nan")), (20, float("inf")), (20.0, 0.1), (True, 0.1), (20, "0.1"),
+     (20, 0.1, 1.5), (20, 0.1, -1)],
+    ids=["noise-nan", "noise-inf", "n-float", "n-bool", "noise-string", "seed-float",
+         "seed-negative"],
+)
+def test_two_moons_rejects_non_numbers(args):
+    with pytest.raises(InvalidParameterError):
+        make_two_moons(*args)
+
+
 def test_two_moons_rejects_odd_or_negative():
     with pytest.raises(InvalidParameterError):
         make_two_moons(31, 0.1)

@@ -104,6 +104,27 @@ def test_fixed_mode_requires_sigma():
         build_knn_graph(data, 2, sigma_mode="fixed")
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # every weight of a NaN sigma was NaN and dropped, leaving no edges
+        {"k": 3, "sigma_mode": "fixed", "sigma": float("nan")},
+        {"k": 3, "sigma_mode": "fixed", "sigma": float("inf")},
+        {"k": 3, "sigma_mode": "fixed", "sigma": 0.0},
+        {"k": 2.5},  # raised numpy's raw TypeError
+        {"k": True},  # was taken as k = 1
+        {"k": 3, "m": 2.5},  # was truncated to m = 2
+        {"k": 3, "m": False},
+    ],
+    ids=["sigma-nan", "sigma-inf", "sigma-zero", "k-fractional", "k-bool",
+         "m-fractional", "m-bool"],
+)
+def test_knn_rejects_bad_scalar_parameters(kwargs):
+    data = np.random.default_rng(9).normal(size=(10, 2))
+    with pytest.raises(InvalidParameterError):
+        build_knn_graph(data, **kwargs)
+
+
 def test_rejects_self_loops_and_nonpositive_weights():
     with pytest.raises(InvalidParameterError):
         SimilarityGraph(3, [0], [0], [1.0])

@@ -112,6 +112,34 @@ def test_nonfinite_points_rejected_at_the_boundary(bad):
         kernel_expand(np.ones(6), data, dirty[:3], 1.0)
 
 
+_POINTS = np.random.default_rng(14).normal(size=(6, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a NaN bandwidth made an all-NaN off-diagonal Gram, an infinite one
+        # all ones, and a NaN expansion; a fractional sample size or seed
+        # raised a raw TypeError
+        lambda: rbf_gram(_POINTS, np.nan),
+        lambda: rbf_gram(_POINTS, np.inf),
+        lambda: rbf_gram(_POINTS, True),
+        lambda: kernel_expand(np.ones(6), _POINTS, _POINTS, np.nan),
+        lambda: kernel_expand(np.ones(6), _POINTS, _POINTS, -np.inf),
+        lambda: median_bandwidth(_POINTS, max_points=1.5),
+        lambda: median_bandwidth(_POINTS, max_points=1),
+        lambda: median_bandwidth(_POINTS, max_points=3, seed=2.5),
+        lambda: median_bandwidth(_POINTS, max_points=3, seed=-1),
+    ],
+    ids=["gram-nan", "gram-inf", "gram-bool", "expand-nan", "expand-neg-inf",
+         "median-fractional-sample", "median-one-point-sample", "median-fractional-seed",
+         "median-negative-seed"],
+)
+def test_bad_bandwidths_and_sample_sizes_raise(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
 def test_median_bandwidth_deterministic_and_positive():
     data = np.random.default_rng(11).normal(size=(50, 3))
     b1 = median_bandwidth(data)

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -481,7 +482,7 @@ def test_consensus_prox_gap_tolerance_never_below_tol(trainer, monkeypatch):
     # gap tied to the move of that channel's input, never below tol. All
     # channels shrink in one batched call per step, one gap per row.
     batches, calls = [], []
-    prox = multiclass.tv_prox
+    prox = binary.tv_prox
 
     def spy(g, z, *args, **kwargs):
         batches.append(np.shape(z))
@@ -489,7 +490,7 @@ def test_consensus_prox_gap_tolerance_never_below_tol(trainer, monkeypatch):
         calls.extend((kwargs["tol"], float(gap_tol)) for gap_tol in gaps)
         return prox(g, z, *args, **kwargs)
 
-    monkeypatch.setattr(multiclass, "tv_prox", spy)
+    monkeypatch.setattr(binary, "tv_prox", spy)
     ds = three_cluster_dataset(per=8)
     K, g, mls = setup(ds)
     m = trainer(K, g, mls, MC_HP)
@@ -500,6 +501,55 @@ def test_consensus_prox_gap_tolerance_never_below_tol(trainer, monkeypatch):
     assert calls[:c] == [(MC_HP.tol, MC_HP.tol)] * c
     assert all(tol == MC_HP.tol and gap_tol >= MC_HP.tol for tol, gap_tol in calls)
     assert any(gap_tol > MC_HP.tol for _, gap_tol in calls)  # the rule is in use
+
+
+@pytest.mark.parametrize(
+    "trainer", [cheeger_rls_mc_train, cheeger_svm_mc_train],
+    ids=["cheeger_rls_mc", "cheeger_svm_mc"],
+)
+def test_ratio_prox_gap_tolerance_never_below_tol(trainer, monkeypatch):
+    # the ratio loop's channel shrinks follow the consensus loop's rule: the
+    # first to tol, later ones to a gap tied to the move of that channel's
+    # input, never below tol
+    calls = []
+    prox = binary.tv_prox
+
+    def spy(g, z, *args, **kwargs):
+        gaps = np.broadcast_to(kwargs["gap_tol"], np.shape(z)[:1])
+        calls.append([(kwargs["tol"], float(gap_tol)) for gap_tol in gaps])
+        return prox(g, z, *args, **kwargs)
+
+    monkeypatch.setattr(binary, "tv_prox", spy)
+    ds = three_cluster_dataset(per=8)
+    K, g, mls = setup(ds)
+    m = trainer(K, g, mls, MC_HP)
+    c = mls.class_count
+    assert len(calls) == m.trace["outer_steps"] >= 2
+    assert calls[0] == [(MC_HP.tol, MC_HP.tol)] * c
+    rows = [row for call in calls for row in call]
+    assert len(rows) == c * len(calls)
+    assert all(tol == MC_HP.tol and gap_tol >= MC_HP.tol for tol, gap_tol in rows)
+    assert any(gap_tol > MC_HP.tol for _, gap_tol in rows)  # the rule is in use
+
+
+@pytest.mark.parametrize(
+    "trainer",
+    [tv_rls_mc_train, tv_svm_mc_train, cheeger_rls_mc_train, cheeger_svm_mc_train],
+    ids=["tv_rls_mc", "tv_svm_mc", "cheeger_rls_mc", "cheeger_svm_mc"],
+)
+def test_every_channel_prox_call_comes_from_the_prox_chain(trainer, monkeypatch):
+    callers = []
+    prox = binary.tv_prox
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return prox(*args, **kwargs)
+
+    monkeypatch.setattr(binary, "tv_prox", spy)
+    ds = three_cluster_dataset(per=8)
+    K, g, mls = setup(ds)
+    m = trainer(K, g, mls, replace(MC_HP, outer_iters=12))
+    assert callers == [binary._ProxChain.__call__.__code__] * m.trace["outer_steps"]
 
 
 @pytest.mark.parametrize(
@@ -514,14 +564,13 @@ def test_batched_channel_prox_equals_one_call_per_channel(trainer, monkeypatch):
     K, g, mls = setup(ds)
     batched = trainer(K, g, mls, MC_HP)
     calls = []
-    prox = multiclass.tv_prox
+    prox = binary.tv_prox
 
     def row_by_row(g, z, weight, **kwargs):
         calls.append(np.shape(z))
         return tv_prox_row_by_row(prox, g, z, weight, **kwargs)
 
-    for module in (multiclass, binary):  # the Cheeger loop lives in binary
-        monkeypatch.setattr(module, "tv_prox", row_by_row)
+    monkeypatch.setattr(binary, "tv_prox", row_by_row)
     single = trainer(K, g, mls, MC_HP)
     assert calls == [(mls.class_count, g.n_nodes)] * batched.trace["outer_steps"]
     assert batched.alphas.tobytes() == single.alphas.tobytes()
@@ -536,15 +585,14 @@ def test_batched_channel_prox_equals_one_call_per_channel(trainer, monkeypatch):
 )
 def test_prox_stops_count_every_channel_once_per_step(trainer, monkeypatch):
     seen = []
-    prox = multiclass.tv_prox
+    prox = binary.tv_prox
 
     def spy(*args, **kwargs):
         x, trace = prox(*args, **kwargs)
         seen.append([r.stop_reason for r in trace.rows])
         return x, trace
 
-    for module in (multiclass, binary):  # the Cheeger loop lives in binary
-        monkeypatch.setattr(module, "tv_prox", spy)
+    monkeypatch.setattr(binary, "tv_prox", spy)
     ds = three_cluster_dataset(per=8)
     K, g, mls = setup(ds)
     m = trainer(K, g, mls, MC_HP)

@@ -1027,6 +1027,13 @@ def test_normalize_zero_vector_raises():
         normalize_ball_zero_mean(np.zeros(3), 1.0)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0, True])
+def test_normalize_rejects_a_bad_scale(scale):
+    # a NaN scale returned NaN
+    with pytest.raises(InvalidParameterError):
+        normalize_ball_zero_mean(np.array([1.0, 2.0, 4.0]), scale)
+
+
 def test_center_median():
     assert center_median(np.array([3.0, 1.0, 2.0])) == 2.0
     assert center_median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.5
