@@ -11,6 +11,7 @@ byte-stable across reruns.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,44 +61,82 @@ def default_hyperparams(algorithm: str, overrides: dict | None = None) -> HyperP
     return HyperParams.from_dict(merged, algorithm)
 
 
-def _check_mapping(name: str, spec) -> None:
+def _section(name: str, spec, keys=None) -> Mapping:
+    """``spec`` checked as a mapping, whose keys are all in ``keys`` if given."""
     if not isinstance(spec, Mapping):
         raise InvalidParameterError(f"{name} must be a mapping, got {spec!r}")
+    unknown = sorted(set(spec) - set(keys)) if keys is not None else []
+    if unknown:
+        raise InvalidParameterError(f"unknown {name} key(s): {', '.join(map(repr, unknown))}")
+    return spec
 
 
-# The checks below cover the config fields that run_experiment reads, so that
-# a wrong type fails before any fit and not inside a conversion or a solver.
+# One reader per config section. Each checks its section, so that a bad
+# value fails before any fit and not inside a conversion or a solver, and
+# returns what run_experiment uses of it, so each default is written once.
 
 
-def _check_dataset(spec) -> None:
-    _check_mapping("dataset", spec)
-    kind = spec.get("type")
+def _read_dataset(spec):
+    """The dataset section as a call that loads the dataset."""
+    kind = _section("dataset", spec).get("type")
     if kind == "two_moons":
-        check_int("dataset n", spec.get("n"), 2)
-        check_real("dataset noise", spec.get("noise", 0.0), 0.0)
-        check_int("dataset seed", spec.get("seed", 0), 0)
-    elif kind == "csv":
-        if not isinstance(spec.get("path"), str):
-            raise InvalidParameterError(f"dataset path must be a string, got {spec.get('path')!r}")
-        check_int("dataset label_column", spec.get("label_column", 0), None)
+        _section("dataset", spec, ("type", "n", "noise", "seed"))
+        n, noise, seed = spec.get("n"), spec.get("noise", 0.0), spec.get("seed", 0)
+        check_int("dataset n", n, 2)
+        check_real("dataset noise", noise, 0.0)
+        check_int("dataset seed", seed, 0)
+        return functools.partial(make_two_moons, n, float(noise), seed)
+    if kind == "csv":
+        _section("dataset", spec, ("type", "path", "label_column", "header", "keep_labels"))
+        path, column = spec.get("path"), spec.get("label_column", 0)
+        header, keep = spec.get("header", False), spec.get("keep_labels")
+        if not isinstance(path, str):
+            raise InvalidParameterError(f"dataset path must be a string, got {path!r}")
+        check_int("dataset label_column", column, None)
+        if not isinstance(header, bool):
+            raise InvalidParameterError(f"dataset header must be true or false, got {header!r}")
+        if keep is not None and not (isinstance(keep, (list, tuple)) and keep):
+            raise InvalidParameterError(
+                f"dataset keep_labels must be a non-empty list, got {keep!r}"
+            )
+        for code in keep or ():
+            check_real("dataset keep_labels entry", code)
+        return functools.partial(
+            load_csv, path, label_column=column, header=header, keep_labels=keep
+        )
+    raise InvalidParameterError(f"unknown dataset type {kind!r}")
+
+
+def _read_graph(spec) -> dict:
+    """The graph section as keyword arguments of :func:`build_knn_graph`."""
+    _section("graph", spec, ("k", "sigma_mode", "sigma", "m"))
+    k, mode = spec.get("k", 10), spec.get("sigma_mode", "self_tuning")
+    sigma, m = spec.get("sigma"), spec.get("m")
+    check_int("graph k", k, 1)
+    if mode == "fixed":
+        check_real("graph sigma", sigma, 0.0, strict=True)
+        if m is not None:
+            raise InvalidParameterError('graph m applies only to sigma_mode "self_tuning"')
+    elif mode == "self_tuning":
+        if sigma is not None:
+            raise InvalidParameterError('graph sigma applies only to sigma_mode "fixed"')
+        if m is not None:
+            check_int("graph m", m, 1)
     else:
-        raise InvalidParameterError(f"unknown dataset type {kind!r}")
+        raise InvalidParameterError(f"unknown graph sigma_mode {mode!r}")
+    return {"k": k, "sigma_mode": mode, "sigma": sigma, "m": m}
 
 
-def _check_graph(spec) -> None:
-    _check_mapping("graph", spec)
-    check_int("graph k", spec.get("k", 10), 1)
-    if spec.get("m") is not None:
-        check_int("graph m", spec["m"], 1)
-    if spec.get("sigma") is not None:
-        check_real("graph sigma", spec["sigma"], 0.0)
-
-
-def _check_kernel(spec) -> None:
-    _check_mapping("kernel", spec)
-    if spec.get("bandwidth") is not None:
-        check_real("kernel bandwidth", spec["bandwidth"], 0.0)
-    check_real("kernel median_factor", spec.get("median_factor", 1.0), 0.0)
+def _read_kernel(spec):
+    """The kernel section as its bandwidth rule: points -> RBF bandwidth, a
+    fixed ``bandwidth`` or ``median_factor`` times the median distance."""
+    _section("kernel", spec, ("bandwidth", "median_factor"))
+    bandwidth, factor = spec.get("bandwidth"), spec.get("median_factor", 1.0)
+    check_real("kernel median_factor", factor, 0.0, strict=True)
+    if bandwidth is not None:
+        check_real("kernel bandwidth", bandwidth, 0.0, strict=True)
+        return lambda data: float(bandwidth)
+    return lambda data: float(factor * median_bandwidth(data))
 
 
 @dataclass
@@ -132,14 +171,15 @@ class ExperimentConfig:
                 f"unknown algorithm(s) under hyperparams: {', '.join(map(repr, unknown))}"
             )
         for algo, overrides in self.hyperparams.items():
-            _check_mapping(f"hyperparams[{algo!r}]", overrides)
+            _section(f"hyperparams[{algo!r}]", overrides)
         check_int("run_count", self.run_count, 1)
         check_int("seed", self.seed, 0)
-        _check_dataset(self.dataset)
-        _check_graph(self.graph)
-        _check_kernel(self.kernel)
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise InvalidParameterError("holdout_fraction must be in [0, 1)")
+        _read_dataset(self.dataset)
+        _read_graph(self.graph)
+        _read_kernel(self.kernel)
+        check_real("holdout_fraction", self.holdout_fraction, 0.0)
+        if self.holdout_fraction >= 1.0:
+            raise InvalidParameterError("holdout_fraction must be < 1")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -198,38 +238,12 @@ class ResultTable:
 # ---------------------------------------------------------------------------
 
 
-def _load_dataset(spec: dict) -> Dataset:
-    kind = spec.get("type")
-    if kind == "two_moons":
-        return make_two_moons(
-            int(spec["n"]), float(spec.get("noise", 0.0)), int(spec.get("seed", 0))
-        )
-    if kind == "csv":
-        return load_csv(
-            spec["path"],
-            label_column=int(spec.get("label_column", 0)),
-            header=bool(spec.get("header", False)),
-            keep_labels=spec.get("keep_labels"),
-        )
-    raise InvalidParameterError(f"unknown dataset type {kind!r}")
-
-
-def _build_graph(data, spec: dict) -> SimilarityGraph:
-    return build_knn_graph(
-        data,
-        int(spec.get("k", 10)),
-        sigma_mode=spec.get("sigma_mode", "self_tuning"),
-        sigma=spec.get("sigma"),
-        m=spec.get("m"),
-    )
-
-
-def _binary_truth(ds: Dataset) -> np.ndarray:
-    return np.where(ds.true_labels == 1, 1, -1)
-
-
 def _fit_once(ds, graph, K, algorithm, hp, split):
-    """Train one model; returns (model, predict(points) callable, trans labels)."""
+    """Train one model; returns (predict(points) callable, transductive labels)."""
+    if algorithm in _SEMI_MULTI:
+        model = _SEMI_MULTI[algorithm](K, graph, split, hp)
+        predict = functools.partial(multiclass.predict_multiclass, model)
+        return predict, multiclass.transductive_classes(model)
     if algorithm in _SUPERVISED:
         lab_idx = np.flatnonzero(split.labeled_mask)
         K_sub = KernelMatrix(
@@ -237,14 +251,10 @@ def _fit_once(ds, graph, K, algorithm, hp, split):
         )
         model = _SUPERVISED[algorithm](K_sub, split.labels[lab_idx], hp)
         trans = binary.predict_binary(model, ds.data)
-        return model, lambda pts: binary.predict_binary(model, pts), trans
-    if algorithm in _SEMI_BINARY:
+    else:
         model = _SEMI_BINARY[algorithm](K, graph, split, hp)
         trans = binary.transductive_labels(model)
-        return model, lambda pts: binary.predict_binary(model, pts), trans
-    model = _SEMI_MULTI[algorithm](K, graph, split, hp)
-    trans = multiclass.transductive_classes(model)
-    return model, lambda pts: multiclass.predict_multiclass(model, pts), trans
+    return functools.partial(binary.predict_binary, model), trans
 
 
 def _run_cell(
@@ -268,7 +278,6 @@ def _run_cell(
         raise InvalidParameterError(
             f"{algorithm} is a binary method, dataset has {ds.class_count} classes"
         )
-    truth_trans = ds.true_labels if is_multi else _binary_truth(ds)
     errors: list = []
     failures: list = []
     t0 = time.perf_counter()
@@ -277,15 +286,15 @@ def _run_cell(
             split = make_split(
                 ds, SplitSpec(labels_per_class, base_seed + run), multiclass=is_multi
             )
-            _model, predict, trans = _fit_once(ds, graph, K, algorithm, hp, split)
+            predict, trans = _fit_once(ds, graph, K, algorithm, hp, split)
             if holdout is not None:
                 pts, truth = holdout
-                truth = truth if is_multi else np.where(truth == 1, 1, -1)
                 pred = predict(pts)
             else:
                 eval_idx = np.flatnonzero(~split.labeled_mask)
-                pred = trans[eval_idx]
-                truth = truth_trans[eval_idx]
+                pred, truth = trans[eval_idx], ds.true_labels[eval_idx]
+            if not is_multi:
+                truth = np.where(truth == 1, 1, -1)
             errors.append(
                 0.0 if truth.size == 0 else float(100.0 * np.mean(pred != truth))
             )
@@ -301,15 +310,13 @@ def _run_cell(
     )
 
 
-def _cell_payload_runner(payload) -> CellResult:
-    return _run_cell(*payload)
-
-
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
     """Run the configured grid and aggregate transductive (or held-out)
     errors. Deterministic for a fixed config: run ``i`` of every cell uses
-    split seed ``cfg.seed + i``, and cells merge by grid position."""
-    full = _load_dataset(cfg.dataset)
+    split seed ``cfg.seed + i``, and cells merge by grid position. ``jobs``
+    worker processes run the cells, at most one per cell."""
+    check_int("jobs", jobs, 1)
+    full = _read_dataset(cfg.dataset)()
     ds = full
     holdout = None
     if cfg.holdout_fraction > 0.0:
@@ -321,11 +328,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
         holdout = (full.data[hold_idx], full.true_labels[hold_idx])
 
     needs_graph = any(a not in _SUPERVISED for a in cfg.algorithms)
-    graph = _build_graph(ds.data, cfg.graph) if needs_graph else None
-    bandwidth = cfg.kernel.get("bandwidth")
-    if bandwidth is None:
-        bandwidth = cfg.kernel.get("median_factor", 1.0) * median_bandwidth(ds.data)
-    K = rbf_gram(ds.data, float(bandwidth))
+    graph = build_knn_graph(ds.data, **_read_graph(cfg.graph)) if needs_graph else None
+    K = rbf_gram(ds.data, _read_kernel(cfg.kernel)(ds.data))
 
     payloads = []
     for algo in cfg.algorithms:
@@ -334,9 +338,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
             payloads.append(
                 (ds, graph, K, algo, hp, int(lpc), cfg.seed, cfg.run_count, holdout)
             )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_cell_payload_runner, payloads))
+    workers = min(jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            cells = list(pool.map(_run_cell, *zip(*payloads)))
     else:
         cells = [_run_cell(*p) for p in payloads]
     return ResultTable(cfg, full.name, cells)
@@ -413,11 +418,7 @@ def emit_table(rt: ResultTable, fmt: str = "markdown") -> str:
 
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
-    # before fitting, so that a bad --out fails at once and not after the run
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise InvalidParameterError(f"cannot create output directory {args.out}: {exc}") from exc
+    os.makedirs(args.out, exist_ok=True)  # before fitting: a bad --out fails at once
     rt = run_experiment(cfg, jobs=args.jobs)
     ext = {"markdown": "md", "json": "json", "csv": "csv"}[args.format]
     path = os.path.join(args.out, f"results.{ext}")
@@ -487,7 +488,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TvsslError as exc:
+    except (TvsslError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

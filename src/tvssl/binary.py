@@ -731,7 +731,9 @@ def _read_model(path, kind: str) -> dict:
     """Read a model file written by :func:`_write_model` for ``kind`` and
     return its model's constructor arguments. A file of the other kind, or a
     missing or malformed field, raises :class:`InvalidParameterError` naming
-    the file (and the field)."""
+    the file (and the field). A non-finite bias, a bandwidth that is not
+    finite and > 0, and node values not shaped like the coefficients count
+    as malformed."""
     coef_key, rank = _MODEL_COEFS[kind]
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -741,10 +743,16 @@ def _read_model(path, kind: str) -> dict:
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise InvalidParameterError(f"not a {kind} model file: {path}")
 
-    def array(value):
+    def array(value, shape=None):
         out = np.array(value, dtype=np.float64)
-        if out.ndim != rank:
-            raise ValueError(f"expected a {rank}-d array")
+        if out.ndim != rank or shape not in (None, out.shape):
+            raise ValueError(f"expected a {rank}-d array of shape {shape}")
+        return out
+
+    def real(value, minimum=-np.inf):
+        out = float(value)
+        if not minimum < out < np.inf:  # NaN fails too
+            raise ValueError(f"expected a finite number > {minimum}")
         return out
 
     def read(key, convert, optional=False):
@@ -762,19 +770,20 @@ def _read_model(path, kind: str) -> dict:
                 f"{path}: missing or malformed model field {key!r}"
             ) from exc
 
+    coefs = read(coef_key, array)
     args = {
         "variant": read("variant", str),
-        coef_key: read(coef_key, array),
-        "bandwidth": read("bandwidth", float),
+        coef_key: coefs,
+        "bandwidth": read("bandwidth", lambda v: real(v, 0.0)),
         "hyperparams": read(
             "hyperparams",
             lambda v: HyperParams.from_dict(v, str(path)) if v else None,
             optional=True,
         ),
-        "node_values": read("node_values", array, optional=True),
+        "node_values": read("node_values", lambda v: array(v, coefs.shape), optional=True),
     }
     if kind == "binary":
-        args["bias"] = read("bias", float, optional=True) or 0.0
+        args["bias"] = read("bias", real, optional=True) or 0.0
     return args
 
 

@@ -59,9 +59,9 @@ def load_csv(
 ) -> Dataset:
     """Parse a rectangular numeric CSV into a dataset.
 
-    The label column may hold arbitrary numeric codes; they are mapped to
-    class indices 1..c in order of first appearance. ``keep_labels`` filters
-    rows to the given raw codes and maps them to 1..c in the listed order
+    The label column may hold arbitrary numeric codes. The codes are
+    ``keep_labels`` if given, else the labels in order of first appearance;
+    rows with other labels are dropped, and the i-th code becomes class i
     (e.g. ``keep_labels=[4, 9]`` makes the 4s class 1 and the 9s class 2).
     """
     rows = []
@@ -94,25 +94,15 @@ def load_csv(
             rows.append(vals)
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
-    if keep_labels is not None:
-        mapping = {float(lab): i + 1 for i, lab in enumerate(keep_labels)}
-        kept = [i for i, lab in enumerate(raw_labels) if lab in mapping]
-        if not kept:
-            raise CsvParseError(f"{path}: no rows with labels {keep_labels}")
-        rows = [rows[i] for i in kept]
-        raw_labels = [raw_labels[i] for i in kept]
-        labels = np.array([mapping[lab] for lab in raw_labels], dtype=np.int64)
-        present = np.unique(labels)
-        if present.size < len(keep_labels):
-            raise CsvParseError(f"{path}: some of {keep_labels} are absent")
-        return Dataset(np.array(rows, dtype=np.float64), labels, name=str(path))
-    mapping: dict[float, int] = {}
-    labels = np.empty(len(raw_labels), dtype=np.int64)
-    for i, lab in enumerate(raw_labels):
-        if lab not in mapping:
-            mapping[lab] = len(mapping) + 1
-        labels[i] = mapping[lab]
-    return Dataset(np.array(rows, dtype=np.float64), labels, name=str(path))
+    codes = list(dict.fromkeys(raw_labels)) if keep_labels is None else keep_labels
+    mapping = {float(lab): i + 1 for i, lab in enumerate(codes)}
+    kept = [i for i, lab in enumerate(raw_labels) if lab in mapping]
+    if not kept:
+        raise CsvParseError(f"{path}: no rows with labels {keep_labels}")
+    labels = np.array([mapping[raw_labels[i]] for i in kept], dtype=np.int64)
+    if np.unique(labels).size < len(codes):
+        raise CsvParseError(f"{path}: some of {keep_labels} are absent")
+    return Dataset(np.array([rows[i] for i in kept], dtype=np.float64), labels, name=str(path))
 
 
 def save_csv(ds: Dataset, path, label_column: int = 0) -> None:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +153,39 @@ def test_jobs_parallel_matches_serial():
     assert a == b
 
 
+def test_jobs_capped_at_cell_count_and_below_one_rejected(monkeypatch):
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(bench_cli, "ProcessPoolExecutor", InProcessPool)
+    cfg = moons_config()  # two cells
+    serial = emit_table(run_experiment(cfg), "json")
+    assert emit_table(run_experiment(cfg, jobs=32), "json") == serial
+    assert workers == [2]
+    for jobs in (0, -3):
+        with pytest.raises(InvalidParameterError, match="jobs"):
+            run_experiment(cfg, jobs=jobs)
+
+
+def test_shipped_configs_construct():
+    paths = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        ExperimentConfig.from_json(path)
+
+
 def test_holdout_inductive_mode():
     cfg = moons_config(holdout_fraction=0.2, algorithms=["rls", "tv_rls"])
     rt = run_experiment(cfg)
@@ -269,6 +303,8 @@ def test_cli_bad_hyperparameter_value_exits_one_before_fitting(
         ("labels_per_class", 2),
         ("hyperparams", {"lap_rls": 5}),
         ("hyperparams", ["lap_rls"]),
+        ("holdout_fraction", False),
+        ("holdout_fraction", "0.2"),
     ],
 )
 def test_cli_bad_config_value_exits_one_before_fitting(
@@ -298,6 +334,14 @@ def _graph_k_not_int(cfg):
     return json.dumps(cfg)
 
 
+def _with(section, spec):
+    """Config text with one section replaced by ``spec``."""
+    return lambda cfg: json.dumps({**cfg, section: spec})
+
+
+_CSV = {"type": "csv", "path": "data.csv"}
+
+
 @pytest.mark.parametrize(
     "config_text, message",
     [
@@ -305,8 +349,37 @@ def _graph_k_not_int(cfg):
         (None, "cannot read config"),
         (_two_moons_without_n, "dataset n"),
         (_graph_k_not_int, "graph k"),
+        (_with("dataset", {"type": "two_moons", "n": 40, "nosie": 0.1}), "'nosie'"),
+        (_with("dataset", {**_CSV, "label_col": 1}), "'label_col'"),
+        (_with("graph", {"K": 3}), "'K'"),
+        (_with("kernel", {"median_factr": 0.5}), "'median_factr'"),
+        (_with("dataset", {**_CSV, "header": "no"}), "dataset header"),
+        (_with("dataset", {**_CSV, "keep_labels": 4}), "dataset keep_labels"),
+        (_with("dataset", {**_CSV, "keep_labels": ["4", 9]}), "dataset keep_labels entry"),
+        (_with("kernel", {"bandwidth": 0.0}), "kernel bandwidth"),
+        (_with("kernel", {"median_factor": 0.0}), "kernel median_factor"),
+        (_with("graph", {"k": 5, "sigma_mode": "fixed", "sigma": 0.0}), "graph sigma"),
+        (_with("graph", {"k": 5, "sigma": 0.5}), "graph sigma"),
+        (_with("graph", {"k": 5, "sigma_mode": "fixed", "sigma": 0.5, "m": 3}), "graph m"),
     ],
-    ids=["not_json", "missing_file", "two_moons_without_n", "graph_k_not_int"],
+    ids=[
+        "not_json",
+        "missing_file",
+        "two_moons_without_n",
+        "graph_k_not_int",
+        "two_moons_unknown_key",
+        "csv_unknown_key",
+        "graph_unknown_key",
+        "kernel_unknown_key",
+        "csv_header_not_bool",
+        "csv_keep_labels_not_list",
+        "csv_keep_labels_not_numbers",
+        "kernel_bandwidth_zero",
+        "kernel_median_factor_zero",
+        "graph_fixed_sigma_zero",
+        "graph_sigma_without_fixed_mode",
+        "graph_m_with_fixed_mode",
+    ],
 )
 def test_cli_bad_config_file_exits_one_before_fitting(
     tmp_path, capsys, monkeypatch, config_text, message
@@ -349,6 +422,24 @@ def test_cli_out_path_is_checked_before_fitting(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and str(out) in err[0]
+
+
+@pytest.mark.parametrize("command", ["run", "graph", "gen-moons"])
+def test_cli_file_error_prints_one_line_and_exits_one(tmp_path, capsys, command):
+    missing = tmp_path / "missing_dir" / "x.csv"
+    if command == "run":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(_with("dataset", {"type": "csv", "path": str(missing)})(
+            moons_config().to_dict()
+        ))
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    elif command == "graph":
+        argv = ["graph", "--data", str(missing), "--k", "5", "--out", str(tmp_path / "g.txt")]
+    else:
+        argv = ["gen-moons", "--n", "20", "--out", str(missing)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(missing) in err[0]
 
 
 def test_cli_run_byte_identical_outputs(tmp_path, capsys):

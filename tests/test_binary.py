@@ -989,6 +989,10 @@ def test_model_serialization_round_trip(tmp_path):
         ("node_values", [[1.0], []]),
         ("bias", [1.0]),
         ("hyperparams", 5),
+        ("bias", float("nan")),
+        ("bandwidth", -1.0),
+        ("bandwidth", float("nan")),
+        ("node_values", [1.0, 2.0]),
     ],
 )
 def test_load_model_malformed_field_names_file_and_field(tmp_path, field, value):

@@ -367,6 +367,9 @@ def test_mc_serialization_round_trip(tmp_path):
         ("alphas", [[0.1, 0.2], [0.3]]),
         ("alphas", [0.1, 0.2]),
         ("node_values", [[0.1, 0.2], [0.3]]),
+        ("bandwidth", -1.0),
+        ("bandwidth", float("nan")),
+        ("node_values", [[0.1, 0.2], [0.3, 0.4]]),
     ],
 )
 def test_mc_load_model_malformed_field_names_file_and_field(tmp_path, field, value):
