@@ -26,7 +26,7 @@ import numpy as np
 from . import binary, multiclass
 from .data_io import Dataset, SplitSpec, load_csv, make_split, make_two_moons, save_csv
 from .errors import InvalidParameterError, TvsslError, check_int, check_real
-from .graph import SimilarityGraph, build_knn_graph, save_edge_list
+from .graph import SimilarityGraph, _check_knn_params, build_knn_graph, save_edge_list
 from .kernel import KernelMatrix, median_bandwidth, rbf_gram
 from .opt_core import HyperParams
 
@@ -108,23 +108,20 @@ def _read_dataset(spec):
 
 
 def _read_graph(spec) -> dict:
-    """The graph section as keyword arguments of :func:`build_knn_graph`."""
+    """The graph section as keyword arguments of :func:`build_knn_graph`,
+    checked by the graph module's own rule."""
     _section("graph", spec, ("k", "sigma_mode", "sigma", "m"))
-    k, mode = spec.get("k", 10), spec.get("sigma_mode", "self_tuning")
-    sigma, m = spec.get("sigma"), spec.get("m")
-    check_int("graph k", k, 1)
-    if mode == "fixed":
-        check_real("graph sigma", sigma, 0.0, strict=True)
-        if m is not None:
-            raise InvalidParameterError('graph m applies only to sigma_mode "self_tuning"')
-    elif mode == "self_tuning":
-        if sigma is not None:
-            raise InvalidParameterError('graph sigma applies only to sigma_mode "fixed"')
-        if m is not None:
-            check_int("graph m", m, 1)
-    else:
-        raise InvalidParameterError(f"unknown graph sigma_mode {mode!r}")
-    return {"k": k, "sigma_mode": mode, "sigma": sigma, "m": m}
+    kwargs = {
+        "k": spec.get("k", 10),
+        "sigma_mode": spec.get("sigma_mode", "self_tuning"),
+        "sigma": spec.get("sigma"),
+        "m": spec.get("m"),
+    }
+    try:
+        _check_knn_params(**kwargs)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"graph {exc}") from None
+    return kwargs
 
 
 def _read_kernel(spec):

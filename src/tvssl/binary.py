@@ -26,6 +26,7 @@ from .graph import SimilarityGraph, graph_tv
 from .kernel import KernelMatrix, kernel_expand
 from .opt_core import (
     _PROX_STOPS,
+    _qp_norm,
     DualSolution,
     HyperParams,
     LuFactor,
@@ -231,8 +232,10 @@ class SvmProxSolver:
 
     via its box/equality dual. The factorization and the dual's quadratic
     kernel are built once; ``solve`` may then be called repeatedly with fresh
-    labels and targets (warm-startable). ``gamma`` scales the ordered-pair
-    Dirichlet energy, matching the rest of the package. ``factor`` holds
+    labels and targets (warm-startable). The dual's norm estimate depends on
+    nothing else than the labels, so it is kept per label vector and reused.
+    ``gamma`` scales the ordered-pair Dirichlet energy, matching the rest of
+    the package. ``factor`` holds
     :func:`_kernel_factor`'s factor of ``lam I + r K + 2 gamma L K``.
     """
 
@@ -260,11 +263,16 @@ class SvmProxSolver:
         # solver's memory order, which changes the rounding of the products
         buf = np.add(S, S.T)
         self.S = np.multiply(buf, 0.5, out=buf)
+        self._q_norms: dict[bytes, float] = {}  # label-vector bytes -> _qp_norm
 
     def solve(self, y, target=None, beta0=None) -> tuple[np.ndarray, DualSolution]:
         """Return (alpha, dual solution) for labels y and proximity target."""
         y = np.asarray(y, dtype=np.float64).ravel()
         Q = _SignedKernel(self.S, y)
+        key = y.tobytes()
+        q_norm = self._q_norms.get(key)
+        if q_norm is None:
+            q_norm = self._q_norms[key] = _qp_norm(Q, y.size)
         if target is None or self.r == 0.0:
             p = 0.0
             rhs_extra = 0.0
@@ -273,7 +281,8 @@ class SvmProxSolver:
             p = self.r * (y * (self.S @ target))
             rhs_extra = self.r * target
         sol = qp_box_eq(
-            Q, p, y, self.mu, tol=self.qp_tol, max_iters=self.qp_iters, beta0=beta0
+            Q, p, y, self.mu, tol=self.qp_tol, max_iters=self.qp_iters, beta0=beta0,
+            q_norm=q_norm,
         )
         alpha = self.factor.solve(y * sol.beta + rhs_extra)
         return alpha, sol

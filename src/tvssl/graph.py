@@ -131,6 +131,28 @@ def _check_node_function(g: SimilarityGraph, f) -> np.ndarray:
 _KNN_ROWS = 256
 
 
+def _check_knn_params(k, sigma_mode, sigma, m) -> None:
+    """Reject :func:`build_knn_graph` parameters before any data is seen: a
+    ``k`` or ``m`` that is not a positive integer, an unknown ``sigma_mode``,
+    a fixed mode without a finite positive ``sigma``, and a parameter the
+    mode would ignore (``sigma`` unless the mode is fixed, ``m`` when it
+    is)."""
+    check_int("k", k, 1)
+    if sigma_mode == "fixed":
+        check_real("sigma", sigma, 0.0, strict=True)
+        if m is not None:
+            raise InvalidParameterError('m applies only to sigma_mode "self_tuning"')
+    elif sigma_mode == "self_tuning":
+        if sigma is not None:
+            raise InvalidParameterError('sigma applies only to sigma_mode "fixed"')
+        if m is not None:
+            check_int("m", m, 1)
+    else:
+        raise InvalidParameterError(
+            f'sigma_mode must be "self_tuning" or "fixed", got {sigma_mode!r}'
+        )
+
+
 def build_knn_graph(
     data,
     k: int,
@@ -151,8 +173,9 @@ def build_knn_graph(
     Raises
     ------
     InvalidParameterError
-        If ``k`` or ``m`` is not an integer in range, or a fixed ``sigma``
-        is missing, non-finite or nonpositive.
+        If ``k`` or ``m`` is not an integer in range, a fixed ``sigma``
+        is missing, non-finite or nonpositive, or the mode would ignore a
+        given ``sigma`` (self-tuning) or ``m`` (fixed).
     NonFiniteInputError
         If a point has a NaN or infinite coordinate.
     DegenerateScaleError
@@ -166,20 +189,12 @@ def build_knn_graph(
     n = data.shape[0]
     if n < 2:
         raise InvalidParameterError("need at least two points")
-    check_int("k", k)
-    if not 1 <= k < n:
+    _check_knn_params(k, sigma_mode, sigma, m)
+    if k >= n:
         raise InvalidParameterError(f"k must satisfy 1 <= k < {n}, got {k}")
-    if sigma_mode == "fixed":
-        check_real("fixed-mode sigma", sigma, 0.0, strict=True)
-        mm = k
-    elif sigma_mode == "self_tuning":
-        if m is not None:
-            check_int("m", m)
-        mm = k if m is None else m
-        if not 1 <= mm < n:
-            raise InvalidParameterError(f"m must satisfy 1 <= m < {n}, got {mm}")
-    else:
-        raise InvalidParameterError(f"unknown sigma_mode {sigma_mode!r}")
+    mm = k if m is None else m
+    if mm >= n:
+        raise InvalidParameterError(f"m must satisfy 1 <= m < {n}, got {mm}")
 
     sq = np.sum(data * data, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (data @ data.T)

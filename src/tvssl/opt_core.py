@@ -563,6 +563,44 @@ def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
 # ---------------------------------------------------------------------------
 
 
+_SLOPE_SIGNS = np.array((1.0, -1.0))
+
+
+class _BoxEqLabels:
+    """What :func:`project_box_eq` needs of its labels ``y`` and box ``mu``
+    beyond the point it projects, prepared once: the labels as float64, the
+    breakpoint offsets, the target ``mu * #(y > 0)``, the slope change of
+    each breakpoint and the work buffers. :func:`qp_box_eq` builds one per
+    call and passes it in place of ``y`` to each of its projections."""
+
+    __slots__ = (
+        "y", "mu", "trivial", "target", "sign", "mu_pos", "slope_sign",
+        "t", "t_low", "t_high", "diff", "g", "g_tail",
+    )
+
+    def __init__(self, y: np.ndarray, mu: float):
+        if not math.isfinite(mu) or mu < 0:
+            raise InvalidParameterError("mu must be finite and nonnegative")
+        m = y.size
+        pos = y > 0
+        n_pos = int(np.count_nonzero(pos))
+        self.y, self.mu = y, mu
+        # with mu = 0, or one-sided labels (b >= 0 and y@b = 0), only b = 0 is feasible
+        self.trivial = mu == 0.0 or n_pos in (0, m)
+        self.target = mu * n_pos
+        # a_i = sign_i * v_i - mu_pos_i: v_i - mu if y_i > 0, else -v_i
+        self.sign = np.where(pos, 1.0, -1.0)
+        self.mu_pos = np.where(pos, mu, 0.0)
+        # slope change of g at breakpoint j of (a, a + mu): +1, then -1
+        self.slope_sign = _SLOPE_SIGNS.repeat(m)
+        # work buffers, with the slices project_box_eq writes through
+        self.t = np.empty(2 * m)
+        self.t_low, self.t_high = self.t[:m], self.t[m:]
+        self.diff = np.empty(max(0, 2 * m - 1))
+        self.g = np.empty(2 * m)
+        self.g_tail = self.g[1:]
+
+
 def project_box_eq(v, y, mu: float) -> np.ndarray:
     """Euclidean projection of v onto {b : b@y = 0, 0 <= b <= mu}, y in {+-1}^m.
 
@@ -573,37 +611,67 @@ def project_box_eq(v, y, mu: float) -> np.ndarray:
     and nondecreasing with breakpoints ``a_i`` (slope +1) and ``a_i + mu``
     (slope -1), so one sort of the 2m breakpoints and a cumulative sum find
     the linear piece that holds the root (Kiwiel's breakpoint search).
+
+    ``y`` may also be the :class:`_BoxEqLabels` of ``(y, mu)``; ``v`` must
+    then be a float64 vector of its length (:func:`qp_box_eq` checks its
+    start and builds every later ``v`` itself). The result is the same bit
+    for bit, without the per-call checks and label work.
     """
-    v = np.asarray(v, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if v.size != y.size:
-        raise DimensionError("v and y must have the same length")
-    if not math.isfinite(mu) or mu < 0:  # a scalar test: this runs per QP iteration
-        raise InvalidParameterError("mu must be finite and nonnegative")
-    m = v.size
-    pos = y > 0
-    n_pos = int(np.count_nonzero(pos))
-    if mu == 0.0 or n_pos in (0, m):
-        # with mu = 0, or one-sided labels (b >= 0 and y@b = 0), only b = 0 is feasible
+    if isinstance(y, _BoxEqLabels):
+        labels = y
+        if mu != labels.mu:
+            raise InvalidParameterError("mu differs from the prepared labels' mu")
+    else:
+        v = np.asarray(v, dtype=np.float64).ravel()
+        y = np.asarray(y, dtype=np.float64).ravel()
+        if v.size != y.size:
+            raise DimensionError("v and y must have the same length")
+        labels = _BoxEqLabels(y, mu)
+    if labels.trivial:
         return np.zeros_like(v)
 
-    a = np.where(pos, v - mu, -v)
-    t = np.concatenate((a, a + mu))
+    a = np.multiply(labels.sign, v, out=labels.t_low)
+    np.subtract(a, labels.mu_pos, out=a)
+    np.add(a, mu, out=labels.t_high)
     # stable: a tied a_i + mu stays after its a_i, so no slope goes negative
-    order = t.argsort(kind="stable")
-    t = t[order]
-    slope = np.where(order < m, 1.0, -1.0).cumsum()  # slope of g right of t[k]
-    g = np.empty(2 * m)
+    order = labels.t.argsort(kind="stable")
+    t = labels.t[order]
+    slope = labels.slope_sign[order]
+    np.add.accumulate(slope, out=slope)  # slope of g right of t[k]
+    g = labels.g
     g[0] = 0.0
-    np.cumsum(slope[:-1] * (t[1:] - t[:-1]), out=g[1:])  # g at each breakpoint
-    target = mu * n_pos
-    k = min(int(np.searchsorted(g, target)), 2 * m - 1)  # first g[k] >= target
-    nu = t[k - 1]
-    if slope[k - 1] > 0.0:
-        nu = min(nu + (target - g[k - 1]) / slope[k - 1], t[k])
-    b = v - nu * y
+    d = np.subtract(t[1:], t[:-1], out=labels.diff)
+    np.multiply(slope[:-1], d, out=d)
+    np.add.accumulate(d, out=labels.g_tail)  # g at each breakpoint
+    target = labels.target
+    k = min(int(g.searchsorted(target)), g.size - 1)  # first g[k] >= target
+    nu = t.item(k - 1)
+    if slope.item(k - 1) > 0.0:
+        nu = min(nu + (target - g.item(k - 1)) / slope.item(k - 1), t.item(k))
+    b = np.multiply(labels.y, nu)
+    np.subtract(v, b, out=b)
     np.maximum(b, 0.0, out=b)  # in place: np.clip's call overhead is large at m ~ 100
     return np.minimum(b, mu, out=b)
+
+
+def _vector_product(Q):
+    """``b -> Q @ b`` as a 1-D array. An ndarray product (dense arrays and
+    scipy sparse matrices give one) is returned as it is."""
+
+    def matvec(b):
+        out = Q @ b
+        if type(out) is np.ndarray and out.ndim == 1:
+            return out
+        return np.asarray(out).ravel()
+
+    return matvec
+
+
+def _qp_norm(Q, m: int) -> float:
+    """:func:`qp_box_eq`'s estimate of ``||Q||`` for an ``m``-vector dual:
+    30 power-iteration products from a fixed start, so the same operator
+    gives the same float."""
+    return _power_norm(_vector_product(Q), m, 30)
 
 
 def qp_box_eq(
@@ -615,19 +683,26 @@ def qp_box_eq(
     tol: float = 1e-6,
     max_iters: int = 5000,
     beta0=None,
+    q_norm: float | None = None,
 ) -> DualSolution:
     """Maximize ``b@1 - 0.5*b@Q@b - b@p`` over ``{b@y = 0, 0 <= b <= mu}``.
 
     Projected gradient ascent with exact projection onto the feasible set and
-    a Barzilai-Borwein step (fallback 1/L, L from power iteration). Terminates
+    a Barzilai-Borwein step (fallback ``1/L``). ``L`` is ``q_norm`` when
+    given, else :func:`_qp_norm`'s power-iteration estimate of ``||Q||``;
+    passing the value that estimate gave for the same ``Q`` skips its 30
+    products and changes nothing else. Terminates
     when the projected-gradient norm at the reference step ``1/L`` drops below
     ``tol`` ("tol") or at ``max_iters`` ("cap"). Each iteration projects its
     step first; the reference projection runs only when the step cannot
     decide the test, which leaves every iterate as with both projections.
+    The labels are checked and prepared for :func:`project_box_eq` once per
+    call (:class:`_BoxEqLabels`), not once per projection.
     ``Q`` may be a dense array, a scipy sparse matrix or
     any object whose ``Q @ b`` is its product with a vector; it must be
-    symmetric PSD. A non-finite ``p`` or ``beta0`` and a negative or
-    non-finite ``mu`` or ``tol`` raise :class:`InvalidParameterError`.
+    symmetric PSD. A non-finite ``p`` or ``beta0``, a negative or
+    non-finite ``mu``, ``tol`` or ``q_norm`` raise
+    :class:`InvalidParameterError`.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     m = y.size
@@ -641,10 +716,16 @@ def qp_box_eq(
         raise DimensionError("p and y must have the same length")
     if not np.isfinite(p).all():
         raise InvalidParameterError("p must be finite")
-    if beta0 is not None and not np.isfinite(beta0).all():
-        raise InvalidParameterError("beta0 must be finite")
+    if beta0 is not None:
+        beta0 = np.asarray(beta0, dtype=np.float64).ravel()
+        if not np.isfinite(beta0).all():
+            raise InvalidParameterError("beta0 must be finite")
+        if beta0.size != m:
+            raise DimensionError("beta0 and y must have the same length")
     check_real("mu", mu, 0.0)
     check_real("tol", tol, 0.0)
+    if q_norm is not None:
+        check_real("q_norm", q_norm, 0.0)
     if mu == 0.0:
         if np.all(y == y[0]):
             raise InfeasibleConstraintsError(
@@ -655,16 +736,15 @@ def qp_box_eq(
             beta, 0.0, {"eq": 0.0, "box": 0.0, "stationarity": 0.0}, 0, "tol"
         )
 
+    labels = _BoxEqLabels(y, mu)
     q_lin = 1.0 - p  # minimize F(b) = 0.5 b Q b - q_lin @ b
-
-    def matvec(b):
-        out = Q @ b
-        return np.asarray(out).ravel()
-
-    L = _power_norm(matvec, m, 30)
+    half_q = 0.5 * q_lin
+    matvec = _vector_product(Q)
+    L = _qp_norm(Q, m) if q_norm is None else q_norm
     t_ref = 1.0 / max(L, 1e-12)
+    t_min, t_max = 1e-5 * t_ref, 1e5 * t_ref
 
-    beta = project_box_eq(np.zeros(m) if beta0 is None else beta0, y, mu)
+    beta = project_box_eq(np.zeros(m) if beta0 is None else beta0, labels, mu)
     grad = matvec(beta) - q_lin
     t = t_ref
     f_hist: list[float] = []
@@ -672,7 +752,7 @@ def qp_box_eq(
     stop_reason = "cap"
     it = 0
     for it in range(1, max_iters + 1):
-        beta_new = project_box_eq(beta - t * grad, y, mu)
+        beta_new = project_box_eq(beta - t * grad, labels, mu)
         s = beta_new - beta
         ss = float(s @ s)
         # The stop test is pg(t_ref) = ||P(beta - t_ref grad) - beta|| / t_ref
@@ -687,19 +767,17 @@ def qp_box_eq(
             if t == t_ref:
                 pg_norm = math.sqrt(ss) / t_ref
             else:
-                ref = project_box_eq(beta - t_ref * grad, y, mu)
-                pg_norm = float(np.linalg.norm(ref - beta) / t_ref)
+                d = project_box_eq(beta - t_ref * grad, labels, mu) - beta
+                pg_norm = math.sqrt(float(d @ d)) / t_ref  # np.linalg.norm's arithmetic
             if pg_norm <= tol:
                 stop_reason = "tol"
                 break
         grad_new = matvec(beta_new) - q_lin
         u = grad_new - grad
         su = float(s @ u)
-        if su > 1e-30:
-            t = float(np.clip(ss / su, 1e-5 * t_ref, 1e5 * t_ref))
-        else:
-            t = t_ref
-        f_new = float(0.5 * beta_new @ grad_new - 0.5 * q_lin @ beta_new)
+        # min/max on Python floats: np.clip on a scalar costs about 4 us a call
+        t = min(max(ss / su, t_min), t_max) if su > 1e-30 else t_ref
+        f_new = float(0.5 * beta_new @ grad_new - half_q @ beta_new)
         if f_hist and f_new > max(f_hist[-10:]) + 1e-10 * (1 + abs(f_new)):
             t = t_ref
         f_hist.append(f_new)

@@ -245,6 +245,36 @@ def project_box_eq_bisection(v, y, mu):
     return np.clip(v - nu * y, 0.0, mu)
 
 
+def project_box_eq_breakpoints(v, y, mu):
+    """Kiwiel's breakpoint search for the projection onto
+    {b : b@y = 0, 0 <= b <= mu}, written as one self-contained pass that
+    derives every label fact from ``y`` on each call (the form the library
+    used before it prepared them once per QP solve). The library's
+    projection must give the same bits."""
+    v = np.asarray(v, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    m = v.size
+    pos = y > 0
+    n_pos = int(np.count_nonzero(pos))
+    if mu == 0.0 or n_pos in (0, m):
+        return np.zeros_like(v)
+    a = np.where(pos, v - mu, -v)
+    t = np.concatenate((a, a + mu))
+    order = t.argsort(kind="stable")
+    t = t[order]
+    slope = np.where(order < m, 1.0, -1.0).cumsum()
+    g = np.empty(2 * m)
+    g[0] = 0.0
+    np.cumsum(slope[:-1] * (t[1:] - t[:-1]), out=g[1:])
+    target = mu * n_pos
+    k = min(int(np.searchsorted(g, target)), 2 * m - 1)
+    nu = t[k - 1]
+    if slope[k - 1] > 0.0:
+        nu = min(nu + (target - g[k - 1]) / slope[k - 1], t[k])
+    # maximum then minimum, not np.clip: the two can differ in a zero's sign
+    return np.minimum(np.maximum(v - nu * y, 0.0), mu)
+
+
 def qp_box_eq_enumerate(Q, p, y, mu):
     """Global maximizer of b@1 - 0.5 b@Q@b - b@p on {b@y=0, 0<=b<=mu} by
     enumerating per-coordinate states (at 0 / at mu / free)."""

@@ -424,6 +424,24 @@ def test_cli_out_path_is_checked_before_fitting(tmp_path, capsys, monkeypatch):
     assert len(err) == 1 and err[0].startswith("error:") and str(out) in err[0]
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--sigma", "0.3"], "sigma applies only"),
+        (["--sigma-mode", "fixed", "--sigma", "0.3", "--m", "2"], "m applies only"),
+    ],
+    ids=["sigma_self_tuning", "m_fixed"],
+)
+def test_cli_graph_rejects_a_parameter_its_mode_ignores(tmp_path, capsys, options, message):
+    moons = tmp_path / "moons.csv"
+    assert main(["gen-moons", "--n", "40", "--noise", "0.05", "--out", str(moons)]) == 0
+    out = tmp_path / "g.txt"
+    assert main(["graph", "--data", str(moons), "--k", "5", *options, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "graph", "gen-moons"])
 def test_cli_file_error_prints_one_line_and_exits_one(tmp_path, capsys, command):
     missing = tmp_path / "missing_dir" / "x.csv"

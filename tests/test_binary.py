@@ -337,6 +337,50 @@ def test_qp_through_the_signed_kernel_equals_the_dense_dual():
     assert abs(a.iterations - b.iterations) <= 0.05 * b.iterations + 5
 
 
+def test_svm_prox_solver_reuses_each_label_vectors_norm(monkeypatch):
+    """One solver fed repeated and changing labels gives what a fresh solver
+    gives for each call, bit for bit, and runs the 30 power-iteration
+    products of the dual's norm estimate once per distinct label vector."""
+    products = []
+
+    class CountingKernel(binary._SignedKernel):
+        def __matmul__(self, b):
+            products.append(1)
+            return super().__matmul__(b)
+
+    monkeypatch.setattr(binary, "_SignedKernel", CountingKernel)
+    K, g, split, _ = _lap_svm_inputs(120, 2, seed=4)
+    hp = default_hyperparams("tv_svm", None)
+    rng = np.random.default_rng(4)
+    ya = np.where(rng.random(K.n) < 0.5, 1.0, -1.0)
+    yb = ya.copy()
+    yb[:5] *= -1.0
+    seq = [ya, ya, yb, ya.copy(), yb, ya]
+    target = K.values @ (0.01 * rng.normal(size=K.n))
+
+    shared = SvmProxSolver(K, hp, r=hp.r)
+    del products[:]
+    got, beta = [], None
+    for y in seq:
+        alpha, sol = shared.solve(y, target=target, beta0=beta)
+        got.append((alpha, sol))
+        beta = sol.beta
+    shared_products = len(products)
+
+    del products[:]
+    beta = None
+    for y, (alpha, sol) in zip(seq, got):
+        fresh_alpha, fresh = SvmProxSolver(K, hp, r=hp.r).solve(y, target=target, beta0=beta)
+        assert fresh_alpha.tobytes() == alpha.tobytes()
+        assert fresh.beta.tobytes() == sol.beta.tobytes()
+        assert (fresh.objective, fresh.kkt_residuals, fresh.iterations, fresh.stop_reason) == (
+            sol.objective, sol.kkt_residuals, sol.iterations, sol.stop_reason
+        )
+        beta = sol.beta
+    # the QP's own products are the same; only the repeats' estimates go
+    assert shared_products == len(products) - 30 * (len(seq) - 2)
+
+
 @pytest.mark.parametrize("per_class", [1, 50])
 def test_lap_svm_warm_start_on_the_solver_factor_equals_the_full_lu(monkeypatch, per_class):
     K, g, split, hp = _lap_svm_inputs(300, per_class)

@@ -64,6 +64,16 @@ def test_load_csv_errors_with_line_numbers(tmp_path):
         load_csv(empty)
 
 
+def test_load_csv_rejects_a_repeated_keep_labels_code(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("1,0.0\n2,1.0\n1,2.0\n")
+    # every listed code is present; the repeat once read as "some are absent"
+    for keep in ([1, 1], [2, 1, 2.0]):
+        with pytest.raises(InvalidParameterError, match=r"code (1|2\.0) twice"):
+            load_csv(p, keep_labels=keep)
+    assert np.array_equal(load_csv(p, keep_labels=[2, 1]).true_labels, [2, 1, 2])
+
+
 def test_load_csv_header_and_label_column(tmp_path):
     p = tmp_path / "h.csv"
     p.write_text("x,y,label\n0.5,0.2,1\n0.1,0.9,2\n")

@@ -125,6 +125,21 @@ def test_knn_rejects_bad_scalar_parameters(kwargs):
         build_knn_graph(data, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"sigma": 0.3}, 'sigma applies only to sigma_mode "fixed"'),
+        ({"sigma_mode": "fixed", "sigma": 0.3, "m": 2},
+         'm applies only to sigma_mode "self_tuning"'),
+    ],
+    ids=["sigma-self-tuning", "m-fixed"],
+)
+def test_knn_rejects_a_parameter_its_mode_ignores(kwargs, message):
+    data = np.random.default_rng(9).normal(size=(10, 2))
+    with pytest.raises(InvalidParameterError, match=message):
+        build_knn_graph(data, 3, **kwargs)
+
+
 def test_rejects_self_loops_and_nonpositive_weights():
     with pytest.raises(InvalidParameterError):
         SimilarityGraph(3, [0], [0], [1.0])
@@ -342,6 +357,11 @@ def test_knn_graph_equals_the_stable_argsort_build_bit_for_bit(name, k_of_n, m, 
     data = _tie_heavy_inputs()[name]
     k = k_of_n(len(data))
     mode = "self_tuning" if sigma is None else "fixed"
+    if sigma is not None and m is not None:
+        # the fixed mode has no use for m, so it rejects one
+        with pytest.raises(InvalidParameterError, match="m applies only"):
+            build_knn_graph(data, k, m=m, sigma_mode=mode, sigma=sigma)
+        return
     g = build_knn_graph(data, k, m=m, sigma_mode=mode, sigma=sigma)
     ei, ej, w = oracles.knn_graph_argsort(data, k, m=m, sigma=sigma)
     assert np.array_equal(g.edge_i, ei) and np.array_equal(g.edge_j, ej)

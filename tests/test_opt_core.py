@@ -33,6 +33,7 @@ from tvssl.opt_core import (
 
 from oracles import (
     project_box_eq_bisection,
+    project_box_eq_breakpoints,
     qp_box_eq_enumerate,
     qp_box_eq_two_projections,
     refined_solve_per_column,
@@ -913,6 +914,86 @@ def test_project_box_eq_edge_cases():
     # a point already feasible is its own projection
     b = np.array([0.25, 0.5, 0.75, 0.0, 0.0, 0.0])
     assert np.allclose(project_box_eq(b, y, 1.0), b, rtol=0.0, atol=1e-15)
+
+
+def _projection_cases():
+    """(v, y, mu) cases for the bit-for-bit checks of the projection."""
+    rng = np.random.default_rng(14)
+    mixed = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+    cases = []
+    for m in (1, 2, 3):
+        for _ in range(6):
+            y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+            cases.append((rng.normal(size=m), y, float(rng.uniform(0.1, 2.0))))
+    cases += [
+        # one-sided labels, and mu = 0: only b = 0 is feasible
+        (rng.normal(size=5), np.ones(5), 1.0),
+        (rng.normal(size=5), -np.ones(5), 1.0),
+        (rng.normal(size=6), mixed, 0.0),
+        # tied breakpoints: repeated values, and a_i + mu landing on a_j
+        (np.full(6, 0.5), mixed, 1.0),
+        (np.array([1.0, 2.0, 0.0, -1.0, 3.0, -2.0]), mixed, 1.0),
+        (np.array([1.0, 2.0, 0.0, -1.0, 3.0, -2.0]), mixed, 2.0),
+        # signed zeros, in v and among the breakpoints (v_i = mu on a positive)
+        (np.array([-0.0, 0.0, -0.0, 0.0, 1.0, -0.0]), mixed, 1.0),
+        (np.array([1.0, -0.0, 0.0, -0.0, -0.0, 0.0]), mixed, 1.0),
+        (np.zeros(6), mixed, 1.0),
+    ]
+    for scale in (1e-9, 1.0, 1e6):
+        y = np.where(rng.random(50) < 0.5, 1.0, -1.0)
+        v = np.round(rng.normal(size=50) * 4) / 4 * scale  # many ties
+        cases.append((v, y, 0.5 * scale))
+        cases.append((rng.normal(size=50) * scale, y, 0.3))
+    return cases
+
+
+def test_prepared_projection_equals_the_one_shot_search_bit_for_bit():
+    cases = _projection_cases()
+    for v, y, mu in cases:
+        ref = project_box_eq_breakpoints(v, y, mu).tobytes()
+        assert project_box_eq(v, y, mu).tobytes() == ref
+        labels = opt_core._BoxEqLabels(y, mu)
+        # a prepared state is reused for many points, buffers and all
+        for w in (v, -v, v[::-1].copy(), v):
+            got = project_box_eq(w, labels, mu)
+            assert got.tobytes() == project_box_eq_breakpoints(w, y, mu).tobytes()
+        assert project_box_eq(v, labels, mu).tobytes() == ref
+    with pytest.raises(InvalidParameterError, match="mu differs"):
+        project_box_eq(cases[0][0], opt_core._BoxEqLabels(cases[0][1], 1.0), 0.5)
+
+
+def test_qp_makes_every_projection_through_the_module_name(monkeypatch):
+    """perfbench counts projections by replacing ``opt_core.project_box_eq``;
+    a projection reached any other way would escape that count. Each one
+    sorts its breakpoints once, so counting sorts counts the projections."""
+    sorts, calls, states = [], [], set()
+
+    class CountingSort(np.ndarray):
+        def argsort(self, *args, **kwargs):
+            sorts.append(1)
+            return np.asarray(self).argsort(*args, **kwargs)
+
+    class Labels(opt_core._BoxEqLabels):
+        def __init__(self, y, mu):
+            super().__init__(y, mu)
+            self.t = self.t.view(CountingSort)  # shares the sliced buffers
+
+    real = opt_core.project_box_eq
+
+    def spy(v, y, mu):
+        calls.append(1)
+        states.add(id(y))
+        return real(v, y, mu)
+
+    Q, y, mu, _ = _random_dual(60, 11, "signed")
+    plain = qp_box_eq(Q, 0.0, y, mu, tol=1e-9)
+    monkeypatch.setattr(opt_core, "_BoxEqLabels", Labels)
+    monkeypatch.setattr(opt_core, "project_box_eq", spy)
+    sol = qp_box_eq(Q, 0.0, y, mu, tol=1e-9)
+    assert sol.beta.tobytes() == plain.beta.tobytes()
+    assert sol.iterations == plain.iterations > 20
+    assert len(sorts) == len(calls) > sol.iterations
+    assert len(states) == 1  # the labels are prepared once per solve
 
 
 # ---------------------------------------------------------------------------
