@@ -27,6 +27,7 @@ from .kernel import KernelMatrix, kernel_expand
 from .opt_core import (
     _PROX_STOPS,
     _qp_norm,
+    _solve_gram,
     DualSolution,
     HyperParams,
     LuFactor,
@@ -222,6 +223,28 @@ class _SignedKernel:
         return self.y * (self.S @ v)
 
 
+def _symmetrize(S):
+    """``(S + S^T) / 2`` in row-major order, which the dual's products read
+    and whose rounding is part of the outputs.
+
+    A column-major S (an n-column solve) is symmetrized into a fresh
+    buffer, the copy its change of order costs anyway. A row-major S (the
+    root route) is symmetrized in place, one pair of 128 x 128 blocks at a
+    time, so that no second n x n array is allocated.
+    """
+    if not S.flags.c_contiguous:
+        buf = np.add(S, S.T)
+        return np.multiply(buf, 0.5, out=buf)
+    n, block = S.shape[0], 128
+    for i in range(0, n, block):
+        for j in range(i, n, block):
+            upper = S[i : i + block, j : j + block]
+            np.add(upper, S[j : j + block, i : i + block].T, out=upper)
+            upper *= 0.5
+            S[j : j + block, i : i + block] = upper.T
+    return S
+
+
 class SvmProxSolver:
     """Soft-margin SVM subproblem with an optional proximity and graph term.
 
@@ -236,7 +259,15 @@ class SvmProxSolver:
     nothing else than the labels, so it is kept per label vector and reused.
     ``gamma`` scales the ordered-pair Dirichlet energy, matching the rest of
     the package. ``factor`` holds
-    :func:`_kernel_factor`'s factor of ``lam I + r K + 2 gamma L K``.
+    :func:`_kernel_factor`'s factor F of ``lam I + r K + 2 gamma L K``.
+
+    The dual's kernel ``S = F^-T K`` is solved through the Gram matrix's
+    cached root C (:meth:`KernelMatrix.root`, ``K ~ C C^T``) as
+    ``(F^-T C) C^T`` when C has at most 0.4 n columns, else column by
+    column (:func:`opt_core._solve_gram`); either way each column meets the
+    solves' residual contract against K itself. ``counters`` records
+    ``gram_rank`` (the columns solved: r on the root route, n otherwise)
+    and ``s_refined_cols`` (the columns of S that needed refinement).
     """
 
     def __init__(
@@ -254,15 +285,11 @@ class SvmProxSolver:
         self.r = float(r)
         self.qp_tol = qp_tol
         self.qp_iters = qp_iters
+        root = K.root()  # first: the n x n workspace of dpstrf is freed before F exists
         self.factor = _kernel_factor(K, hp, r=self.r, laplacian=laplacian, gamma=gamma)
-        if isinstance(self.factor, LuFactor):
-            S = self.factor.solve(K.values, trans=True)
-        else:
-            S = self.factor.solve(K.values)
-        # symmetrized into a fresh buffer: writing into S would keep the
-        # solver's memory order, which changes the rounding of the products
-        buf = np.add(S, S.T)
-        self.S = np.multiply(buf, 0.5, out=buf)
+        S, rank, refined = _solve_gram(self.factor, K.values, root, trans=True)
+        self.counters = {"gram_rank": rank, "s_refined_cols": refined}
+        self.S = _symmetrize(S)
         self._q_norms: dict[bytes, float] = {}  # label-vector bytes -> _qp_norm
 
     def solve(self, y, target=None, beta0=None) -> tuple[np.ndarray, DualSolution]:
@@ -309,7 +336,8 @@ def _svm_model(variant, K, hp, prox: SvmProxSolver, y, tol=1e-8) -> BinaryModel:
     """Solve the margin dual for labels ``y``. With ``use_bias`` the bias is
     the mean margin residual over the free support vectors (0 without any).
     The trace records the dual's ``qp_iters``, ``qp_stop_reason`` and
-    ``support``, the number of nonzero dual coefficients."""
+    ``support``, the number of nonzero dual coefficients, and the solver's
+    ``counters``."""
     alpha, sol = prox.solve(y)
     vals = K.values @ alpha
     free = (sol.beta > tol) & (sol.beta < hp.mu - tol)
@@ -318,6 +346,7 @@ def _svm_model(variant, K, hp, prox: SvmProxSolver, y, tol=1e-8) -> BinaryModel:
         "qp_iters": sol.iterations,
         "qp_stop_reason": sol.stop_reason,
         "support": int(np.count_nonzero(sol.beta)),
+        **prox.counters,
     }
     return BinaryModel(
         variant, alpha, K.bandwidth, hp, K.data, node_values=vals, bias=bias, trace=trace
@@ -704,6 +733,7 @@ def cheeger_svm_train(
     )
     y = ls.y_ext[None]
     alpha, f, trace = _ratio_loop(K, g, ls.labeled_mask, y, y, hp, step, prox.factor)
+    trace.update(prox.counters)
     return BinaryModel(
         "cheeger_svm", alpha[0], K.bandwidth, hp, K.data, node_values=f[0], trace=trace
     )

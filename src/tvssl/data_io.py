@@ -63,11 +63,13 @@ def load_csv(
     ``keep_labels`` if given, else the labels in order of first appearance;
     rows with other labels are dropped, and the i-th code becomes class i
     (e.g. ``keep_labels=[4, 9]`` makes the 4s class 1 and the 9s class 2).
-    A code listed twice raises :class:`InvalidParameterError`.
+    A code that is not a finite number, or is listed twice, raises
+    :class:`InvalidParameterError` before the file is opened.
     """
     if keep_labels is not None:
         seen = set()
         for code in keep_labels:
+            check_real("keep_labels entry", code)
             if float(code) in seen:
                 raise InvalidParameterError(f"keep_labels lists the code {code!r} twice")
             seen.add(float(code))

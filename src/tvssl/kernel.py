@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpstrf
 
 from .errors import (
     DegenerateScaleError,
     DimensionError,
+    FactorizationError,
     InvalidParameterError,
     NonFiniteInputError,
     check_int,
@@ -22,11 +24,13 @@ class KernelMatrix:
 
     ``data`` keeps a reference to the points the matrix was built from so
     trained models can later evaluate their expansion on new queries.
+    :meth:`root` gives a low-rank root of ``values``, built on first use.
     """
 
     values: np.ndarray
     bandwidth: float
     data: np.ndarray | None = None
+    _root: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -36,6 +40,30 @@ class KernelMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    def root(self) -> np.ndarray:
+        """An (n, r) root C with ``values ~ C C^T``, built on first use and
+        cached: it depends on neither labels nor any system matrix.
+
+        LAPACK's pivoted Cholesky ``dpstrf`` stops at its default tolerance,
+        n * ulp * max diag, so r is the Gram matrix's numerical rank: about
+        170 for two moons at n = 1600-3000, n for a full-rank one. On a
+        matrix that is not PSD it stops at the first non-positive pivot.
+        Callers hold what they compute from C to a contract against
+        ``values`` (as :class:`~tvssl.binary.SvmProxSolver` does), so a
+        short root, or one left stale by a later change of ``values``,
+        costs accuracy nowhere. The returned array is shared by every
+        caller: do not modify it.
+        """
+        if self._root is None:
+            c, piv, rank, info = dpstrf(self.values, lower=1)
+            if info < 0:
+                raise FactorizationError(f"dpstrf rejected argument {-info}")
+            low = np.tril(c[:, :rank])
+            root = np.empty_like(low)
+            root[piv - 1] = low  # values[p][:, p] = low low^T, p = piv - 1
+            self._root = root
+        return self._root
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -268,7 +268,9 @@ def lap_svm_mc_train(
     _check_semi(K, g, mls)
     prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma, r=hp.r)
     fidelity = _margin_fidelity(K, g, mls, hp, prox)
-    return _consensus_train("lap_svm_mc", K, g, mls, hp, fidelity, tv=False)
+    model = _consensus_train("lap_svm_mc", K, g, mls, hp, fidelity, tv=False)
+    model.trace.update(prox.counters)
+    return model
 
 
 def tv_svm_mc_train(
@@ -277,8 +279,11 @@ def tv_svm_mc_train(
     """Margin channels with TV shrink, simplex projection and channel
     renormalization."""
     _check_semi(K, g, mls)
-    fidelity = _margin_fidelity(K, g, mls, hp, SvmProxSolver(K, hp, r=hp.r))
-    return _consensus_train("tv_svm_mc", K, g, mls, hp, fidelity, tv=True)
+    prox = SvmProxSolver(K, hp, r=hp.r)
+    fidelity = _margin_fidelity(K, g, mls, hp, prox)
+    model = _consensus_train("tv_svm_mc", K, g, mls, hp, fidelity, tv=True)
+    model.trace.update(prox.counters)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +317,7 @@ def cheeger_svm_mc_train(
         K, g, mls.labeled_mask, mls.indicator_targets(), mls.margin_targets(),
         hp, _margin_channels(K, g, mls, hp, prox), prox.factor, _simplex_coupling,
     )
+    trace.update(prox.counters)
     return MulticlassModel(
         "cheeger_svm_mc", alphas, K.bandwidth, hp, K.data, node_values=f, trace=trace
     )

@@ -1,7 +1,8 @@
 """Optimization primitives shared by all classifiers.
 
 Contents: SPD/LU factors, each solved many times under a residual contract
-(also through a low-rank update of the factored matrix), the graph-TV
+(also through a low-rank update of the factored matrix, and for a Gram
+right-hand side through its low-rank root), the graph-TV
 proximal map solved by a primal-dual iteration, a projected-gradient solver
 for box-constrained duals with one linear equality, Michelot's simplex
 projection, and the ball/zero-mean renormalization used by the splitting
@@ -172,26 +173,30 @@ def _column_norms(M) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", M, M))
 
 
-def _refined_solve(A, solve_once, b):
-    """One solve plus iterative refinement until the residual contract holds.
+def _refined_solve(A, solve_once, b, x0=None):
+    """One solve (or the start ``x0``) plus iterative refinement until the
+    residual contract holds.
 
     A 2-D ``b`` is solved as one block; each column is held to the contract
-    on its own and only the columns that miss it are refined.
+    on its own and only the columns that miss it are refined. Returns the
+    solution and the number of columns that missed the contract at first.
     """
     b = np.asarray(b, dtype=np.float64)
-    x = solve_once(b)
+    x = solve_once(b) if x0 is None else np.array(x0, dtype=np.float64)
     B, X = b.reshape(b.shape[0], -1), x.reshape(x.shape[0], -1)  # views
     bound = _RESIDUAL_RTOL * _column_norms(B)
     X[:, bound == 0.0] = 0.0
     cols = np.arange(X.shape[1])  # columns still refined, residuals in res
     res = A @ X
     np.subtract(B, res, out=res)
+    refined = 0
     for attempt in range(3):
         miss = _column_norms(res) > bound[cols]
         if not miss.any():
-            return x
+            return x, refined
         if attempt == 2:
             break
+        refined = refined or int(miss.sum())
         cols, res = cols[miss], res[:, miss]
         X[:, cols] += solve_once(res)
         res = B[:, cols] - A @ X[:, cols]
@@ -202,12 +207,14 @@ class SpdFactor:
     """Cholesky factor of a symmetric positive (semi)definite matrix.
 
     Factor once, solve many times; a single jitter of ``1e-10 * trace / n``
-    is added if the plain factorization fails.
+    is added if the plain factorization fails. ``refined_cols`` counts the
+    right-hand-side columns its solves had to refine.
     """
 
     def __init__(self, A):
         A = _as_square(A)
         self._A = A
+        self.refined_cols = 0
         try:
             self._cf = sla.cho_factor(A, check_finite=False)
         except np.linalg.LinAlgError:
@@ -222,33 +229,93 @@ class SpdFactor:
                     "matrix is not positive definite, even with jitter"
                 ) from exc
 
+    def _matrix(self, trans: bool = False) -> np.ndarray:
+        return self._A
+
     def _solve_once(self, b):
         return sla.cho_solve(self._cf, b, check_finite=False)
 
-    def solve(self, b) -> np.ndarray:
-        """Solve A x = b with relative residual <= 1e-8."""
-        return _refined_solve(self._A, self._solve_once, b)
+    def solve(self, b, trans: bool = False, x0=None) -> np.ndarray:
+        """Solve A x = b with relative residual <= 1e-8, refining the start
+        ``x0`` if given. A is symmetric, so ``trans`` changes nothing."""
+        x, refined = _refined_solve(self._A, self._solve_once, b, x0)
+        self.refined_cols += refined
+        return x
 
 
 class LuFactor:
-    """LU factor for general (possibly nonsymmetric) square systems."""
+    """LU factor for general (possibly nonsymmetric) square systems.
+    ``refined_cols`` counts the right-hand-side columns its solves had to
+    refine."""
 
     def __init__(self, A):
         A = _as_square(A)
         self._A = A
+        self.refined_cols = 0
         try:
             self._lu = sla.lu_factor(A, check_finite=False)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise FactorizationError("LU factorization failed") from exc
 
+    def _matrix(self, trans: bool = False) -> np.ndarray:
+        return self._A.T if trans else self._A
+
     def _solve_once(self, b, trans: int = 0):
         return sla.lu_solve(self._lu, b, trans=trans, check_finite=False)
 
-    def solve(self, b, trans: bool = False) -> np.ndarray:
-        """Solve A x = b (or A^T x = b when ``trans``) to relative residual 1e-8."""
-        A = self._A.T if trans else self._A
+    def solve(self, b, trans: bool = False, x0=None) -> np.ndarray:
+        """Solve A x = b (or A^T x = b when ``trans``) to relative residual
+        1e-8, refining the start ``x0`` if given."""
         t = 1 if trans else 0
-        return _refined_solve(A, lambda rhs: self._solve_once(rhs, t), b)
+        x, refined = _refined_solve(
+            self._matrix(trans), lambda rhs: self._solve_once(rhs, t), b, x0
+        )
+        self.refined_cols += refined
+        return x
+
+
+# The two routes of _solve_gram, in flops, once the root is built (it is built
+# for either): n columns cost an n-column solve (2 n^3) and its residual
+# (2 n^3); r root columns cost r solves (2 n^2 r), their residual (2 n^2 r),
+# A W (2 n^2 r), the residual of the product (2 n^2 r) and the product W C^T
+# (2 n^2 r). The root route is taken while 10 n^2 r <= 4 n^3, r <= 0.4 n.
+_ROOT_MAX_SHARE = 0.4
+# _solve_gram checks the residual of the product in blocks of this many
+# columns, so that the check allocates no n x n temporary
+_ROOT_CHECK_COLS = 256
+
+
+def _solve_gram(factor, B, root, trans: bool = False) -> tuple[np.ndarray, int, int]:
+    """Solve ``A X = B`` (``A^T X = B`` when ``trans``) on a factor of A for a
+    symmetric ``B`` with an (n, r) root, ``B ~ root @ root.T``.
+
+    While r <= 0.4 n (where it needs fewer flops) this takes r solves,
+    ``W = A^-1 root``, and forms ``X = W root^T``; otherwise it solves the n
+    columns of B as they are. Either way every column of X is held to the
+    residual contract against B itself. On the root route the residual
+    ``B - (A W) root^T`` also carries the truncation ``B - root root^T``,
+    and the columns that miss it are refined from their start by the
+    factor's solve, so a short, stale or non-PSD root costs time, never
+    accuracy. Returns X, the number of columns solved (r or n) and the
+    number of columns of X that needed refinement.
+    """
+    n, rank = root.shape
+    if rank > _ROOT_MAX_SHARE * n:
+        before = factor.refined_cols
+        X = factor.solve(B, trans)
+        return X, n, factor.refined_cols - before
+    W = factor.solve(root, trans)
+    X = W @ root.T
+    AW = factor._matrix(trans) @ W
+    bound = _RESIDUAL_RTOL * _column_norms(B)
+    miss = np.zeros(n, dtype=bool)
+    for j in range(0, n, _ROOT_CHECK_COLS):
+        cols = slice(j, j + _ROOT_CHECK_COLS)
+        res = B[:, cols] - AW @ root[cols].T
+        miss[cols] = _column_norms(res) > bound[cols]
+    if miss.any():
+        X[:, miss] = factor.solve(B[:, miss], trans, x0=X[:, miss])
+    return X, rank, int(np.count_nonzero(miss))
 
 
 class _UpdatedMatrix:
@@ -288,7 +355,7 @@ def solve_low_rank_update(factor, U, V, b) -> np.ndarray:
         z = factor._solve_once(rhs)
         return z - AU @ sla.lu_solve((lu, piv), V @ z, check_finite=False)
 
-    return _refined_solve(_UpdatedMatrix(factor._A, U, V), once, b)
+    return _refined_solve(_UpdatedMatrix(factor._A, U, V), once, b)[0]
 
 
 def _power_norm(matvec, n: int, iters: int) -> float:

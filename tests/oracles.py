@@ -220,6 +220,17 @@ def refined_solve_per_column(A, solve_once, b, rtol=1e-8):
     return np.column_stack(cols)
 
 
+def margin_kernel_n_columns(factor, K):
+    """The margin dual's kernel ``S = F^-T K`` by the n-column route: one
+    solve of all n columns of K on the factor F (held to the residual
+    contract), symmetrized into a fresh buffer. The root route is compared
+    with it, and an input too long for that route reproduces it bit for
+    bit."""
+    S = factor.solve(K, trans=True)
+    buf = np.add(S, S.T)
+    return np.multiply(buf, 0.5, out=buf)
+
+
 # ---------------------------------------------------------------------------
 # box + equality QP oracle
 # ---------------------------------------------------------------------------

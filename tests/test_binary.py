@@ -26,14 +26,20 @@ from tvssl.binary import (
 )
 from tvssl.bench_cli import default_hyperparams
 from tvssl.data_io import Dataset, SplitSpec, make_split, make_two_moons
-from tvssl.errors import DegenerateInputError, DimensionError, InvalidParameterError
+from tvssl.errors import (
+    DegenerateInputError,
+    DimensionError,
+    FactorizationError,
+    InvalidParameterError,
+)
 from tvssl.graph import SimilarityGraph, build_knn_graph, graph_tv
 from tvssl.kernel import KernelMatrix, median_bandwidth, rbf_gram
-from tvssl.opt_core import HyperParams, SpdFactor
+from tvssl.opt_core import HyperParams, LuFactor, SpdFactor, _solve_gram
 
 from oracles import (
     exhaustive_two_level_ratio,
     lap_rls_objective,
+    margin_kernel_n_columns,
     margin_objective_with_best_bias,
     margin_primal_slsqp,
     masked_rls_alpha,
@@ -321,6 +327,101 @@ def _lap_svm_inputs(n, per_class, seed=5):
     return K, g, split, default_hyperparams("lap_svm", None)
 
 
+def _gram_cases(name):
+    """(K, graph) for the margin kernel's root-route cases."""
+    ds = make_two_moons(600, 0.08, 1)
+    bw = 0.5 * median_bandwidth(ds.data)
+    g = build_knn_graph(ds.data, 10)
+    if name == "moons":  # short root: r is about 165 of 600
+        return rbf_gram(ds.data, bw), g
+    if name == "duplicates":  # exactly singular: 100 points appear twice
+        X = np.vstack([ds.data, ds.data[:100]])
+        jitter = 1e-9 * np.random.default_rng(0).normal(size=X.shape)
+        return rbf_gram(X, bw), build_knn_graph(X + jitter, 10)
+    if name == "full_rank":  # 256 dimensions: r = n, so the n-column route
+        Z = np.random.default_rng(0).normal(size=(300, 256))
+        return rbf_gram(Z, median_bandwidth(Z)), build_knn_graph(Z, 10)
+    K = rbf_gram(ds.data, bw)
+    if name == "indefinite":  # one large eigenvalue flipped: C C^T cannot hold it
+        w, V = np.linalg.eigh(K.values)
+        flipped = K.values - 2.0 * w[-10] * np.outer(V[:, -10], V[:, -10])
+        return KernelMatrix(flipped, bw, ds.data), g
+    assert name == "stale"  # the values change after the root is cached
+    K.root()
+    K.values = K.values + 1e-3 * np.eye(K.n)
+    return K, g
+
+
+@pytest.mark.parametrize("graph_term", [True, False])
+@pytest.mark.parametrize(
+    "name", ["moons", "duplicates", "full_rank", "indefinite", "stale"]
+)
+def test_margin_kernel_through_the_gram_root_matches_the_n_column_route(name, graph_term):
+    K, g = _gram_cases(name)
+    hp = default_hyperparams("lap_svm", None)
+    kw = {"laplacian": g.laplacian(), "gamma": hp.gamma} if graph_term else {"r": 1.0}
+    if name == "indefinite" and not graph_term:
+        with pytest.raises(FactorizationError):  # lam I + r K is indefinite too
+            SvmProxSolver(K, hp, **kw)
+        return
+    prox = SvmProxSolver(K, hp, **kw)
+    assert isinstance(prox.factor, LuFactor if graph_term else SpdFactor)
+    S_ref = margin_kernel_n_columns(prox.factor, K.values)
+    rank, refined = prox.counters["gram_rank"], prox.counters["s_refined_cols"]
+    if name == "full_rank":
+        assert K.root().shape[1] == K.n and rank == K.n and refined == 0
+        assert np.array_equal(prox.S, S_ref)
+        return
+    assert rank == K.root().shape[1] <= 0.4 * K.n
+    assert np.max(np.abs(prox.S - S_ref)) <= 1e-10 * np.max(np.abs(S_ref))
+    # the per-column residual contract against the full K and system matrix
+    X, rank_again, refined_again = _solve_gram(prox.factor, K.values, K.root(), trans=True)
+    assert (rank_again, refined_again) == (rank, refined)
+    res = K.values - prox.factor._matrix(True) @ X
+    assert np.all(
+        np.linalg.norm(res, axis=0) <= 1e-8 * np.linalg.norm(K.values, axis=0)
+    )
+    if name in ("indefinite", "stale"):
+        assert refined > K.n // 2  # the root misses them; refinement repairs
+    else:
+        assert refined == 0
+
+
+@pytest.mark.parametrize("n", [200, 600])
+def test_margin_trainers_trace_how_their_dual_kernel_was_solved(n):
+    K, g, split, hp = _lap_svm_inputs(n, 2)
+    r = K.root().shape[1]
+    expected = {"gram_rank": r if r <= 0.4 * n else n, "s_refined_cols": 0}
+    assert (r <= 0.4 * n) == (n == 600)
+    y = np.where(split.labeled_mask, split.labels, 1.0)
+    y[np.flatnonzero(~split.labeled_mask)[::2]] = -1.0
+    models = [
+        svm_train(K, y, hp),
+        lap_svm_train(K, g, split, hp),
+        cheeger_svm_train(K, g, split, replace(default_hyperparams("cheeger_svm"), outer_iters=2)),
+    ]
+    for m in models:
+        assert {key: m.trace[key] for key in expected} == expected
+    for m in (rls_train(K, y, hp), lap_rls_train(K, g, split, hp)):
+        assert "gram_rank" not in m.trace
+
+
+def test_margin_kernel_root_route_solves_fewer_than_n_columns(monkeypatch):
+    K, g, split, hp = _lap_svm_inputs(600, 2)
+    cols = []
+    real_solve = LuFactor.solve
+
+    def spy(self, b, *args, **kwargs):
+        cols.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+        return real_solve(self, b, *args, **kwargs)
+
+    monkeypatch.setattr(LuFactor, "solve", spy)
+    m = lap_svm_train(K, g, split, hp)
+    r = K.root().shape[1]
+    assert m.trace["gram_rank"] == r and m.trace["s_refined_cols"] == 0
+    assert r in cols and max(cols) < K.n
+
+
 def test_qp_through_the_signed_kernel_equals_the_dense_dual():
     K, g, split, hp = _lap_svm_inputs(400, 2)
     prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
@@ -427,6 +528,9 @@ def test_lap_svm_factors_once_and_traces_its_dual(monkeypatch):
         "qp_iters": sol.iterations,
         "qp_stop_reason": sol.stop_reason,
         "support": int(np.count_nonzero(sol.beta)),
+        # n = 200: the root is too long to pay, so S is solved column by column
+        "gram_rank": K.n,
+        "s_refined_cols": 0,
     }
     assert m.trace["qp_stop_reason"] == "tol" and 0 < m.trace["support"] < K.n
     assert lap_svm_train(K, g, split, hp).trace == m.trace

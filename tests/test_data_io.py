@@ -74,6 +74,13 @@ def test_load_csv_rejects_a_repeated_keep_labels_code(tmp_path):
     assert np.array_equal(load_csv(p, keep_labels=[2, 1]).true_labels, [2, 1, 2])
 
 
+@pytest.mark.parametrize("keep", [["a"], [None], [True, 2], [1, float("nan")]])
+def test_load_csv_rejects_a_keep_labels_entry_that_is_not_a_number(tmp_path, keep):
+    # checked before the file is opened: the path does not exist
+    with pytest.raises(InvalidParameterError, match="keep_labels"):
+        load_csv(tmp_path / "missing.csv", keep_labels=keep)
+
+
 def test_load_csv_header_and_label_column(tmp_path):
     p = tmp_path / "h.csv"
     p.write_text("x,y,label\n0.5,0.2,1\n0.1,0.9,2\n")

@@ -151,3 +151,41 @@ def test_gram_keeps_data_reference():
     data = np.random.default_rng(12).normal(size=(5, 2))
     K = rbf_gram(data, 1.0)
     assert K.data is not None and K.data.shape == (5, 2)
+
+
+def test_root_reproduces_a_low_rank_gram_and_is_full_on_a_full_rank_one():
+    from tvssl.data_io import make_two_moons
+
+    data = make_two_moons(600, 0.08, 5).data
+    K = rbf_gram(data, 0.5 * median_bandwidth(data))
+    C = K.root()
+    assert C.shape[0] == K.n and C.shape[1] < 0.4 * K.n
+    assert np.max(np.abs(K.values - C @ C.T)) <= 1e-10
+    Z = np.random.default_rng(6).normal(size=(120, 256))
+    assert rbf_gram(Z, median_bandwidth(Z)).root().shape == (120, 120)
+
+
+def test_root_is_built_once_per_kernel_matrix(monkeypatch):
+    from tvssl import kernel
+    from tvssl.binary import SvmProxSolver
+    from tvssl.graph import build_knn_graph
+    from tvssl.opt_core import HyperParams
+
+    calls = []
+    real = kernel.dpstrf
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "dpstrf", spy)
+    data = np.random.default_rng(7).normal(size=(80, 2))
+    K = rbf_gram(data, 0.5 * median_bandwidth(data))
+    g = build_knn_graph(data, 5)
+    hp = HyperParams(lam=0.1, mu=1.0)
+    SvmProxSolver(K, hp)
+    SvmProxSolver(K, hp, r=1.0)
+    SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=0.5)
+    assert calls == [(80, 80)]
+    SvmProxSolver(rbf_gram(data, 1.0), hp)
+    assert calls == [(80, 80), (80, 80)]

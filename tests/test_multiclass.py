@@ -140,6 +140,18 @@ def test_three_cluster_recovery(name, trainer):
     assert err <= 0.10, f"{name} error {err}"
 
 
+@pytest.mark.parametrize("name,trainer", ALL_TRAINERS)
+def test_margin_trainers_trace_how_their_dual_kernel_was_solved(name, trainer):
+    K, g, mls = setup(three_cluster_dataset())
+    m = trainer(K, g, mls, replace(MC_HP, outer_iters=3))
+    if name.endswith("rls_mc"):
+        assert "gram_rank" not in m.trace and "s_refined_cols" not in m.trace
+        return
+    r = K.root().shape[1]
+    assert m.trace["gram_rank"] == (r if r <= 0.4 * K.n else K.n)
+    assert m.trace["s_refined_cols"] == 0
+
+
 # ---------------------------------------------------------------------------
 # simplex feasibility bookkeeping
 # ---------------------------------------------------------------------------

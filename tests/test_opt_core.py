@@ -211,6 +211,23 @@ def test_block_solve_refines_only_missing_columns(kind):
 
 
 @pytest.mark.parametrize("factor_cls", [SpdFactor, LuFactor])
+def test_solve_refines_a_start_and_counts_the_columns_it_refined(factor_cls):
+    A = random_spd(6, 2)
+    f = factor_cls(A)
+    B = np.random.default_rng(3).normal(size=(6, 3))
+    exact = np.linalg.solve(A, B)
+    start = exact.copy()
+    start[:, 1] += 1.0  # only this column misses the contract
+    X = f.solve(B, x0=start)
+    assert f.refined_cols == 1
+    assert np.array_equal(X[:, [0, 2]], exact[:, [0, 2]])  # kept as given
+    assert np.all(np.linalg.norm(A @ X - B, axis=0) <= 1e-8 * np.linalg.norm(B, axis=0))
+    assert np.array_equal(start[:, 1], exact[:, 1] + 1.0)  # the start is not written
+    f.solve(B)
+    assert f.refined_cols == 1
+
+
+@pytest.mark.parametrize("factor_cls", [SpdFactor, LuFactor])
 def test_block_solve_raises_when_refinement_fails(factor_cls):
     A = random_spd(6, 5)
     f = _mismatched(factor_cls, A, 50.0 * np.linalg.norm(A))
