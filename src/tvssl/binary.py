@@ -14,11 +14,13 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import (
     DegenerateInputError,
     DimensionError,
     DivergenceError,
+    FactorizationError,
     InvalidParameterError,
     check_real,
 )
@@ -36,7 +38,6 @@ from .opt_core import (
     normalize_ball_zero_mean,
     project_box_eq,
     qp_box_eq,
-    solve_low_rank_update,
     tv_prox,
 )
 
@@ -134,13 +135,21 @@ def transductive_labels(model: BinaryModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rls_train(K: KernelMatrix, y, hp: HyperParams) -> BinaryModel:
-    """Kernel ridge classifier: (eta*K + lam*I) alpha = eta*y."""
+def _check_labels(K: KernelMatrix, y) -> np.ndarray:
+    """The supervised trainers' labels: K's size, +1 or -1, both classes."""
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.size != K.n:
         raise DimensionError("y length must match kernel size")
-    if y.size < 2 or not (np.any(y > 0) and np.any(y < 0)):
+    if not np.all(np.abs(y) == 1.0):  # NaN fails too
+        raise InvalidParameterError("y entries must be +1 or -1")
+    if not (np.any(y > 0) and np.any(y < 0)):
         raise InvalidParameterError("need both classes present")
+    return y
+
+
+def rls_train(K: KernelMatrix, y, hp: HyperParams) -> BinaryModel:
+    """Kernel ridge classifier: (eta*K + lam*I) alpha = eta*y."""
+    y = _check_labels(K, y)
     alpha = _kernel_factor(K, hp, r=hp.eta).solve(hp.eta * y)
     return BinaryModel(
         "rls", alpha, K.bandwidth, hp, K.data, node_values=K.values @ alpha
@@ -227,14 +236,12 @@ def _symmetrize(S):
     """``(S + S^T) / 2`` in row-major order, which the dual's products read
     and whose rounding is part of the outputs.
 
-    A column-major S (an n-column solve) is symmetrized into a fresh
-    buffer, the copy its change of order costs anyway. A row-major S (the
-    root route) is symmetrized in place, one pair of 128 x 128 blocks at a
-    time, so that no second n x n array is allocated.
+    In place, one pair of 128 x 128 blocks at a time, so that no second
+    n x n array is allocated; a column-major S (an n-column solve) through
+    its row-major transpose, which gives the same bytes as the sum commutes.
     """
     if not S.flags.c_contiguous:
-        buf = np.add(S, S.T)
-        return np.multiply(buf, 0.5, out=buf)
+        S = np.ascontiguousarray(S.T)
     n, block = S.shape[0], 128
     for i in range(0, n, block):
         for j in range(i, n, block):
@@ -355,11 +362,7 @@ def _svm_model(variant, K, hp, prox: SvmProxSolver, y, tol=1e-8) -> BinaryModel:
 
 def svm_train(K: KernelMatrix, y, hp: HyperParams) -> BinaryModel:
     """Soft-margin kernel SVM through its box/equality dual."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.size != K.n:
-        raise DimensionError("y length must match kernel size")
-    if not (np.any(y > 0) and np.any(y < 0)):
-        raise InvalidParameterError("need both classes present")
+    y = _check_labels(K, y)
     return _svm_model("svm", K, hp, SvmProxSolver(K, hp), y)
 
 
@@ -368,10 +371,10 @@ def lap_svm_train(
 ) -> BinaryModel:
     """Laplacian-regularized SVM; margin constraints cover every node, so the
     unlabeled ones receive pseudo-labels from a Laplacian least-squares warm
-    start, solved on the margin solver's own factor (:func:`_pseudo_init`)."""
+    start, read off the margin solver's dual kernel (:func:`_pseudo_init`)."""
     _check_semi(K, g, ls)
     prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
-    y_full = _pseudo_init(K, g, ls, hp, factor=prox.factor)
+    y_full = _pseudo_init(K, g, ls, hp, S=prox.S)
     return _svm_model("lap_svm", K, hp, prox, y_full)
 
 
@@ -380,34 +383,37 @@ def lap_svm_train(
 # ---------------------------------------------------------------------------
 
 
-def _check_semi(K: KernelMatrix, g: SimilarityGraph, ls) -> int:
+def _check_semi(K: KernelMatrix, g: SimilarityGraph, ls) -> None:
     """Size check of the semi-supervised trainers; ``ls`` is a
     :class:`LabeledSet` or a multi-class label set."""
     if K.n != g.n_nodes:
         raise DimensionError("kernel and graph sizes differ")
     if ls.n_points != K.n:
         raise DimensionError("labeled set size differs from kernel size")
-    return K.n
 
 
-def _pseudo_init(K, g, ls: LabeledSet, hp, factor=None) -> np.ndarray:
+def _pseudo_init(K, g, ls: LabeledSet, hp, S=None) -> np.ndarray:
     """Labels where labeled, elsewhere the sign of the Laplacian
-    least-squares warm start.
-
-    ``factor``, when given, holds ``B = lam I + 2 gamma L K`` (the matrix
-    lap_svm's :class:`SvmProxSolver` factors). The warm start's system
-    ``(B + eta J K) alpha = eta y`` with ``J = diag(mask)`` is then solved
-    as a rank-m update of B, m the number of labeled points, instead of
-    building and factoring its n x n matrix."""
-    if factor is None:
-        warm = lap_rls_train(K, g, ls, hp).node_values
-    else:
-        mask = ls.labeled_mask
-        U = np.zeros((K.n, ls.n_labeled))
-        U[np.flatnonzero(mask), np.arange(ls.n_labeled)] = hp.eta
-        alpha = solve_low_rank_update(factor, U, K.values[mask], hp.eta * ls.y_ext)
-        warm = K.values @ alpha
+    least-squares warm start: :func:`lap_rls_train`'s node values, or the
+    same values read off lap_svm's dual kernel ``S`` (:func:`_warm_values`)."""
+    warm = lap_rls_train(K, g, ls, hp).node_values if S is None else _warm_values(S, ls, hp.eta)
     return np.where(ls.labeled_mask, ls.labels, np.where(warm >= 0.0, 1.0, -1.0))
+
+
+def _warm_values(S, ls: LabeledSet, eta: float) -> np.ndarray:
+    """Laplacian least-squares node values ``K (B + eta J K)^-1 eta y``,
+    ``B = lam I + 2 gamma L K`` and ``J = diag(mask)``, from the dual kernel
+    ``S = B^-T K = K B^-1``: by the Woodbury identity they are exactly
+    ``eta S[:, l] (I + eta S[l, l])^-1 y[l]`` over the labeled points l
+    (Sindhwani, Niyogi & Belkin, ICML 2005). S is PSD, so this m x m system
+    is SPD; a singular or non-finite one raises :class:`FactorizationError`."""
+    lab = np.flatnonzero(ls.labeled_mask)
+    A = np.eye(lab.size) + eta * S[np.ix_(lab, lab)]
+    try:
+        coef = sla.cho_solve(sla.cho_factor(A), ls.labels[lab])
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise FactorizationError("the warm start's system is singular or not finite") from exc
+    return eta * (coef @ S[lab])  # S is symmetric: its rows l are its columns l
 
 
 def _pseudo_refresh(ls: LabeledSet, prev, vals) -> np.ndarray:

@@ -23,7 +23,8 @@ class KernelMatrix:
     """Dense symmetric Gram matrix over a set of training points.
 
     ``data`` keeps a reference to the points the matrix was built from so
-    trained models can later evaluate their expansion on new queries.
+    trained models can later evaluate their expansion on new queries. A NaN
+    or infinite entry raises :class:`NonFiniteInputError`.
     :meth:`root` gives a low-rank root of ``values``, built on first use.
     """
 
@@ -36,6 +37,9 @@ class KernelMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise DimensionError("kernel matrix must be square")
+        # min and max propagate NaN, and need no n x n temporary
+        if self.values.size and not np.isfinite([self.values.min(), self.values.max()]).all():
+            raise NonFiniteInputError("kernel matrix contains NaN or infinite entries")
 
     @property
     def n(self) -> int:

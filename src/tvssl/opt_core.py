@@ -1,8 +1,7 @@
 """Optimization primitives shared by all classifiers.
 
 Contents: SPD/LU factors, each solved many times under a residual contract
-(also through a low-rank update of the factored matrix, and for a Gram
-right-hand side through its low-rank root), the graph-TV
+(for a Gram right-hand side also through its low-rank root), the graph-TV
 proximal map solved by a primal-dual iteration, a projected-gradient solver
 for box-constrained duals with one linear equality, Michelot's simplex
 projection, and the ball/zero-mean renormalization used by the splitting
@@ -48,7 +47,9 @@ class HyperParams:
     regularizer, ``mu`` the slack penalty, ``r``/``r1``/``r2`` the quadratic
     consensus penalties, and ``c`` the ratio-descent step constant. The
     boolean flags toggle documented algorithm variants and default to the
-    literal update order.
+    literal update order. Each is read by some trainers only, and the rest
+    ignore it: ``normalize`` by tv_rls and tv_svm, ``simplex_last`` by
+    tv_rls_mc and tv_svm_mc, ``use_bias`` by svm and lap_svm.
 
     The dataclass defaults are not the shipped ones: those are per algorithm
     in ``configs/defaults.json``, read by ``bench_cli.default_hyperparams``
@@ -260,15 +261,14 @@ class LuFactor:
     def _matrix(self, trans: bool = False) -> np.ndarray:
         return self._A.T if trans else self._A
 
-    def _solve_once(self, b, trans: int = 0):
-        return sla.lu_solve(self._lu, b, trans=trans, check_finite=False)
-
     def solve(self, b, trans: bool = False, x0=None) -> np.ndarray:
         """Solve A x = b (or A^T x = b when ``trans``) to relative residual
         1e-8, refining the start ``x0`` if given."""
         t = 1 if trans else 0
         x, refined = _refined_solve(
-            self._matrix(trans), lambda rhs: self._solve_once(rhs, t), b, x0
+            self._matrix(trans),
+            lambda rhs: sla.lu_solve(self._lu, rhs, trans=t, check_finite=False),
+            b, x0,
         )
         self.refined_cols += refined
         return x
@@ -316,46 +316,6 @@ def _solve_gram(factor, B, root, trans: bool = False) -> tuple[np.ndarray, int, 
     if miss.any():
         X[:, miss] = factor.solve(B[:, miss], trans, x0=X[:, miss])
     return X, rank, int(np.count_nonzero(miss))
-
-
-class _UpdatedMatrix:
-    """``A + U @ V`` as an operator (``op @ X``), without forming the sum."""
-
-    def __init__(self, A, U, V):
-        self.A, self.U, self.V = A, U, V
-
-    def __matmul__(self, X):
-        return self.A @ X + self.U @ (self.V @ X)
-
-
-def solve_low_rank_update(factor, U, V, b) -> np.ndarray:
-    """Solve ``(A + U V) x = b`` on a factor of A (:class:`SpdFactor` or
-    :class:`LuFactor`), for an (n, m) ``U`` and an (m, n) ``V``.
-
-    By the Sherman-Morrison-Woodbury identity,
-    ``x = z - A^-1 U (I + V A^-1 U)^-1 V z`` with ``z = A^-1 b``: m + 1
-    solves against the factor and an m x m LU instead of a factorization of
-    the n x n sum, which is never formed. The result is held to the residual
-    contract ``||(A + U V) x - b|| <= 1e-8 ||b||`` against the sum itself.
-    """
-    U = np.asarray(U, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    n = factor._A.shape[0]
-    if U.ndim != 2 or U.shape[0] != n or V.shape != (U.shape[1], n):
-        raise DimensionError("U must be (n, m) and V (m, n) for an n x n factor")
-    # unrefined solves: the refinement below holds the sum to the contract
-    AU = factor._solve_once(U)
-    with warnings.catch_warnings():  # a singular capacitance raises below
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(np.eye(U.shape[1]) + V @ AU, check_finite=False)
-    if not np.all(np.isfinite(lu)) or np.any(lu.diagonal() == 0.0):
-        raise FactorizationError("the low-rank update leaves the system singular")
-
-    def once(rhs):
-        z = factor._solve_once(rhs)
-        return z - AU @ sla.lu_solve((lu, piv), V @ z, check_finite=False)
-
-    return _refined_solve(_UpdatedMatrix(factor._A, U, V), once, b)[0]
 
 
 def _power_norm(matvec, n: int, iters: int) -> float:

@@ -113,6 +113,22 @@ def test_rls_requires_both_classes():
         rls_train(K, np.ones(3), HyperParams())
 
 
+@pytest.mark.parametrize("train", [rls_train, svm_train])
+@pytest.mark.parametrize("bad", [2.0, 0.0, np.nan])
+def test_supervised_trainers_reject_labels_other_than_plus_minus_one(monkeypatch, train, bad):
+    X, y = two_cluster_data(3, seed=9)
+    K = rbf_gram(X, 1.0)
+    y[0] = bad
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a bad y must be rejected before any factorization")
+
+    monkeypatch.setattr(K, "root", no_factor)
+    monkeypatch.setattr(binary, "_kernel_factor", no_factor)
+    with pytest.raises(InvalidParameterError, match="y entries"):
+        train(K, y, HyperParams())
+
+
 # ---------------------------------------------------------------------------
 # lap_rls
 # ---------------------------------------------------------------------------
@@ -483,31 +499,40 @@ def test_svm_prox_solver_reuses_each_label_vectors_norm(monkeypatch):
 
 
 @pytest.mark.parametrize("per_class", [1, 50])
-def test_lap_svm_warm_start_on_the_solver_factor_equals_the_full_lu(monkeypatch, per_class):
-    K, g, split, hp = _lap_svm_inputs(300, per_class)
+@pytest.mark.parametrize("n", [300, 600])
+def test_lap_svm_warm_start_off_the_dual_kernel_equals_lap_rls(n, per_class):
+    K, g, split, hp = _lap_svm_inputs(n, per_class)
     prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
-    solved = []
-    real = binary.solve_low_rank_update
-
-    def spy(*args):
-        solved.append(real(*args))
-        return solved[-1]
-
-    monkeypatch.setattr(binary, "solve_low_rank_update", spy)
-    fast = binary._pseudo_init(K, g, split, hp, factor=prox.factor)
-    full = binary._pseudo_init(K, g, split, hp)
-    assert np.array_equal(fast, full)
-    alpha = solved[0]
-    alpha_full = lap_rls_train(K, g, split, hp).alpha
-    assert np.max(np.abs(alpha - alpha_full)) <= 1e-10 * np.max(np.abs(alpha_full))
-    # the residual contract against the full matrix of the old system
-    mask = split.labeled_mask
-    M = (
-        hp.eta * (mask[:, None] * K.values) + hp.lam * np.eye(K.n)
-        + 2.0 * hp.gamma * (g.laplacian() @ K.values)
+    # n = 300 solves S column by column, n = 600 through the Gram root
+    assert (prox.counters["gram_rank"] < 0.4 * n) == (n == 600)
+    assert np.array_equal(
+        binary._pseudo_init(K, g, split, hp, S=prox.S), binary._pseudo_init(K, g, split, hp)
     )
-    rhs = hp.eta * split.y_ext
-    assert np.linalg.norm(M @ alpha - rhs) <= 1e-8 * np.linalg.norm(rhs)
+    warm = binary._warm_values(prox.S, split, hp.eta)
+    full = lap_rls_train(K, g, split, hp).node_values
+    assert np.linalg.norm(warm - full) <= 1e-9 * np.linalg.norm(full)
+    # I + eta S[l, l] is singular for this S, and non-finite for the second
+    with pytest.raises(FactorizationError):
+        binary._pseudo_init(K, g, split, hp, S=-np.eye(n) / hp.eta)
+    S_nan = prox.S.copy()
+    S_nan[np.flatnonzero(split.labeled_mask)[0]] = np.nan
+    with pytest.raises(FactorizationError):
+        binary._pseudo_init(K, g, split, hp, S=S_nan)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [5, 150, 200, 300, 1000])
+def test_symmetrize_equals_the_fresh_sum_bit_for_bit(n, order):
+    """In place for row-major S, through the transpose for column-major S
+    (the n-column route), with the bytes of ``(S + S^T) / 2`` in a fresh
+    buffer either way."""
+    S = np.random.default_rng(n).normal(size=(n, n))
+    ref = np.add(S, S.T)
+    np.multiply(ref, 0.5, out=ref)
+    given = np.array(S, order=order)
+    got = binary._symmetrize(given)
+    assert got.flags.c_contiguous and np.shares_memory(got, given)  # no n x n copy
+    assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 def test_lap_svm_factors_once_and_traces_its_dual(monkeypatch):
@@ -521,9 +546,9 @@ def test_lap_svm_factors_once_and_traces_its_dual(monkeypatch):
 
     monkeypatch.setattr(binary.LuFactor, "__init__", counting_init)
     m = lap_svm_train(K, g, split, hp)
-    assert factors == [(K.n, K.n)]  # the warm start reuses the margin solver's LU
+    assert factors == [(K.n, K.n)]  # the margin solver's LU; the warm start needs none
     prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
-    _alpha, sol = prox.solve(binary._pseudo_init(K, g, split, hp, factor=prox.factor))
+    _alpha, sol = prox.solve(binary._pseudo_init(K, g, split, hp, S=prox.S))
     assert m.trace == {
         "qp_iters": sol.iterations,
         "qp_stop_reason": sol.stop_reason,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tvssl.errors import DimensionError, InvalidParameterError, NonFiniteInputError
-from tvssl.kernel import kernel_expand, median_bandwidth, rbf_gram
+from tvssl.kernel import KernelMatrix, kernel_expand, median_bandwidth, rbf_gram
 
 
 def test_diagonal_is_exactly_one():
@@ -110,6 +110,12 @@ def test_nonfinite_points_rejected_at_the_boundary(bad):
         median_bandwidth(dirty)
     with pytest.raises(NonFiniteInputError):
         kernel_expand(np.ones(6), data, dirty[:3], 1.0)
+    # a Gram matrix with one bad off-diagonal entry, rejected where it is built
+    for entry in (bad, -bad):
+        gram = np.eye(40)
+        gram[3, 7] = entry
+        with pytest.raises(NonFiniteInputError):
+            KernelMatrix(gram, 1.0)
 
 
 _POINTS = np.random.default_rng(14).normal(size=(6, 2))

@@ -27,7 +27,6 @@ from tvssl.opt_core import (
     project_simplex,
     project_simplex_rows,
     qp_box_eq,
-    solve_low_rank_update,
     tv_prox,
 )
 
@@ -236,53 +235,6 @@ def test_block_solve_raises_when_refinement_fails(factor_cls):
         f.solve(B)
     with pytest.raises(FactorizationError):
         f.solve(B[:, 1])
-
-
-@pytest.mark.parametrize("kind", ["spd", "lu"])
-@pytest.mark.parametrize("m", [0, 1, 4])
-@pytest.mark.parametrize("cols", [None, 3])
-def test_low_rank_update_solves_the_updated_system(kind, m, cols):
-    n = 12
-    rng = np.random.default_rng(10 * m + (cols or 0))
-    A = random_spd(n, 6) if kind == "spd" else random_spd(n, 6) + np.triu(np.ones((n, n)), 1)
-    U = rng.normal(size=(n, m))
-    V = rng.normal(size=(m, n))
-    b = rng.normal(size=n if cols is None else (n, cols))
-    f = SpdFactor(A) if kind == "spd" else LuFactor(A)
-    x = solve_low_rank_update(f, U, V, b)
-    assert x.shape == b.shape
-    M = A + U @ V
-    assert np.linalg.norm(x - np.linalg.solve(M, b)) <= 1e-10 * np.linalg.norm(x)
-    B, X = b.reshape(n, -1), x.reshape(n, -1)
-    for j in range(B.shape[1]):
-        assert np.linalg.norm(M @ X[:, j] - B[:, j]) <= 1e-8 * np.linalg.norm(B[:, j])
-
-
-def test_low_rank_update_refines_against_the_updated_matrix():
-    # the factor is of a perturbed A, so one Woodbury pass misses the contract
-    n = 8
-    A = random_spd(n, 3)
-    f = _mismatched(SpdFactor, A, 1e-6 * np.linalg.norm(A))
-    rng = np.random.default_rng(2)
-    U, V, b = rng.normal(size=(n, 2)), rng.normal(size=(2, n)), rng.normal(size=n)
-    M = A + U @ V
-    x = solve_low_rank_update(f, U, V, b)
-    assert np.linalg.norm(M @ x - b) <= 1e-8 * np.linalg.norm(b)
-    f_bad = _mismatched(SpdFactor, A, 50.0 * np.linalg.norm(A))
-    with pytest.raises(FactorizationError):
-        solve_low_rank_update(f_bad, U, V, b)
-
-
-def test_low_rank_update_rejects_bad_shapes_and_singular_updates():
-    n = 5
-    f = LuFactor(np.eye(n))
-    with pytest.raises(DimensionError):
-        solve_low_rank_update(f, np.ones((n, 2)), np.ones((3, n)), np.ones(n))
-    with pytest.raises(DimensionError):
-        solve_low_rank_update(f, np.ones((n + 1, 1)), np.ones((1, n + 1)), np.ones(n))
-    e0 = np.eye(n)[:, :1]
-    with pytest.raises(FactorizationError, match="singular"):
-        solve_low_rank_update(f, -e0, e0.T, np.ones(n))  # I - e0 e0^T
 
 
 # ---------------------------------------------------------------------------
