@@ -23,11 +23,12 @@ from .errors import (
     FactorizationError,
     InvalidParameterError,
     check_real,
+    pm1_labels,
 )
 from .graph import SimilarityGraph, graph_tv
 from .kernel import KernelMatrix, kernel_expand
 from .opt_core import (
-    _PROX_STOPS,
+    _BoxEqLabels,
     _qp_norm,
     _solve_gram,
     DualSolution,
@@ -75,8 +76,7 @@ class LabeledSet:
         lab = self.labels[self.labeled_mask]
         if lab.size == 0:
             raise InvalidParameterError("need at least one labeled point")
-        if not np.all(np.abs(lab) == 1.0):
-            raise InvalidParameterError("labeled values must be +1 or -1")
+        pm1_labels(lab, "labeled")
         self.labels = np.where(self.labeled_mask, self.labels, 0.0)
 
     @property
@@ -137,11 +137,9 @@ def transductive_labels(model: BinaryModel) -> np.ndarray:
 
 def _check_labels(K: KernelMatrix, y) -> np.ndarray:
     """The supervised trainers' labels: K's size, +1 or -1, both classes."""
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = pm1_labels(y)
     if y.size != K.n:
         raise DimensionError("y length must match kernel size")
-    if not np.all(np.abs(y) == 1.0):  # NaN fails too
-        raise InvalidParameterError("y entries must be +1 or -1")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise InvalidParameterError("need both classes present")
     return y
@@ -326,13 +324,16 @@ def svm_value_prox(e, y, r2: float, mu: float) -> tuple[np.ndarray, DualSolution
     """Minimize ``mu * sum(slack) + r2/2 ||h - e||^2`` under the margin
     constraints ``y_i (h_i + b) >= 1 - slack_i`` for a finite positive
     ``r2``. The dual has a diagonal quadratic, so one exact projected step
-    solves it."""
+    solves it. Labels other than +-1 and a non-finite ``e`` raise
+    :class:`InvalidParameterError` before any work."""
     check_real("r2", r2, 0.0, strict=True)
     e = np.asarray(e, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = pm1_labels(y)
     if e.size != y.size:
         raise DimensionError("e and y lengths differ")
-    beta = project_box_eq(r2 * (1.0 - y * e), y, mu)
+    if not np.isfinite(e).all():
+        raise InvalidParameterError("e must be finite")
+    beta = project_box_eq(r2 * (1.0 - y * e), _BoxEqLabels(y, mu), mu)  # y is checked
     h = (y * beta) / r2 + e
     obj = float(beta.sum() - (beta @ beta) / (2.0 * r2) - beta @ (y * e))
     kkt = {"eq": float(abs(beta @ y)), "box": 0.0, "stationarity": 0.0}
@@ -432,10 +433,11 @@ class _ProxChain:
     Each call shrinks a (c, n) array, one row per channel, in one
     :func:`tv_prox` call. A row starts from that channel's previous dual and
     stops at the duality gap of the ``PROX_KAPPA`` rule for the move of its
-    input, ``tol`` on the first call. :meth:`record` appends the last call's work to the trace lists
-    ``prox_iters`` (iterations summed over channels), ``prox_cap_hits``
-    (channels that hit ``inner_iters``) and ``prox_stops`` (how many
-    channels each stop test ended).
+    input (``tol`` on the first call) or at ``inner_iters``. :meth:`record`
+    appends the last call's work to the trace lists ``prox_iters``
+    (iterations summed over channels), ``prox_cap_hits`` (channels that hit
+    ``inner_iters``) and ``prox_stops`` (``{"gap": ..., "cap": ...}``
+    channel counts).
     """
 
     def __init__(self, g, hp, trace):
@@ -448,15 +450,10 @@ class _ProxChain:
     def __call__(self, z, weight):
         hp = self.hp
         if self.z_prev is None:
-            gap_tol = hp.tol
+            tol = hp.tol
         else:
-            gap_tol = [
-                max(hp.tol, 0.5 * PROX_KAPPA**2 * float(dz @ dz)) for dz in z - self.z_prev
-            ]
-        x, prox = tv_prox(
-            self.g, z, weight, tol=hp.tol, max_iters=hp.inner_iters, q0=self.q,
-            gap_tol=gap_tol,
-        )
+            tol = [max(hp.tol, 0.5 * PROX_KAPPA**2 * float(dz @ dz)) for dz in z - self.z_prev]
+        x, prox = tv_prox(self.g, z, weight, tol=tol, max_iters=hp.inner_iters, q0=self.q)
         self.q, self.z_prev, self.rows = prox.q, z, prox.rows
         return x
 
@@ -465,7 +462,7 @@ class _ProxChain:
         trace["prox_iters"].append(sum(p.iterations_run for p in rows))
         trace["prox_cap_hits"].append(sum(p.iterations_run >= self.hp.inner_iters for p in rows))
         stops = [p.stop_reason for p in rows]
-        trace["prox_stops"].append({reason: stops.count(reason) for reason in _PROX_STOPS})
+        trace["prox_stops"].append({reason: stops.count(reason) for reason in ("gap", "cap")})
 
 
 def _tv_split_loop(K, g, ls, hp, h_step):

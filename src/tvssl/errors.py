@@ -79,3 +79,12 @@ def whole_numbers(values, what: str) -> np.ndarray:
     if not whole:
         raise InvalidParameterError(f"{what} must be whole numbers")
     return arr.astype(np.int64)
+
+
+def pm1_labels(values, what: str = "y") -> np.ndarray:
+    """``values`` as a flat float64 array; any entry but +1 or -1 (NaN
+    included) raises :class:`InvalidParameterError` naming ``what``."""
+    arr = np.asarray(values, dtype=np.float64).ravel()
+    if not np.all(np.abs(arr) == 1.0):
+        raise InvalidParameterError(f"{what} entries must be +1 or -1")
+    return arr

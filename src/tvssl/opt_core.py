@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,8 +28,10 @@ from .errors import (
     FactorizationError,
     InfeasibleConstraintsError,
     InvalidParameterError,
+    NonFiniteInputError,
     check_int,
     check_real,
+    pm1_labels,
 )
 from .graph import SimilarityGraph, _check_node_function, graph_tv
 
@@ -50,6 +52,11 @@ class HyperParams:
     literal update order. Each is read by some trainers only, and the rest
     ignore it: ``normalize`` by tv_rls and tv_svm, ``simplex_last`` by
     tv_rls_mc and tv_svm_mc, ``use_bias`` by svm and lap_svm.
+
+    ``outer_iters`` caps every outer loop and ``inner_iters`` every TV prox.
+    ``tol`` is the duality gap of each channel's first TV prox, the floor of
+    the move-tied gap of every later one, and, times n, the consensus
+    residual that stops the TV split loop of tv_rls and tv_svm.
 
     The dataclass defaults are not the shipped ones: those are per algorithm
     in ``configs/defaults.json``, read by ``bench_cli.default_hyperparams``
@@ -75,23 +82,17 @@ class HyperParams:
     simplex_last: bool = False
 
     def __post_init__(self):
-        # config and model files reach here unchecked: reject wrong types and
-        # NaN/inf by field name before any range check or solver sees them
-        for name in ("eta", "lam", "gamma", "mu", "r", "r1", "r2", "c", "tol"):
-            check_real(name, getattr(self, name))
+        # config and model files reach here unchecked: reject wrong types,
+        # NaN/inf and out-of-range values by field name before a solver sees them
+        for name in ("eta", "lam", "mu", "r", "r1", "r2", "c", "tol"):
+            check_real(name, getattr(self, name), 0.0, strict=True)
+        check_real("gamma", self.gamma, 0.0)
         for name in ("outer_iters", "inner_iters"):
-            check_int(name, getattr(self, name))
+            check_int(name, getattr(self, name), 1)
         for name in ("normalize", "use_bias", "simplex_last"):
             v = getattr(self, name)
             if not isinstance(v, (bool, np.bool_)):
                 raise InvalidParameterError(f"{name} must be true or false, got {v!r}")
-        for name in ("eta", "lam", "mu", "r", "r1", "r2", "c", "tol"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be positive")
-        if self.gamma < 0:
-            raise InvalidParameterError("gamma must be nonnegative")
-        if self.outer_iters < 1 or self.inner_iters < 1:
-            raise InvalidParameterError("iteration caps must be >= 1")
         if self.norm_scale not in ("n", "sqrt_n"):
             raise InvalidParameterError("norm_scale must be 'n' or 'sqrt_n'")
 
@@ -132,25 +133,20 @@ class DualSolution:
 class ProxTrace:
     """Convergence record of one :func:`tv_prox` call.
 
-    ``primal_energy`` holds the primal energy at each checkpoint reached
-    (every 10th iteration and ``max_iters``), in iteration order; the last
-    entry is the energy of the returned point. ``q`` is the final dual, one
-    entry per edge, for a warm start of the next call; it is ``None`` when
-    the call returned its input (zero weight or no edges). ``stop_reason``
-    names the test that ended the call: "gap" (duality gap; also a call
-    that returned its input), "flat" (relative energy flatness) or "cap"
-    (``max_iters`` reached with neither test met).
+    ``final_gap`` is the duality gap of the returned point. ``q`` is the
+    final dual, one entry per edge, for a warm start of the next call; it is
+    ``None`` when the call returned its input (zero weight or no edges).
+    ``stop_reason`` is "gap" when the gap met its tolerance (also a call that
+    returned its input) and "cap" when ``max_iters`` ran without that.
 
     A call on (c, n) input records one such trace per row in ``rows``. Its
     own ``iterations_run`` is then the iterations the batch ran (the most
-    of any row), ``final_gap`` the largest row gap, ``stop_reason`` the
-    weakest row stop in the order above, ``q`` the (c, E) duals (zero rows
-    for rows that returned their input; ``None`` if all did) and
-    ``primal_energy`` is empty.
+    of any row), ``final_gap`` the largest row gap, ``stop_reason`` "cap" if
+    any row hit the cap, and ``q`` the (c, E) duals (zero rows for rows that
+    returned their input; ``None`` if all did).
     """
 
     iterations_run: int
-    primal_energy: list = field(default_factory=list)
     final_gap: float = 0.0
     q: np.ndarray | None = None
     stop_reason: str = "gap"
@@ -391,18 +387,16 @@ def _csr_product(M, v, out):
 
 
 def _per_row(value, rows: int, name: str) -> list:
-    """``value`` as one float per input row: a scalar applies to every row,
-    a vector must hold one entry per row."""
+    """``value`` as one finite float >= 0 per input row: a scalar applies to
+    every row, a vector must hold one entry per row."""
+    values = np.ravel(value).tolist()  # Python scalars: a bool stays a bool
     if np.ndim(value) == 0:
-        return [float(value)] * rows
-    out = np.asarray(value, dtype=np.float64)
-    if out.shape != (rows,):
-        raise DimensionError(f"{name} has shape {out.shape}, input has {rows} row(s)")
-    return out.tolist()
-
-
-# stop tests of tv_prox, from the one that certifies most to the cap
-_PROX_STOPS = ("gap", "flat", "cap")
+        values *= rows
+    elif np.shape(value) != (rows,):
+        raise DimensionError(f"{name} has shape {np.shape(value)}, input has {rows} row(s)")
+    for v in values:
+        check_real(name, v, 0.0)
+    return [float(v) for v in values]
 
 
 def tv_prox(
@@ -410,21 +404,18 @@ def tv_prox(
     z,
     weight,
     *,
-    tol: float = 1e-6,
+    tol=1e-6,
     max_iters: int = 500,
     q0=None,
-    gap_tol=None,
 ) -> tuple[np.ndarray, ProxTrace]:
     """Minimize ``weight * graph_tv(g, x) + 0.5 * ||x - z||^2``.
 
     Primal-dual iteration on the weighted edge-difference operator with equal
     step sizes ``0.99 / ||D||`` (operator norm from 20 power iterations,
     bounded by ``sqrt(2 * max degree)``); the operator and step are built once
-    per graph and cached on it. Convergence is checked only at checkpoints,
-    every 10th iteration and ``max_iters``: the iteration stops when the
-    duality gap drops below ``gap_tol`` (``tol`` if not given; "gap"), when
-    the primal energy is flat to relative ``tol`` since the previous
-    checkpoint 10 iterations back ("flat"), or at ``max_iters`` ("cap"). The
+    per graph and cached on it. The duality gap is checked only at
+    checkpoints, every 10th iteration and ``max_iters``: the iteration stops
+    when the gap drops to ``tol`` ("gap") or at ``max_iters`` ("cap"). The
     objective is 1-strongly convex, so a gap ``eps`` puts the returned point
     within ``sqrt(2 eps)`` of the exact minimizer.
 
@@ -432,17 +423,16 @@ def tv_prox(
     of a call on a nearby input) clipped to this weight's box, or at zero;
     the primal starts at the ``z - D^T q`` it implies, which is ``z`` itself
     for the zero dual. The duality gap certifies any such start, so the stop
-    tests are the same.
+    test is the same.
 
     A 2-D ``z`` of shape (c, n) holds c independent problems, one per row,
     solved together as the columns of one array (a 1-D ``z`` is a single
     column): one sparse product per iteration serves every row. ``weight``,
-    ``gap_tol`` and the rows of a (c, E) ``q0`` may then differ per row; a
-    scalar applies to every row. Each row stops on its own tests and keeps
-    the point, dual, gap and energies of its stop checkpoint, so it equals a
-    1-D call on that row bit for bit; its column iterates on, unread, until
-    the last row stops. The trace then holds one :class:`ProxTrace` per row
-    in ``rows``.
+    ``tol`` and the rows of a (c, E) ``q0`` may then differ per row; a
+    scalar applies to every row. Each row stops on its own gap and keeps the
+    point, dual and gap of its stop checkpoint, so it equals a 1-D call on
+    that row bit for bit; its column iterates on, unread, until the last row
+    stops. The trace then holds one :class:`ProxTrace` per row in ``rows``.
 
     A negative or non-finite weight or tolerance, a ``max_iters`` that is
     not an integer >= 1, and a non-finite ``z`` or ``q0`` raise
@@ -461,13 +451,8 @@ def tv_prox(
         Z = _check_node_function(g, z)[None]
     c, n_edges = Z.shape[0], g.n_edges
     weights = _per_row(weight, c, "weight")
-    for w in weights:
-        check_real("weight", w, 0.0)
     check_int("max_iters", max_iters, 1)
-    gap_tols = _per_row(tol if gap_tol is None else gap_tol, c, "gap_tol")
-    check_real("tol", tol, 0.0)
-    for t in gap_tols:
-        check_real("gap_tol", t, 0.0)
+    tols = _per_row(tol, c, "tol")
     if not np.isfinite(Z).all():
         raise InvalidParameterError("prox input must be finite")
     if q0 is not None:
@@ -483,10 +468,10 @@ def tv_prox(
     # a row with zero weight, or any row on an edgeless graph, is its own prox
     live = [k for k in range(c) if weights[k] > 0.0 and n_edges]
     solved = iter(_tv_primal_dual(
-        g, Z[live], [weights[k] for k in live], tol, [gap_tols[k] for k in live],
-        None if q0 is None else q0[live], max_iters,
+        g, Z[live], [weights[k] for k in live], [tols[k] for k in live],
+        np.zeros((len(live), n_edges)) if q0 is None else q0[live], max_iters,
     ) if live else ())
-    out = [next(solved) if k in live else (Z[k].copy(), ProxTrace(0, [], 0.0)) for k in range(c)]
+    out = [next(solved) if k in live else (Z[k].copy(), ProxTrace(0)) for k in range(c)]
     if not batch:
         return out[0]
     rows = [trace for _, trace in out]
@@ -498,16 +483,15 @@ def tv_prox(
             rows[k].q = duals[k]
     summary = ProxTrace(
         max(t.iterations_run for t in rows),
-        [],
         max(t.final_gap for t in rows),
         duals,
-        max((t.stop_reason for t in rows), key=_PROX_STOPS.index),
+        "cap" if any(t.stop_reason == "cap" for t in rows) else "gap",
         rows,
     )
     return np.stack([x for x, _ in out]), summary
 
 
-def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
+def _tv_primal_dual(g, Z, weights, tols, q0, max_iters) -> list:
     """The iteration of :func:`tv_prox` on the rows of ``Z``, all with a
     positive weight on a graph with edges; one ``(x, ProxTrace)`` per row.
 
@@ -516,8 +500,8 @@ def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
     :func:`_csr_product`. A csr product sums each column as a product with
     that column alone, and every other update is elementwise, so each column
     follows its row's own iteration bit for bit. A stopped row keeps the
-    point, dual, gap and energies of its stop checkpoint; its column
-    iterates on, unread, until every row has stopped.
+    point, dual and gap of its stop checkpoint; its column iterates on,
+    unread, until every row has stopped.
     """
     D, Dt, sw, step = _tv_operator(g)
     z = Z.T.copy()  # one column per row
@@ -526,24 +510,17 @@ def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
     step_z = step * z
     denom = 1.0 + step
 
-    def primal_energy(xv, zv, w):
-        return float(w * graph_tv(g, xv) + 0.5 * np.sum((xv - zv) ** 2))
-
     # the updates below run in place but in the same operation order as
     # q <- clip(q + step D x_bar, -cap, cap),
     # x <- (x - step D^T q + step z) / (1 + step),  x_bar <- 2 x - x_old
-    if q0 is None:
-        q = np.zeros(cap.shape)
-    else:
-        q = q0.T.copy()
-        np.clip(q, neg_cap, cap, out=q)
+    q = q0.T.copy()  # C-ordered, as the csr products need
+    np.clip(q, neg_cap, cap, out=q)
     x_bar, x_new, step_dtq, dtq = (np.empty_like(z) for _ in range(4))
     dq = np.empty_like(q)
     apply_d, apply_dt = _csr_product(D, x_bar, dq), _csr_product(Dt, q, dtq)
     apply_dt()
     x = z - dtq
     x_bar[:] = x
-    energies = [{} for _ in weights]  # per row: checkpoint iteration -> energy
     results: list = [None] * len(weights)
     for it in range(1, max_iters + 1):
         apply_d()
@@ -565,21 +542,13 @@ def _tv_primal_dual(g, Z, weights, tol, gap_tols, q0, max_iters) -> list:
         for k, zk in enumerate(Z):
             if results[k] is not None:
                 continue
-            dtqk = dtqs[k]
-            e_now = energies[k][it] = primal_energy(xs[k], zk, weights[k])
-            gap = e_now - float(dtqk @ zk - 0.5 * (dtqk @ dtqk))
-            # a max_iters off the 10-grid has no energy 10 back: the row ends anyway
-            e_back = energies[k].get(it - 10)
-            if gap <= gap_tols[k]:
-                reason = "gap"
-            elif e_back is not None and abs(e_back - e_now) <= tol * max(1.0, abs(e_now)):
-                reason = "flat"
-            elif it == max_iters:
-                reason = "cap"
-            else:
+            xk, dtqk = xs[k], dtqs[k]
+            primal = weights[k] * graph_tv(g, xk) + 0.5 * np.sum((xk - zk) ** 2)
+            gap = float(primal) - float(dtqk @ zk - 0.5 * (dtqk @ dtqk))
+            if gap > tols[k] and it < max_iters:
                 continue
-            results[k] = (xs[k].copy(), ProxTrace(
-                it, list(energies[k].values()), float(max(gap, 0.0)), q[:, k].copy(), reason))
+            reason = "gap" if gap <= tols[k] else "cap"
+            results[k] = (xk.copy(), ProxTrace(it, float(max(gap, 0.0)), q[:, k].copy(), reason))
         if None not in results:
             break
     return results
@@ -639,10 +608,11 @@ def project_box_eq(v, y, mu: float) -> np.ndarray:
     (slope -1), so one sort of the 2m breakpoints and a cumulative sum find
     the linear piece that holds the root (Kiwiel's breakpoint search).
 
-    ``y`` may also be the :class:`_BoxEqLabels` of ``(y, mu)``; ``v`` must
-    then be a float64 vector of its length (:func:`qp_box_eq` checks its
-    start and builds every later ``v`` itself). The result is the same bit
-    for bit, without the per-call checks and label work.
+    Labels other than +-1 and a non-finite ``v`` raise before any work. ``y``
+    may also be the :class:`_BoxEqLabels` of ``(y, mu)``; ``v`` must then be
+    a finite float64 vector of its length (:func:`qp_box_eq` checks its start
+    and builds every later ``v`` itself). The result is the same bit for
+    bit, without the per-call checks and label work.
     """
     if isinstance(y, _BoxEqLabels):
         labels = y
@@ -650,9 +620,11 @@ def project_box_eq(v, y, mu: float) -> np.ndarray:
             raise InvalidParameterError("mu differs from the prepared labels' mu")
     else:
         v = np.asarray(v, dtype=np.float64).ravel()
-        y = np.asarray(y, dtype=np.float64).ravel()
+        y = pm1_labels(y)
         if v.size != y.size:
             raise DimensionError("v and y must have the same length")
+        if not np.isfinite(v).all():
+            raise InvalidParameterError("v must be finite")
         labels = _BoxEqLabels(y, mu)
     if labels.trivial:
         return np.zeros_like(v)
@@ -731,10 +703,8 @@ def qp_box_eq(
     non-finite ``mu``, ``tol`` or ``q_norm`` raise
     :class:`InvalidParameterError`.
     """
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = pm1_labels(y)
     m = y.size
-    if not np.all(np.abs(y) == 1.0):
-        raise InvalidParameterError("y must be a +-1 vector")
     if np.isscalar(p):
         p = np.full(m, float(p))
     else:
@@ -865,12 +835,15 @@ def project_simplex_rows(V) -> np.ndarray:
 def normalize_ball_zero_mean(f, scale: float) -> np.ndarray:
     """Rescale to ||f||_2 = scale, then subtract the mean (in that order).
 
-    Raises on zero input; a constant input collapses to zeros and is flagged
-    with a RuntimeWarning. ``scale`` must be a finite positive number.
+    Raises on NaN, infinite or zero input; a constant input collapses to
+    zeros and is flagged with a RuntimeWarning. ``scale`` must be a finite
+    positive number.
     """
     f = np.asarray(f, dtype=np.float64).ravel()
     check_real("scale", scale, 0.0, strict=True)
     norm = np.linalg.norm(f)
+    if not math.isfinite(norm) and not np.isfinite(f).all():  # finite input skips the scan
+        raise NonFiniteInputError("cannot normalize a vector with NaN or infinite entries")
     if norm == 0.0:
         raise DegenerateInputError("cannot normalize the zero vector")
     out = (scale / norm) * f

@@ -680,17 +680,17 @@ def test_tv_split_loop_prox_gap_tolerance_never_below_tol(monkeypatch):
     prox = binary.tv_prox
 
     def spy(g, z, *args, **kwargs):
-        (gap_tol,) = np.broadcast_to(kwargs["gap_tol"], np.shape(z)[:1])
-        calls.append((kwargs["tol"], float(gap_tol)))
+        (tol,) = np.broadcast_to(kwargs["tol"], np.shape(z)[:1])
+        calls.append(float(tol))
         return prox(g, z, *args, **kwargs)
 
     monkeypatch.setattr(binary, "tv_prox", spy)
     hp = replace(default_hyperparams("tv_rls"), outer_iters=30)
     tv_rls_train(*_moons_inputs(1), hp)
     assert len(calls) == hp.outer_iters
-    assert calls[0] == (hp.tol, hp.tol)
-    assert all(tol == hp.tol and gap_tol >= hp.tol for tol, gap_tol in calls)
-    assert any(gap_tol > hp.tol for _, gap_tol in calls)  # the rule is in use
+    assert calls[0] == hp.tol
+    assert all(tol >= hp.tol for tol in calls)
+    assert any(tol > hp.tol for tol in calls)  # the rule is in use
 
 
 @pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])
@@ -701,17 +701,17 @@ def test_ratio_loop_prox_gap_tolerance_never_below_tol(trainer, monkeypatch):
     prox = binary.tv_prox
 
     def spy(g, z, *args, **kwargs):
-        (gap_tol,) = np.broadcast_to(kwargs["gap_tol"], np.shape(z)[:1])
-        calls.append((kwargs["tol"], float(gap_tol)))
+        (tol,) = np.broadcast_to(kwargs["tol"], np.shape(z)[:1])
+        calls.append(float(tol))
         return prox(g, z, *args, **kwargs)
 
     monkeypatch.setattr(binary, "tv_prox", spy)
     hp = default_hyperparams(trainer.__name__[: -len("_train")])
     m = trainer(*_moons_inputs(1), hp)
     assert len(calls) == m.trace["outer_steps"] >= 2
-    assert calls[0] == (hp.tol, hp.tol)
-    assert all(tol == hp.tol and gap_tol >= hp.tol for tol, gap_tol in calls)
-    assert any(gap_tol > hp.tol for _, gap_tol in calls)  # the rule is in use
+    assert calls[0] == hp.tol
+    assert all(tol >= hp.tol for tol in calls)
+    assert any(tol > hp.tol for tol in calls)  # the rule is in use
 
 
 @pytest.mark.parametrize(
@@ -758,6 +758,18 @@ def test_value_prox_rejects_a_bad_proximity_weight(r2):
     # r2 = 0 returned NaN with RuntimeWarnings
     with pytest.raises(InvalidParameterError):
         svm_value_prox(np.array([0.5, -0.2]), np.array([1.0, -1.0]), r2, 1.0)
+
+
+def test_value_prox_rejects_bad_labels_and_targets():
+    # a 0 label was fitted as one; an inf target gave NaN
+    e = np.array([0.5, -0.2, 0.1])
+    nan, inf = float("nan"), float("inf")
+    for y in ([1.0, 0.0, -1.0], [2.0, -1.0, 1.0], [1.0, nan, -1.0]):
+        with pytest.raises(InvalidParameterError):
+            svm_value_prox(e, np.array(y), 1.0, 1.0)
+    for bad in (nan, inf, -inf):
+        with pytest.raises(InvalidParameterError):
+            svm_value_prox(np.array([0.5, bad, 0.1]), np.array([1.0, -1.0, 1.0]), 1.0, 1.0)
 
 
 def test_tv_svm_no_tv_term_consensus_converges():
@@ -843,7 +855,7 @@ def test_cheeger_prox_trace_one_entry_per_outer_step(trainer):
     "trainer", [tv_rls_train, tv_svm_train, cheeger_rls_train, cheeger_svm_train]
 )
 def test_prox_stops_count_each_step_stop_reasons(trainer, monkeypatch):
-    # one {gap, flat, cap} count per outer step, from the traces tv_prox returned
+    # one {gap, cap} count per outer step, from the traces tv_prox returned
     seen = []
     prox = binary.tv_prox
 
@@ -858,7 +870,7 @@ def test_prox_stops_count_each_step_stop_reasons(trainer, monkeypatch):
     stops = m.trace["prox_stops"]
     assert len(stops) == len(m.trace["prox_iters"]) == m.trace["outer_steps"] == len(seen)
     for counts, reasons, caps in zip(stops, seen, m.trace["prox_cap_hits"]):
-        assert list(counts) == ["gap", "flat", "cap"]
+        assert list(counts) == ["gap", "cap"]
         assert sum(counts.values()) == len(reasons) == 1
         assert counts == {r: reasons.count(r) for r in counts}
         assert counts["cap"] <= caps  # a gap met at the cap is a cap hit too

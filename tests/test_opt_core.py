@@ -12,6 +12,7 @@ from tvssl.errors import (
     FactorizationError,
     InfeasibleConstraintsError,
     InvalidParameterError,
+    NonFiniteInputError,
 )
 from tvssl import opt_core
 from tvssl.binary import _SignedKernel
@@ -305,61 +306,88 @@ def test_tv_prox_objective_never_above_input_point():
         assert tv_prox_objective(g, out, z, 0.7) <= tv_prox_objective(g, z, z, 0.7) + 1e-12
 
 
+def _duality_gap(g, x, z, weight, q):
+    """Primal energy of ``x`` minus the dual energy of ``q``."""
+    dtq = opt_core._tv_operator(g)[1] @ q
+    return tv_prox_objective(g, x, z, weight) - float(dtq @ z - 0.5 * (dtq @ dtq))
+
+
 def test_tv_prox_trace_invariants():
-    # checkpoint contract: one primal energy per checkpoint reached (every
-    # 10th iteration and max_iters), the last one of the returned point
+    # checkpoint contract: the iteration stops only at a checkpoint (every
+    # 10th iteration and max_iters), and the final gap is that of the
+    # returned point and dual
     g = path_graph([1.0, 1.0])
     z = np.array([3.0, 0.0, -3.0])
     for weight, max_iters in [(0.5, 77), (0.5, 7), (2.0, 15), (2.0, 150)]:
         out, trace = tv_prox(g, z, weight, tol=1e-12, max_iters=max_iters)
         run = trace.iterations_run
         assert 1 <= run <= max_iters
-        checkpoints = [it for it in range(1, run + 1) if it % 10 == 0 or it == max_iters]
-        assert checkpoints[-1] == run  # the iteration stops only at a checkpoint
-        assert len(trace.primal_energy) == len(checkpoints)
-        assert trace.primal_energy[-1] == pytest.approx(
-            tv_prox_objective(g, out, z, weight), abs=1e-12
-        )
+        assert run % 10 == 0 or run == max_iters
         assert trace.final_gap >= 0.0
+        assert trace.final_gap == pytest.approx(
+            max(0.0, _duality_gap(g, out, z, weight, trace.q)), abs=1e-12
+        )
+
+
+def test_tv_prox_rows_stop_on_their_gap_or_at_the_cap():
+    # a row reports "gap" exactly when its final gap meets its own tol; any
+    # other row ran max_iters. The weight-3 row at tol 1e-3 and cap 150 once
+    # ended on a flat energy at iteration 140, gap 0.089: it now runs to the
+    # cap and says so
+    g = build_knn_graph(make_two_moons(60, 0.1, seed=3).data, 6)
+    Z = np.random.default_rng(31).normal(size=(4, g.n_nodes))
+    weights = [0.05, 0.3, 1.5, 3.0]
+    reasons = set()
+    for tols in (1e-3, [1e-1, 1e-4, 1e-2, 1e-6]):
+        for max_iters in (7, 40, 150):
+            X, trace = tv_prox(g, Z, weights, tol=tols, max_iters=max_iters)
+            for k, row in enumerate(trace.rows):
+                tol = np.broadcast_to(tols, (4,))[k]
+                assert (row.stop_reason == "gap") == (row.final_gap <= tol)
+                if row.stop_reason == "cap":
+                    assert row.iterations_run == max_iters
+                else:
+                    assert row.iterations_run % 10 == 0 or row.iterations_run == max_iters
+                assert row.final_gap == pytest.approx(
+                    max(0.0, _duality_gap(g, X[k], Z[k], weights[k], row.q)), abs=1e-12
+                )
+            stops = {row.stop_reason for row in trace.rows}
+            assert trace.stop_reason == ("cap" if "cap" in stops else "gap")
+            reasons |= stops
+    assert reasons == {"gap", "cap"}
+    _, trace = tv_prox(g, Z, weights, tol=1e-3, max_iters=150)
+    flat_before = trace.rows[3]
+    assert (flat_before.stop_reason, flat_before.iterations_run) == ("cap", 150)
+    assert flat_before.final_gap > 1e-3
 
 
 def test_tv_prox_gap_tol_bounds_distance_to_minimizer():
-    # a separate gap tolerance ends the iteration at that duality gap, while
-    # the flatness test keeps its tight tol; the objective is 1-strongly
+    # tol ends the iteration at that duality gap; the objective is 1-strongly
     # convex, so the point lies within sqrt(2 * gap) of the minimizer
     g = build_knn_graph(make_two_moons(60, 0.1, seed=3).data, 6)
     z = np.random.default_rng(5).normal(size=g.n_nodes)
     exact, tight = tv_prox(g, z, 0.3, tol=1e-12, max_iters=20000)
     assert tight.final_gap <= 1e-9
-    for gap_tol in (1e-1, 1e-2, 1e-3):
-        out, trace = tv_prox(g, z, 0.3, tol=1e-12, max_iters=20000, gap_tol=gap_tol)
-        assert 0.0 <= trace.final_gap <= gap_tol
+    for tol in (1e-1, 1e-2, 1e-3):
+        out, trace = tv_prox(g, z, 0.3, tol=tol, max_iters=20000)
+        assert 0.0 <= trace.final_gap <= tol
         assert trace.iterations_run < tight.iterations_run
-        assert np.linalg.norm(out - exact) <= np.sqrt(2 * gap_tol) + np.sqrt(2e-9)
-    # without it, the gap test uses tol
-    a, ta = tv_prox(g, z, 0.3, tol=1e-3, max_iters=150)
-    b, tb = tv_prox(g, z, 0.3, tol=1e-3, max_iters=150, gap_tol=1e-3)
-    assert a.tobytes() == b.tobytes() and ta.iterations_run == tb.iterations_run
+        assert np.linalg.norm(out - exact) <= np.sqrt(2 * tol) + np.sqrt(2e-9)
 
 
 def _assert_prox_matches_reference(g, z, weight, tol, max_iters, q0=None):
     out, trace = tv_prox(g, z, weight, tol=tol, max_iters=max_iters, q0=q0)
-    ref_x, ref_iters, ref_energies, ref_gap, ref_q = tv_prox_reference(
+    ref_x, ref_iters, ref_gap, ref_q = tv_prox_reference(
         g, z, weight, tol=tol, max_iters=max_iters, q0=q0
     )
     assert out.tobytes() == ref_x.tobytes()
     assert trace.q.tobytes() == ref_q.tobytes()
     assert trace.iterations_run == ref_iters
     assert trace.final_gap == ref_gap
-    assert trace.primal_energy[-1] == ref_energies[-1]
-    # the flatness test needs the checkpoint 10 iterations back
-    flat = ref_iters % 10 == 0 and ref_iters > 10 and abs(
-        ref_energies[-11] - ref_energies[-1]
-    ) <= tol * max(1.0, abs(ref_energies[-1]))
-    assert trace.stop_reason == ("gap" if ref_gap <= tol else "flat" if flat else "cap")
-    if ref_iters == max_iters and ref_gap > tol:
-        return "cap"
-    return "gap" if ref_gap <= tol else "flat"
+    assert trace.stop_reason == ("gap" if ref_gap <= tol else "cap")
+    if ref_gap > tol:
+        assert ref_iters == max_iters
+    return trace.stop_reason
 
 
 def test_tv_prox_bit_identical_to_per_iteration_reference():
@@ -375,7 +403,7 @@ def test_tv_prox_bit_identical_to_per_iteration_reference():
             for tol in (1e-1, 1e-3, 1e-6):
                 for max_iters in (7, 15, 77, 150):
                     stops.add(_assert_prox_matches_reference(g, z, weight, tol, max_iters))
-    assert stops == {"cap", "gap", "flat"}
+    assert stops == {"cap", "gap"}
 
 
 def test_tv_prox_cached_operator_across_calls_and_graphs():
@@ -407,7 +435,7 @@ def test_tv_prox_warm_start_bit_identical_to_per_iteration_reference():
                         stops.add(
                             _assert_prox_matches_reference(g, z, weight, tol, max_iters, q0)
                         )
-    assert stops == {"cap", "gap", "flat"}
+    assert stops == {"cap", "gap"}
 
 
 def test_tv_prox_zero_dual_start_is_the_cold_start():
@@ -421,7 +449,7 @@ def test_tv_prox_zero_dual_start_is_the_cold_start():
         assert warm.tobytes() == cold.tobytes()
         assert warm_trace.q.tobytes() == cold_trace.q.tobytes()
         assert warm_trace.iterations_run == cold_trace.iterations_run
-        assert warm_trace.primal_energy == cold_trace.primal_energy
+        assert warm_trace.stop_reason == cold_trace.stop_reason
         assert warm_trace.final_gap == cold_trace.final_gap
 
 
@@ -474,22 +502,21 @@ def test_tv_prox_rejects_nonpositive_iteration_cap():
         tv_prox(path_graph([1.0]), np.zeros(2), 0.5, max_iters=0)
 
 
-def _assert_rows_match_1d(g, Z, weights, gap_tols, tol, max_iters, q0=None):
+def _assert_rows_match_1d(g, Z, weights, tols, max_iters, q0=None):
     """Solve the rows of Z in one call and one by one: every row must agree
     bit for bit. Returns the rows' stop reasons and stop iterations."""
-    X, trace = tv_prox(g, Z, weights, tol=tol, max_iters=max_iters, q0=q0, gap_tol=gap_tols)
+    X, trace = tv_prox(g, Z, weights, tol=tols, max_iters=max_iters, q0=q0)
     assert X.shape == Z.shape and len(trace.rows) == len(Z)
     singles = [
         tv_prox(
-            g, Z[k], weights[k], tol=tol, max_iters=max_iters,
-            q0=None if q0 is None else q0[k], gap_tol=gap_tols[k],
+            g, Z[k], weights[k], tol=tols[k], max_iters=max_iters,
+            q0=None if q0 is None else q0[k],
         )
         for k in range(len(Z))
     ]
     for k, (row, (x1, t1)) in enumerate(zip(trace.rows, singles)):
         assert X[k].tobytes() == x1.tobytes()
         assert row.iterations_run == t1.iterations_run
-        assert row.primal_energy == t1.primal_energy
         assert row.final_gap == t1.final_gap
         assert row.stop_reason == t1.stop_reason
         if t1.q is None:
@@ -513,17 +540,16 @@ def test_tv_prox_rows_bit_identical_to_single_calls():
     for g in graphs:
         Z = rng.normal(size=(4, g.n_nodes))
         weights = np.array([0.05, 0.3, 1.5, 0.0])  # a zero row returns its input
-        gap_tols = np.array([1e-1, 1e-3, 1e-6, 1e-2])
         _, near = tv_prox(g, Z + 0.05 * rng.normal(size=Z.shape), 0.3, max_iters=40)
         for q0 in (None, near.q, rng.normal(scale=2.0, size=(4, g.n_edges))):
-            for tol in (1e-3, 1e-6):
+            for tols in (np.array([1e-1, 1e-3, 1e-6, 1e-2]), np.full(4, 1e-6)):
                 for max_iters in (7, 15, 77, 150):
-                    got, its = _assert_rows_match_1d(g, Z, weights, gap_tols, tol, max_iters, q0)
+                    got, its = _assert_rows_match_1d(g, Z, weights, tols, max_iters, q0)
                     stops |= got
                     spreads.add(len(its))
     # every stop test ends some row, and rows stop at up to 4 different
     # iterations, so stopped columns keep iterating beside live ones
-    assert stops == {"cap", "gap", "flat"}
+    assert stops == {"cap", "gap"}
     assert max(spreads) >= 3
 
 
@@ -533,15 +559,14 @@ def test_tv_prox_single_row_and_scalar_parameters():
     x1, t1 = tv_prox(g, z, 0.3, tol=1e-6, max_iters=77)
     X, trace = tv_prox(g, z[None], 0.3, tol=1e-6, max_iters=77)
     assert X.shape == (1, g.n_nodes) and X[0].tobytes() == x1.tobytes()
-    assert trace.rows[0].primal_energy == t1.primal_energy
+    assert trace.rows[0].stop_reason == t1.stop_reason
     assert trace.q.shape == (1, g.n_edges) and trace.q[0].tobytes() == t1.q.tobytes()
     assert (trace.iterations_run, trace.final_gap) == (t1.iterations_run, t1.final_gap)
-    # a scalar weight and gap tolerance apply to every row
+    # a scalar weight and tolerance apply to every row
     Z = np.vstack([z, -z, 2.0 * z])
-    _assert_rows_match_1d(g, Z, [0.3] * 3, [1e-4] * 3, 1e-6, 150)
-    X2, t2 = tv_prox(g, Z, 0.3, tol=1e-6, max_iters=150, gap_tol=1e-4)
-    assert X2.tobytes() == tv_prox(g, Z, [0.3] * 3, tol=1e-6, max_iters=150,
-                                   gap_tol=[1e-4] * 3)[0].tobytes()
+    _assert_rows_match_1d(g, Z, [0.3] * 3, [1e-4] * 3, 150)
+    X2, t2 = tv_prox(g, Z, 0.3, tol=1e-4, max_iters=150)
+    assert X2.tobytes() == tv_prox(g, Z, [0.3] * 3, tol=[1e-4] * 3, max_iters=150)[0].tobytes()
 
 
 def test_tv_prox_rows_without_work():
@@ -564,8 +589,8 @@ def test_tv_prox_rows_reject_wrong_shapes():
         dict(q0=np.zeros((2, 3))),
         dict(weight=np.array([0.5, 0.5, 0.5])),
         dict(weight=np.ones((2, 1))),
-        dict(gap_tol=np.array([1e-3])),
-        dict(gap_tol=np.ones((1, 2))),
+        dict(tol=np.array([1e-3])),
+        dict(tol=np.ones((1, 2))),
     ]
     for kwargs in bad:
         args = {"z": Z, "weight": 0.5, **kwargs}
@@ -612,14 +637,13 @@ def test_tv_prox_rows_stopping_apart_match_single_calls_and_reference():
         single, _ = tv_prox_row_by_row(tv_prox, g, Z, weights, tol=1e-6, max_iters=500, q0=q0)
         assert X.tobytes() == single.tobytes()
         for k, row in enumerate(trace.rows):
-            ref_x, ref_iters, ref_energies, ref_gap, ref_q = tv_prox_reference(
+            ref_x, ref_iters, ref_gap, ref_q = tv_prox_reference(
                 g, Z[k], weights[k], tol=1e-6, max_iters=500,
                 q0=None if q0 is None else q0[k],
             )
             assert X[k].tobytes() == ref_x.tobytes()
             assert row.q.tobytes() == trace.q[k].tobytes() == ref_q.tobytes()
             assert (row.iterations_run, row.final_gap) == (ref_iters, ref_gap)
-            assert row.primal_energy[-1] == ref_energies[-1]
 
 
 def test_tv_prox_rejects_bad_parameters_before_iterating(monkeypatch):
@@ -637,9 +661,10 @@ def test_tv_prox_rejects_bad_parameters_before_iterating(monkeypatch):
         (z, dict(tol=nan)),
         (z, dict(tol=-1e-9)),
         (z, dict(tol=inf)),
-        (z, dict(gap_tol=nan)),
-        (z, dict(gap_tol=-inf)),
-        (Z, dict(gap_tol=[1e-3, nan])),
+        (z, dict(tol=-inf)),
+        (z, dict(tol=True)),
+        (Z, dict(tol=[1e-3, nan])),
+        (Z, dict(tol=[1e-3, -1e-9])),
         (np.array([1.0, nan, 0.5]), {}),
         (np.array([[1.0, 2.0, inf], [0.0, 0.0, 0.0]]), {}),
         (z, dict(q0=np.array([0.0, nan]))),
@@ -654,7 +679,7 @@ def test_tv_prox_rejects_bad_parameters_before_iterating(monkeypatch):
             tv_prox(g, x, kwargs.pop("weight", 0.5), **kwargs)
     monkeypatch.undo()
     # the boundary values still run: zero tolerances, a numpy integer cap
-    out, trace = tv_prox(g, z, 0.5, tol=0.0, gap_tol=0.0, max_iters=np.int64(25))
+    out, trace = tv_prox(g, z, 0.5, tol=0.0, max_iters=np.int64(25))
     assert trace.stop_reason == "cap" and trace.iterations_run == 25
     assert tv_prox(g, z, 0.5, tol=1e-6, max_iters=np.int32(25))[0].tobytes() == good[0].tobytes()
 
@@ -843,6 +868,21 @@ def test_project_box_eq_properties():
             w = np.clip(rng.normal(size=m), 0, mu)
             w = project_box_eq(w, y, mu)
             assert np.linalg.norm(v - b) <= np.linalg.norm(v - w) + 1e-9
+
+
+def test_project_box_eq_rejects_bad_labels_and_points():
+    # [2, -1, 1] labels returned [0.37, 0.57, 0.13]; a NaN label or point a NaN entry
+    v = np.array([0.5, 0.5, 0.2])
+    nan, inf = float("nan"), float("inf")
+    for y in ([2.0, -1.0, 1.0], [1.0, 0.0, -1.0], [1.0, -1.0, nan], [1.0, -1.0, inf], [0.5] * 3):
+        with pytest.raises(InvalidParameterError):
+            project_box_eq(v, y, 1.0)
+    for bad in (nan, inf, -inf):
+        with pytest.raises(InvalidParameterError):
+            project_box_eq([0.5, bad, 0.2], [1.0, -1.0, 1.0], 1.0)
+    # integer +-1 labels are still +-1 labels
+    assert project_box_eq(v, [1, -1, 1], 1.0).tobytes() == project_box_eq(
+        v, [1.0, -1.0, 1.0], 1.0).tobytes()
 
 
 def _check_against_bisection(v, y, mu):
@@ -1063,13 +1103,21 @@ def test_normalize_collapse_warning_pins_the_allclose_boundary():
     # the last warning and the first silence straddle +-1e-8
     edge = warned.index(False)
     assert np.max(np.abs(outs[edge - 1])) <= 1e-8 < np.max(np.abs(outs[edge]))
-    # NaN and inf input end as NaN: no collapse warning under either form
+    # NaN and inf input raise before any collapse warning
     for f in (np.array([1.0, np.nan, 2.0]), np.array([1.0, np.inf])):
-        with warnings.catch_warnings(record=True) as caught, np.errstate(invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = normalize_ball_zero_mean(f, 1.0)
-        assert np.isnan(out).all() and not np.allclose(out, 0.0)
-        assert not any("collapsed" in str(w.message) for w in caught)
+            with pytest.raises(NonFiniteInputError):
+                normalize_ball_zero_mean(f, 1.0)
+        assert not caught
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalize_rejects_non_finite_input(bad):
+    # [1, nan, 2] returned all-NaN without a warning
+    for f in (np.array([1.0, bad, 2.0]), np.array([bad]), np.array([0.0, bad])):
+        with pytest.raises(NonFiniteInputError):
+            normalize_ball_zero_mean(f, 1.0)
 
 
 def test_normalize_zero_vector_raises():
