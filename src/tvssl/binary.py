@@ -163,13 +163,18 @@ def lap_rls_train(
     the system matrix carries ``2 * gamma * L K``.
     """
     _check_semi(K, g, ls)
-    lu = _kernel_factor(
-        K, hp, mask=ls.labeled_mask, laplacian=g.laplacian(), gamma=hp.gamma
-    )
-    alpha = lu.solve(hp.eta * ls.y_ext)
+    alpha = _lap_ls(K, g, ls.labeled_mask, ls.y_ext, hp)
     return BinaryModel(
         "lap_rls", alpha, K.bandwidth, hp, K.data, node_values=K.values @ alpha
     )
+
+
+def _lap_ls(K, g, mask, targets, hp) -> np.ndarray:
+    """Laplacian least-squares coefficients ``(lam I + eta J K + 2 gamma L K)^-1
+    eta targets``, J = diag(mask), for an N-vector or an (N, c) block: lap_rls
+    and every margin warm start but lap_svm's (:func:`_warm_values`)."""
+    lu = _kernel_factor(K, hp, mask=mask, laplacian=g.laplacian(), gamma=hp.gamma)
+    return lu.solve(hp.eta * targets)
 
 
 def _kernel_factor(K, hp, *, r=0.0, mask=None, laplacian=None, gamma=0.0):
@@ -258,12 +263,12 @@ class SvmProxSolver:
         lam/2 ||f||_K^2 + mu * sum(slack) + gamma * f' L f + r/2 ||f - target||^2
         s.t.  y_i (f_i + bias) >= 1 - slack_i,  slack >= 0
 
-    via its box/equality dual. The factorization and the dual's quadratic
-    kernel are built once; ``solve`` may then be called repeatedly with fresh
-    labels and targets (warm-startable). The dual's norm estimate depends on
-    nothing else than the labels, so it is kept per label vector and reused.
-    ``gamma`` scales the ordered-pair Dirichlet energy, matching the rest of
-    the package. ``factor`` holds
+    via its box/equality dual. The factorization, the dual's kernel S and
+    ``q_norm``, the estimate of ``||diag(y) S diag(y)|| = ||S||`` shared by
+    every +-1 label vector y, are built once; ``solve`` may then be called
+    repeatedly with fresh labels and targets (warm-startable). ``gamma``
+    scales the ordered-pair Dirichlet energy, matching the rest of the
+    package. ``factor`` holds
     :func:`_kernel_factor`'s factor F of ``lam I + r K + 2 gamma L K``.
 
     The dual's kernel ``S = F^-T K`` is solved through the Gram matrix's
@@ -295,16 +300,11 @@ class SvmProxSolver:
         S, rank, refined = _solve_gram(self.factor, K.values, root, trans=True)
         self.counters = {"gram_rank": rank, "s_refined_cols": refined}
         self.S = _symmetrize(S)
-        self._q_norms: dict[bytes, float] = {}  # label-vector bytes -> _qp_norm
+        self.q_norm = _qp_norm(self.S, K.n)
 
     def solve(self, y, target=None, beta0=None) -> tuple[np.ndarray, DualSolution]:
         """Return (alpha, dual solution) for labels y and proximity target."""
         y = np.asarray(y, dtype=np.float64).ravel()
-        Q = _SignedKernel(self.S, y)
-        key = y.tobytes()
-        q_norm = self._q_norms.get(key)
-        if q_norm is None:
-            q_norm = self._q_norms[key] = _qp_norm(Q, y.size)
         if target is None or self.r == 0.0:
             p = 0.0
             rhs_extra = 0.0
@@ -313,8 +313,8 @@ class SvmProxSolver:
             p = self.r * (y * (self.S @ target))
             rhs_extra = self.r * target
         sol = qp_box_eq(
-            Q, p, y, self.mu, tol=self.qp_tol, max_iters=self.qp_iters, beta0=beta0,
-            q_norm=q_norm,
+            _SignedKernel(self.S, y), p, y, self.mu, tol=self.qp_tol,
+            max_iters=self.qp_iters, beta0=beta0, q_norm=self.q_norm,
         )
         alpha = self.factor.solve(y * sol.beta + rhs_extra)
         return alpha, sol
@@ -371,11 +371,12 @@ def lap_svm_train(
     K: KernelMatrix, g: SimilarityGraph, ls: LabeledSet, hp: HyperParams
 ) -> BinaryModel:
     """Laplacian-regularized SVM; margin constraints cover every node, so the
-    unlabeled ones receive pseudo-labels from a Laplacian least-squares warm
-    start, read off the margin solver's dual kernel (:func:`_pseudo_init`)."""
+    unlabeled ones receive pseudo-labels (:func:`_pseudo_refresh`) from a
+    Laplacian least-squares warm start read off the margin solver's dual
+    kernel (:func:`_warm_values`)."""
     _check_semi(K, g, ls)
     prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
-    y_full = _pseudo_init(K, g, ls, hp, S=prox.S)
+    y_full = _pseudo_refresh(ls, 1.0, _warm_values(prox.S, ls, hp.eta))
     return _svm_model("lap_svm", K, hp, prox, y_full)
 
 
@@ -391,14 +392,6 @@ def _check_semi(K: KernelMatrix, g: SimilarityGraph, ls) -> None:
         raise DimensionError("kernel and graph sizes differ")
     if ls.n_points != K.n:
         raise DimensionError("labeled set size differs from kernel size")
-
-
-def _pseudo_init(K, g, ls: LabeledSet, hp, S=None) -> np.ndarray:
-    """Labels where labeled, elsewhere the sign of the Laplacian
-    least-squares warm start: :func:`lap_rls_train`'s node values, or the
-    same values read off lap_svm's dual kernel ``S`` (:func:`_warm_values`)."""
-    warm = lap_rls_train(K, g, ls, hp).node_values if S is None else _warm_values(S, ls, hp.eta)
-    return np.where(ls.labeled_mask, ls.labels, np.where(warm >= 0.0, 1.0, -1.0))
 
 
 def _warm_values(S, ls: LabeledSet, eta: float) -> np.ndarray:
@@ -418,6 +411,9 @@ def _warm_values(S, ls: LabeledSet, eta: float) -> np.ndarray:
 
 
 def _pseudo_refresh(ls: LabeledSet, prev, vals) -> np.ndarray:
+    """The binary margin trainers' labels: the given ones where labeled,
+    elsewhere the sign of ``vals``, or ``prev`` where ``vals`` is zero. With
+    ``prev = 1`` it gives the first labels off a warm start."""
     fresh = np.where(vals != 0.0, np.sign(vals), prev)
     return np.where(ls.labeled_mask, ls.labels, fresh)
 
@@ -543,7 +539,8 @@ def tv_svm_train(
     pseudo-labels warm-started from Laplacian least squares and refreshed
     from the consensus variable each sweep (:func:`_tv_split_loop`)."""
     _check_semi(K, g, ls)
-    state = {"y": _pseudo_init(K, g, ls, hp)}
+    warm = K.values @ _lap_ls(K, g, ls.labeled_mask, ls.y_ext, hp)
+    state = {"y": _pseudo_refresh(ls, 1.0, warm)}
 
     def h_step(gv, lam2, it):
         if it > 0:
@@ -682,16 +679,17 @@ def _ls_ratio_step(K, hp):
     return step, factor
 
 
-def _margin_step(K, prox: SvmProxSolver, labels, refresh):
+def _margin_step(K, prox: SvmProxSolver, warm, refresh):
     """Per-channel margin proximal over a (c, N) channel array.
 
-    Returns ``step(target, it, source=None) -> (alphas, values)``. From the
-    second sweep on, the channel labels become ``refresh(labels, source)``
-    (``source`` defaults to the target); each channel's dual QP warm-starts
+    Returns ``step(target, it, source=None) -> (alphas, values)``. The
+    channel labels start as ``refresh(1, warm)``, off the (c, N) warm-start
+    values; from the second sweep on they become ``refresh(labels, source)``
+    (``source`` defaults to the target). Each channel's dual QP warm-starts
     from its previous solution.
     """
-    state = {"y": labels}
-    betas = [None] * len(labels)
+    state = {"y": refresh(1.0, warm)}
+    betas = [None] * len(warm)
 
     def step(target, it, source=None):
         if it > 0:
@@ -728,12 +726,8 @@ def cheeger_svm_train(
     as in :func:`tv_svm_train`."""
     _check_semi(K, g, ls)
     prox = SvmProxSolver(K, hp, r=hp.r)
-    step = _margin_step(
-        K,
-        prox,
-        _pseudo_init(K, g, ls, hp)[None],
-        lambda prev, vals: _pseudo_refresh(ls, prev, vals),
-    )
+    warm = K.values @ _lap_ls(K, g, ls.labeled_mask, ls.y_ext, hp)
+    step = _margin_step(K, prox, warm[None], lambda prev, vals: _pseudo_refresh(ls, prev, vals))
     y = ls.y_ext[None]
     alpha, f, trace = _ratio_loop(K, g, ls.labeled_mask, y, y, hp, step, prox.factor)
     trace.update(prox.counters)

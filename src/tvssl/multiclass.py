@@ -22,6 +22,7 @@ from .binary import (
     _check_divergence,
     _check_semi,
     _kernel_factor,
+    _lap_ls,
     _ls_ratio_step,
     _margin_step,
     _ratio_loop,
@@ -123,16 +124,13 @@ def transductive_classes(model: MulticlassModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_nodes(F: np.ndarray) -> np.ndarray:
-    """Project each node's channel vector (columns of the (c, N) array)."""
-    return project_simplex_rows(F.T).T
-
-
 def _simplex_coupling(S: np.ndarray) -> tuple[np.ndarray, float]:
-    """Channel coupling of the multi-class ratio loop: the per-node simplex
-    projection and its deviation."""
-    proj = _simplex_nodes(S)
-    return proj, _simplex_dev(proj)
+    """Channel coupling of the multi-class loops: the projection of each
+    node's channel vector (a column of the (c, N) array) onto the simplex,
+    and the worst per-node deviation from the simplex after it."""
+    proj = project_simplex_rows(S.T).T
+    dev = max(np.max(np.abs(proj.sum(axis=0) - 1.0)), max(0.0, -proj.min()))
+    return proj, float(dev)
 
 
 def _renormalize_channels(F: np.ndarray, scale: float) -> np.ndarray:
@@ -144,12 +142,6 @@ def _renormalize_channels(F: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def _simplex_dev(gch: np.ndarray) -> float:
-    """Worst per-node deviation from the channel simplex (post-projection)."""
-    col_sums = gch.sum(axis=0)
-    return float(max(np.max(np.abs(col_sums - 1.0)), max(0.0, -gch.min())))
-
-
 def _margin_pseudo(mls: MultiLabelSet, values: np.ndarray) -> np.ndarray:
     """One-vs-rest +-1 channel labels: true where labeled, argmax elsewhere."""
     cls = np.argmax(values, axis=0) + 1
@@ -159,14 +151,11 @@ def _margin_pseudo(mls: MultiLabelSet, values: np.ndarray) -> np.ndarray:
 
 def _margin_channels(K, g, mls, hp, prox: SvmProxSolver):
     """Per-channel margin proximal whose pseudo-labels start from the
-    per-channel Laplacian least-squares closed form and are refreshed by
-    argmax."""
-    lu = _kernel_factor(
-        K, hp, mask=mls.labeled_mask, laplacian=g.laplacian(), gamma=hp.gamma
-    )
-    warm = lu.solve(hp.eta * mls.indicator_targets().T).T @ K.values
+    per-channel Laplacian least-squares fit (:func:`binary._lap_ls`) and are
+    refreshed by argmax."""
     return _margin_step(
-        K, prox, _margin_pseudo(mls, warm), lambda _prev, vals: _margin_pseudo(mls, vals)
+        K, prox, _lap_ls(K, g, mls.labeled_mask, mls.indicator_targets().T, hp).T @ K.values,
+        lambda _prev, vals: _margin_pseudo(mls, vals),
     )
 
 
@@ -209,8 +198,8 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
             chain.record()
             if hp.simplex_last:
                 z = _renormalize_channels(z, scale)
-        gch = _simplex_nodes(z)
-        trace["simplex_dev"].append(_simplex_dev(gch))
+        gch, dev = _simplex_coupling(z)
+        trace["simplex_dev"].append(dev)
         if tv and not hp.simplex_last:
             gch = _renormalize_channels(gch, scale)
         lam += hp.r * (f - gch)

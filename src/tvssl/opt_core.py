@@ -177,6 +177,7 @@ def _refined_solve(A, solve_once, b, x0=None):
     A 2-D ``b`` is solved as one block; each column is held to the contract
     on its own and only the columns that miss it are refined. Returns the
     solution and the number of columns that missed the contract at first.
+    A column whose residual is not within its bound, NaN included, misses.
     """
     b = np.asarray(b, dtype=np.float64)
     x = solve_once(b) if x0 is None else np.array(x0, dtype=np.float64)
@@ -188,7 +189,7 @@ def _refined_solve(A, solve_once, b, x0=None):
     np.subtract(B, res, out=res)
     refined = 0
     for attempt in range(3):
-        miss = _column_norms(res) > bound[cols]
+        miss = ~(_column_norms(res) <= bound[cols])
         if not miss.any():
             return x, refined
         if attempt == 2:
@@ -308,7 +309,7 @@ def _solve_gram(factor, B, root, trans: bool = False) -> tuple[np.ndarray, int, 
     for j in range(0, n, _ROOT_CHECK_COLS):
         cols = slice(j, j + _ROOT_CHECK_COLS)
         res = B[:, cols] - AW @ root[cols].T
-        miss[cols] = _column_norms(res) > bound[cols]
+        miss[cols] = ~(_column_norms(res) <= bound[cols])
     if miss.any():
         X[:, miss] = factor.solve(B[:, miss], trans, x0=X[:, miss])
     return X, rank, int(np.count_nonzero(miss))
@@ -837,15 +838,21 @@ def normalize_ball_zero_mean(f, scale: float) -> np.ndarray:
 
     Raises on NaN, infinite or zero input; a constant input collapses to
     zeros and is flagged with a RuntimeWarning. ``scale`` must be a finite
-    positive number.
+    positive number. A finite input whose norm overflows to inf or
+    underflows to 0 is divided by its largest magnitude first.
     """
     f = np.asarray(f, dtype=np.float64).ravel()
     check_real("scale", scale, 0.0, strict=True)
-    norm = np.linalg.norm(f)
-    if not math.isfinite(norm) and not np.isfinite(f).all():  # finite input skips the scan
-        raise NonFiniteInputError("cannot normalize a vector with NaN or infinite entries")
-    if norm == 0.0:
-        raise DegenerateInputError("cannot normalize the zero vector")
+    with np.errstate(over="ignore"):  # an overflow is handled below
+        norm = np.linalg.norm(f)
+    if not 0.0 < norm < math.inf:  # finite, nonzero norms skip the scans
+        if not np.isfinite(f).all():
+            raise NonFiniteInputError("cannot normalize a vector with NaN or infinite entries")
+        peak = np.max(np.abs(f), initial=0.0)
+        if peak == 0.0:
+            raise DegenerateInputError("cannot normalize the zero vector")
+        f = f / peak  # the norm over- or underflowed
+        norm = np.linalg.norm(f)
     out = (scale / norm) * f
     out = out - out.mean()
     if np.max(np.abs(out)) <= 1e-8:  # np.allclose(out, 0.0), without its overhead

@@ -441,7 +441,8 @@ def test_margin_kernel_root_route_solves_fewer_than_n_columns(monkeypatch):
 def test_qp_through_the_signed_kernel_equals_the_dense_dual():
     K, g, split, hp = _lap_svm_inputs(400, 2)
     prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
-    y = binary._pseudo_init(K, g, split, hp)
+    warm = K.values @ binary._lap_ls(K, g, split.labeled_mask, split.y_ext, hp)
+    y = binary._pseudo_refresh(split, 1.0, warm)
     dense = np.outer(y, y) * prox.S
     signed = binary._SignedKernel(prox.S, y)
     a = binary.qp_box_eq(signed, 0.0, y, hp.mu, tol=prox.qp_tol)
@@ -454,10 +455,10 @@ def test_qp_through_the_signed_kernel_equals_the_dense_dual():
     assert abs(a.iterations - b.iterations) <= 0.05 * b.iterations + 5
 
 
-def test_svm_prox_solver_reuses_each_label_vectors_norm(monkeypatch):
+def test_svm_prox_solver_runs_no_power_iteration_per_solve(monkeypatch):
     """One solver fed repeated and changing labels gives what a fresh solver
-    gives for each call, bit for bit, and runs the 30 power-iteration
-    products of the dual's norm estimate once per distinct label vector."""
+    gives for each call, bit for bit. The dual's norm is estimated once, on
+    S, when the solver is built, so no solve runs a power iteration."""
     products = []
 
     class CountingKernel(binary._SignedKernel):
@@ -494,8 +495,91 @@ def test_svm_prox_solver_reuses_each_label_vectors_norm(monkeypatch):
             sol.objective, sol.kkt_residuals, sol.iterations, sol.stop_reason
         )
         beta = sol.beta
-    # the QP's own products are the same; only the repeats' estimates go
-    assert shared_products == len(products) - 30 * (len(seq) - 2)
+    # shared and fresh solves make the same products: the QP's own
+    assert shared_products == len(products)
+
+
+@pytest.mark.parametrize("system", ["svm", "lap_svm", "cheeger_svm"])
+def test_svm_prox_solver_steps_every_solve_with_one_estimate_of_s(system, monkeypatch):
+    """``||diag(y) S diag(y)|| = ||S||`` for every +-1 label vector, so each
+    solve gets the solver's one estimate. Its power iteration stays below
+    ``||S||`` and close to it on the plain, the Laplacian and the
+    ``lam I + r K`` systems."""
+    K, g, _split, _ = _lap_svm_inputs(120, 2, seed=4)
+    hp = default_hyperparams(system, None)
+    terms = {
+        "svm": {},
+        "lap_svm": {"laplacian": g.laplacian(), "gamma": hp.gamma},
+        "cheeger_svm": {"r": hp.r},
+    }
+    prox = SvmProxSolver(K, hp, **terms[system])
+    exact = np.linalg.norm(prox.S, 2)
+    assert abs(prox.q_norm - exact) <= 1e-4 * exact
+    assert prox.q_norm <= exact * (1.0 + 1e-12)
+    seen = []
+    real_qp = binary.qp_box_eq
+
+    def spy(*args, q_norm=None, **kwargs):
+        seen.append(q_norm)
+        return real_qp(*args, q_norm=q_norm, **kwargs)
+
+    monkeypatch.setattr(binary, "qp_box_eq", spy)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        prox.solve(np.where(rng.random(K.n) < 0.5, 1.0, -1.0))
+    assert seen == [prox.q_norm] * 3
+
+
+@pytest.mark.parametrize("trainer", ["lap_svm", "tv_svm", "cheeger_svm"])
+def test_margin_trainers_first_labels_are_the_warm_starts_signs(trainer, monkeypatch):
+    """Off the labels, the first pseudo-labels are +1 where the warm start
+    is >= 0, both zeros included, and -1 where it is negative."""
+    K, g, split, _ = _lap_svm_inputs(200, 1)
+    hp = replace(default_hyperparams(trainer, None), outer_iters=1)
+    warm = np.random.default_rng(7).normal(size=K.n)
+    free = np.flatnonzero(~split.labeled_mask)
+    warm[free[:4]] = [0.0, -0.0, 0.0, -0.0]
+    expected = np.where(split.labeled_mask, split.labels, np.where(warm >= 0.0, 1.0, -1.0))
+    assert np.all(expected[free[:4]] == 1.0) and set(expected[free]) == {-1.0, 1.0}
+
+    class WarmCoefs:
+        # numpy leaves ``K.values @ WarmCoefs()`` to its __rmatmul__
+        __array_ufunc__ = None
+
+        def __rmatmul__(self, _values):
+            return warm
+
+    monkeypatch.setattr(binary, "_lap_ls", lambda *args: WarmCoefs())  # tv_svm, cheeger_svm
+    monkeypatch.setattr(binary, "_warm_values", lambda *args: warm)  # lap_svm
+    labels = []
+    if trainer == "tv_svm":
+        real_prox = binary.svm_value_prox
+
+        def spy(e, y, *args):
+            labels.append(np.array(y))
+            return real_prox(e, y, *args)
+
+        monkeypatch.setattr(binary, "svm_value_prox", spy)
+    else:
+        real_solve = SvmProxSolver.solve
+
+        def spy(self, y, *args, **kwargs):
+            labels.append(np.array(y))
+            return real_solve(self, y, *args, **kwargs)
+
+        monkeypatch.setattr(SvmProxSolver, "solve", spy)
+    getattr(binary, trainer + "_train")(K, g, split, hp)
+    assert labels[0].tobytes() == expected.tobytes()
+
+
+def test_lap_ls_block_solve_equals_one_column_solves():
+    K, g, split, hp = _lap_svm_inputs(200, 2)
+    targets = np.random.default_rng(3).normal(size=(K.n, 3))
+    block = binary._lap_ls(K, g, split.labeled_mask, targets, hp)
+    assert block.shape == targets.shape
+    for k in range(targets.shape[1]):
+        one = binary._lap_ls(K, g, split.labeled_mask, targets[:, k], hp)
+        assert np.linalg.norm(block[:, k] - one) <= 1e-12 * np.linalg.norm(one)
 
 
 @pytest.mark.parametrize("per_class", [1, 50])
@@ -505,19 +589,19 @@ def test_lap_svm_warm_start_off_the_dual_kernel_equals_lap_rls(n, per_class):
     prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
     # n = 300 solves S column by column, n = 600 through the Gram root
     assert (prox.counters["gram_rank"] < 0.4 * n) == (n == 600)
-    assert np.array_equal(
-        binary._pseudo_init(K, g, split, hp, S=prox.S), binary._pseudo_init(K, g, split, hp)
-    )
     warm = binary._warm_values(prox.S, split, hp.eta)
     full = lap_rls_train(K, g, split, hp).node_values
+    assert np.array_equal(
+        binary._pseudo_refresh(split, 1.0, warm), binary._pseudo_refresh(split, 1.0, full)
+    )
     assert np.linalg.norm(warm - full) <= 1e-9 * np.linalg.norm(full)
     # I + eta S[l, l] is singular for this S, and non-finite for the second
     with pytest.raises(FactorizationError):
-        binary._pseudo_init(K, g, split, hp, S=-np.eye(n) / hp.eta)
+        binary._warm_values(-np.eye(n) / hp.eta, split, hp.eta)
     S_nan = prox.S.copy()
     S_nan[np.flatnonzero(split.labeled_mask)[0]] = np.nan
     with pytest.raises(FactorizationError):
-        binary._pseudo_init(K, g, split, hp, S=S_nan)
+        binary._warm_values(S_nan, split, hp.eta)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -548,7 +632,9 @@ def test_lap_svm_factors_once_and_traces_its_dual(monkeypatch):
     m = lap_svm_train(K, g, split, hp)
     assert factors == [(K.n, K.n)]  # the margin solver's LU; the warm start needs none
     prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
-    _alpha, sol = prox.solve(binary._pseudo_init(K, g, split, hp, S=prox.S))
+    _alpha, sol = prox.solve(
+        binary._pseudo_refresh(split, 1.0, binary._warm_values(prox.S, split, hp.eta))
+    )
     assert m.trace == {
         "qp_iters": sol.iterations,
         "qp_stop_reason": sol.stop_reason,

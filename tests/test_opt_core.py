@@ -238,6 +238,16 @@ def test_block_solve_raises_when_refinement_fails(factor_cls):
         f.solve(B[:, 1])
 
 
+@pytest.mark.parametrize("b", [np.ones(2), np.ones((2, 3))], ids=["1d", "2d"])
+def test_singular_lu_solve_raises(b):
+    # the solve returned [-inf, inf]: its NaN residual passed `norm > bound`
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's LinAlgWarning and numpy's
+        f = LuFactor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(FactorizationError):
+            f.solve(b)
+
+
 # ---------------------------------------------------------------------------
 # tv_prox
 # ---------------------------------------------------------------------------
@@ -1118,6 +1128,18 @@ def test_normalize_rejects_non_finite_input(bad):
     for f in (np.array([1.0, bad, 2.0]), np.array([bad]), np.array([0.0, bad])):
         with pytest.raises(NonFiniteInputError):
             normalize_ball_zero_mean(f, 1.0)
+
+
+@pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+def test_normalize_survives_norm_overflow_and_underflow(magnitude):
+    # the norm overflowed to inf (zeros came back, with the collapse warning)
+    # or underflowed to 0 (DegenerateInputError)
+    f = np.array([1.0, 2.0, -3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = normalize_ball_zero_mean(magnitude * f, 2.0)
+    ref = normalize_ball_zero_mean(f, 2.0)
+    assert np.allclose(out, ref, rtol=1e-14, atol=1e-15)
 
 
 def test_normalize_zero_vector_raises():
