@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import (
     DegenerateInputError,
@@ -26,14 +27,14 @@ from .errors import (
     pm1_labels,
 )
 from .graph import SimilarityGraph, graph_tv
-from .kernel import KernelMatrix, kernel_expand
+from .kernel import KernelMatrix, _symmetrize, kernel_expand
 from .opt_core import (
     _BoxEqLabels,
     _qp_norm,
-    _solve_gram,
     DualSolution,
     HyperParams,
     LuFactor,
+    RootFactor,
     SpdFactor,
     center_median,
     normalize_ball_zero_mean,
@@ -179,8 +180,9 @@ def _lap_ls(K, g, mask, targets, hp) -> np.ndarray:
 
 def _kernel_factor(K, hp, *, r=0.0, mask=None, laplacian=None, gamma=0.0):
     """Factor of ``lam I (+ eta J K) (+ r K) (+ 2 gamma L K)`` with
-    ``J = diag(mask)`` and ``L = laplacian``: the one kernel-space system
-    behind every trainer's step.
+    ``J = diag(mask)`` and ``L = laplacian``: the one n x n kernel-space
+    system behind every trainer's step (:class:`SvmProxSolver` first tries
+    the same margin system through the Gram root).
 
     Without a label mask or a graph term the matrix is symmetric by
     construction and gets a Cholesky :class:`SpdFactor`; otherwise an
@@ -191,8 +193,6 @@ def _kernel_factor(K, hp, *, r=0.0, mask=None, laplacian=None, gamma=0.0):
     if r:
         M += r * K.values
     if gamma > 0:
-        if laplacian is None:
-            raise InvalidParameterError("gamma > 0 requires a Laplacian")
         M += 2.0 * gamma * (laplacian @ K.values)
     elif mask is None:
         return SpdFactor(M)
@@ -235,24 +235,14 @@ class _SignedKernel:
         return self.y * (self.S @ v)
 
 
-def _symmetrize(S):
-    """``(S + S^T) / 2`` in row-major order, which the dual's products read
-    and whose rounding is part of the outputs.
-
-    In place, one pair of 128 x 128 blocks at a time, so that no second
-    n x n array is allocated; a column-major S (an n-column solve) through
-    its row-major transpose, which gives the same bytes as the sum commutes.
-    """
-    if not S.flags.c_contiguous:
-        S = np.ascontiguousarray(S.T)
-    n, block = S.shape[0], 128
-    for i in range(0, n, block):
-        for j in range(i, n, block):
-            upper = S[i : i + block, j : j + block]
-            np.add(upper, S[j : j + block, i : i + block].T, out=upper)
-            upper *= 0.5
-            S[j : j + block, i : i + block] = upper.T
-    return S
+# S takes the root route while the Gram root has at most this share of n
+# columns. The root route costs about 5 n^2 r flops (K (D G), the check's
+# product and G G^T), the n-column route about 4.7 n^3 (the LU, the n-column
+# solve and its residual), so the root would pay up to r ~ 0.9 n. The share
+# stays at 0.4 so that n <= 200 inputs (configs/two_moons.json, the
+# benchmark's moons_grid and classes_mc; Gram ranks about 0.7 n) keep their
+# outputs bit for bit; raising it wants its own measurement.
+_ROOT_MAX_SHARE = 0.4
 
 
 class SvmProxSolver:
@@ -263,21 +253,27 @@ class SvmProxSolver:
         lam/2 ||f||_K^2 + mu * sum(slack) + gamma * f' L f + r/2 ||f - target||^2
         s.t.  y_i (f_i + bias) >= 1 - slack_i,  slack >= 0
 
-    via its box/equality dual. The factorization, the dual's kernel S and
-    ``q_norm``, the estimate of ``||diag(y) S diag(y)|| = ||S||`` shared by
-    every +-1 label vector y, are built once; ``solve`` may then be called
-    repeatedly with fresh labels and targets (warm-startable). ``gamma``
-    scales the ordered-pair Dirichlet energy, matching the rest of the
-    package. ``factor`` holds
-    :func:`_kernel_factor`'s factor F of ``lam I + r K + 2 gamma L K``.
+    via its box/equality dual. The factor, the dual's kernel S and
+    ``q_norm``, ``||diag(y) S diag(y)|| = ||S||`` for every +-1 label
+    vector y, are built once; ``solve`` may then be called repeatedly with
+    fresh labels and targets (warm-startable). ``gamma`` scales the
+    ordered-pair Dirichlet energy, matching the rest of the package.
+    ``factor`` solves with ``F = lam I + r K + 2 gamma L K``.
 
-    The dual's kernel ``S = F^-T K`` is solved through the Gram matrix's
-    cached root C (:meth:`KernelMatrix.root`, ``K ~ C C^T``) as
-    ``(F^-T C) C^T`` when C has at most 0.4 n columns, else column by
-    column (:func:`opt_core._solve_gram`); either way each column meets the
-    solves' residual contract against K itself. ``counters`` records
-    ``gram_rank`` (the columns solved: r on the root route, n otherwise)
-    and ``s_refined_cols`` (the columns of S that needed refinement).
+    The dual's kernel ``S = F^-T K`` meets the solves' residual contract
+    against K itself, column by column. While the Gram matrix's cached root
+    C (:meth:`KernelMatrix.root`, ``K ~ C C^T``) has r <= 0.4 n columns,
+    ``factor`` is a :class:`RootFactor`, ``S = G G^T`` (exactly symmetric)
+    and ``q_norm`` the largest eigenvalue of the r x r ``G^T G``: no n x n
+    matrix is factored. Otherwise, or when a column of ``G G^T`` misses the
+    contract or the r x r factorization fails (a short, stale or indefinite
+    root), ``factor`` is :func:`_kernel_factor`'s n x n factor, S its
+    symmetrized solve of all n columns of K and ``q_norm`` the power
+    estimate :func:`opt_core._qp_norm` on S. ``counters`` records
+    ``gram_rank`` (r on the root route, n on the n-column route) and
+    ``s_refined_cols``, the columns of S that missed the contract at first:
+    those the root route rejected (all n if its factorization failed) plus
+    those the n-column solve refined.
     """
 
     def __init__(
@@ -295,12 +291,30 @@ class SvmProxSolver:
         self.r = float(r)
         self.qp_tol = qp_tol
         self.qp_iters = qp_iters
-        root = K.root()  # first: the n x n workspace of dpstrf is freed before F exists
+        if gamma > 0 and laplacian is None:
+            raise InvalidParameterError("gamma > 0 requires a Laplacian")
+        n = K.n
+        root = K.root()  # first: the n x n workspace of dpstrf is freed before S exists
+        missed = 0
+        if root.shape[1] <= _ROOT_MAX_SHARE * n:
+            D = sp.identity(n, format="csr") * self.r  # F = lam I + D K
+            if gamma > 0:
+                D = D + (2.0 * gamma) * laplacian
+            try:
+                factor = RootFactor(hp.lam, D, K.values, root)
+                missed = factor.kernel_misses()
+            except FactorizationError:
+                missed = n
+            if not missed:
+                G = factor.G
+                self.factor, self.S = factor, G @ G.T  # one syrk: exactly symmetric
+                self.q_norm = float(np.linalg.eigvalsh(G.T @ G).max(initial=0.0))  # r may be 0
+                self.counters = {"gram_rank": root.shape[1], "s_refined_cols": 0}
+                return
         self.factor = _kernel_factor(K, hp, r=self.r, laplacian=laplacian, gamma=gamma)
-        S, rank, refined = _solve_gram(self.factor, K.values, root, trans=True)
-        self.counters = {"gram_rank": rank, "s_refined_cols": refined}
-        self.S = _symmetrize(S)
-        self.q_norm = _qp_norm(self.S, K.n)
+        self.S = _symmetrize(self.factor.solve(K.values, trans=True))
+        self.q_norm = _qp_norm(self.S, n)
+        self.counters = {"gram_rank": n, "s_refined_cols": missed + self.factor.refined_cols}
 
     def solve(self, y, target=None, beta0=None) -> tuple[np.ndarray, DualSolution]:
         """Return (alpha, dual solution) for labels y and proximity target."""

@@ -28,6 +28,7 @@ from .errors import (
     check_real,
     whole_numbers,
 )
+from .kernel import _sq_dists
 
 
 @dataclass(eq=False)
@@ -196,9 +197,7 @@ def build_knn_graph(
     if mm >= n:
         raise InvalidParameterError(f"m must satisfy 1 <= m < {n}, got {mm}")
 
-    sq = np.sum(data * data, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (data @ data.T)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = _sq_dists(data, data)
     np.fill_diagonal(d2, np.inf)
 
     # The k nearest neighbors of a stable sort by distance: every point closer

@@ -71,13 +71,47 @@ class KernelMatrix:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
+    """Squared distances ``|a_i|^2 + |b_j|^2 - 2 a_i . b_j``, clipped at 0,
+    with one n x m temporary beside the result."""
+    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+    ab = a @ b.T
+    ab *= 2.0
+    d2 -= ab
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+# _symmetrize works on blocks of this many rows and columns. Measured with
+# one BLAS thread: at n <= 256 the one diagonal block costs about what
+# 0.5 * (S + S.T) costs (38 against 33 us at n = 150), and at n = 1600 and
+# 3000 the blocks take 7.8 and 21 ms against 9.0 and 107 ms for it.
+_SYM_BLOCK = 256
+
+
+def _symmetrize(S):
+    """``(S + S^T) / 2`` in row-major order: the Gram matrix and the margin
+    dual's n-column kernel are symmetrized by it, and its rounding is part
+    of their outputs.
+
+    In place, one pair of blocks at a time, so that no second n x n array is
+    allocated (a diagonal block is summed into one block-sized temporary); a
+    column-major S (an n-column solve) through its row-major transpose,
+    which gives the same bytes as the sum commutes.
+    """
+    if not S.flags.c_contiguous:
+        S = np.ascontiguousarray(S.T)
+    n, block = S.shape[0], _SYM_BLOCK
+    for i in range(0, n, block):
+        diag = S[i : i + block, i : i + block]
+        half = diag + diag.T
+        half *= 0.5
+        diag[...] = half
+        for j in range(i + block, n, block):
+            upper = S[i : i + block, j : j + block]
+            np.add(upper, S[j : j + block, i : i + block].T, out=upper)
+            upper *= 0.5
+            S[j : j + block, i : i + block] = upper.T
+    return S
 
 
 def _check_finite(points: np.ndarray, what: str) -> None:
@@ -93,9 +127,11 @@ def rbf_gram(data, bandwidth: float) -> KernelMatrix:
     if data.ndim != 2:
         raise InvalidParameterError("data must be a 2-D array of points")
     _check_finite(data, "data points")
-    d2 = _sq_dists(data, data)
-    vals = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
-    vals = 0.5 * (vals + vals.T)
+    vals = _sq_dists(data, data)
+    np.negative(vals, out=vals)
+    vals /= 2.0 * bandwidth * bandwidth
+    np.exp(vals, out=vals)
+    _symmetrize(vals)
     np.fill_diagonal(vals, 1.0)
     return KernelMatrix(vals, float(bandwidth), data=data)
 

@@ -1,7 +1,7 @@
 """Optimization primitives shared by all classifiers.
 
-Contents: SPD/LU factors, each solved many times under a residual contract
-(for a Gram right-hand side also through its low-rank root), the graph-TV
+Contents: SPD/LU factors and a factor through a Gram matrix's low-rank root,
+each solved many times under a residual contract, the graph-TV
 proximal map solved by a primal-dual iteration, a projected-gradient solver
 for box-constrained duals with one linear equality, Michelot's simplex
 projection, and the ball/zero-mean renormalization used by the splitting
@@ -170,9 +170,9 @@ def _column_norms(M) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", M, M))
 
 
-def _refined_solve(A, solve_once, b, x0=None):
-    """One solve (or the start ``x0``) plus iterative refinement until the
-    residual contract holds.
+def _refined_solve(apply, solve_once, b):
+    """One solve plus iterative refinement until the residual contract holds;
+    ``apply(X)`` is the system matrix's product with an (n, k) block.
 
     A 2-D ``b`` is solved as one block; each column is held to the contract
     on its own and only the columns that miss it are refined. Returns the
@@ -180,12 +180,12 @@ def _refined_solve(A, solve_once, b, x0=None):
     A column whose residual is not within its bound, NaN included, misses.
     """
     b = np.asarray(b, dtype=np.float64)
-    x = solve_once(b) if x0 is None else np.array(x0, dtype=np.float64)
+    x = solve_once(b)
     B, X = b.reshape(b.shape[0], -1), x.reshape(x.shape[0], -1)  # views
     bound = _RESIDUAL_RTOL * _column_norms(B)
     X[:, bound == 0.0] = 0.0
     cols = np.arange(X.shape[1])  # columns still refined, residuals in res
-    res = A @ X
+    res = apply(X)
     np.subtract(B, res, out=res)
     refined = 0
     for attempt in range(3):
@@ -197,7 +197,7 @@ def _refined_solve(A, solve_once, b, x0=None):
         refined = refined or int(miss.sum())
         cols, res = cols[miss], res[:, miss]
         X[:, cols] += solve_once(res)
-        res = B[:, cols] - A @ X[:, cols]
+        res = B[:, cols] - apply(X[:, cols])
     raise FactorizationError("linear solve missed the residual bound")
 
 
@@ -205,7 +205,9 @@ class SpdFactor:
     """Cholesky factor of a symmetric positive (semi)definite matrix.
 
     Factor once, solve many times; a single jitter of ``1e-10 * trace / n``
-    is added if the plain factorization fails. ``refined_cols`` counts the
+    is added if the plain factorization fails. A matrix that fails both, or
+    whose factor has a non-finite diagonal (NaN or infinite entries), raises
+    :class:`FactorizationError` at construction. ``refined_cols`` counts the
     right-hand-side columns its solves had to refine.
     """
 
@@ -226,93 +228,118 @@ class SpdFactor:
                 raise FactorizationError(
                     "matrix is not positive definite, even with jitter"
                 ) from exc
-
-    def _matrix(self, trans: bool = False) -> np.ndarray:
-        return self._A
+        if not np.isfinite(np.diagonal(self._cf[0])).all():
+            raise FactorizationError("Cholesky factor is not finite")
 
     def _solve_once(self, b):
         return sla.cho_solve(self._cf, b, check_finite=False)
 
-    def solve(self, b, trans: bool = False, x0=None) -> np.ndarray:
-        """Solve A x = b with relative residual <= 1e-8, refining the start
-        ``x0`` if given. A is symmetric, so ``trans`` changes nothing."""
-        x, refined = _refined_solve(self._A, self._solve_once, b, x0)
+    def solve(self, b, trans: bool = False) -> np.ndarray:
+        """Solve A x = b with relative residual <= 1e-8. A is symmetric, so
+        ``trans`` changes nothing."""
+        x, refined = _refined_solve(self._A.__matmul__, self._solve_once, b)
         self.refined_cols += refined
         return x
 
 
 class LuFactor:
-    """LU factor for general (possibly nonsymmetric) square systems.
-    ``refined_cols`` counts the right-hand-side columns its solves had to
-    refine."""
+    """LU factor for general (possibly nonsymmetric) square systems. A
+    matrix whose U has an exactly zero or a non-finite diagonal entry
+    (singular, or NaN or infinite entries) raises
+    :class:`FactorizationError` at construction. ``refined_cols`` counts the
+    right-hand-side columns its solves had to refine."""
 
     def __init__(self, A):
         A = _as_square(A)
         self._A = A
         self.refined_cols = 0
-        try:
-            self._lu = sla.lu_factor(A, check_finite=False)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise FactorizationError("LU factorization failed") from exc
+        # LAPACK's getrf, as scipy's lu_factor calls it, without the warning
+        # that function adds for an exactly zero pivot: that U is rejected here
+        lu, piv, _info = sla.lapack.dgetrf(A)
+        u = np.diagonal(lu)
+        if not (np.isfinite(u).all() and u.all()):
+            raise FactorizationError("LU factor is singular or not finite")
+        self._lu = (lu, piv)
 
-    def _matrix(self, trans: bool = False) -> np.ndarray:
-        return self._A.T if trans else self._A
-
-    def solve(self, b, trans: bool = False, x0=None) -> np.ndarray:
+    def solve(self, b, trans: bool = False) -> np.ndarray:
         """Solve A x = b (or A^T x = b when ``trans``) to relative residual
-        1e-8, refining the start ``x0`` if given."""
+        1e-8."""
         t = 1 if trans else 0
         x, refined = _refined_solve(
-            self._matrix(trans),
+            (self._A.T if trans else self._A).__matmul__,
             lambda rhs: sla.lu_solve(self._lu, rhs, trans=t, check_finite=False),
-            b, x0,
+            b,
         )
         self.refined_cols += refined
         return x
 
 
-# The two routes of _solve_gram, in flops, once the root is built (it is built
-# for either): n columns cost an n-column solve (2 n^3) and its residual
-# (2 n^3); r root columns cost r solves (2 n^2 r), their residual (2 n^2 r),
-# A W (2 n^2 r), the residual of the product (2 n^2 r) and the product W C^T
-# (2 n^2 r). The root route is taken while 10 n^2 r <= 4 n^3, r <= 0.4 n.
-_ROOT_MAX_SHARE = 0.4
-# _solve_gram checks the residual of the product in blocks of this many
-# columns, so that the check allocates no n x n temporary
+# RootFactor.kernel_misses checks the residual of its kernel in blocks of this
+# many columns, so that the check allocates no n x n temporary
 _ROOT_CHECK_COLS = 256
 
 
-def _solve_gram(factor, B, root, trans: bool = False) -> tuple[np.ndarray, int, int]:
-    """Solve ``A X = B`` (``A^T X = B`` when ``trans``) on a factor of A for a
-    symmetric ``B`` with an (n, r) root, ``B ~ root @ root.T``.
+class RootFactor:
+    """Factor of ``F = lam I + D K`` for ``lam > 0``, a sparse symmetric PSD
+    ``D`` and a Gram matrix K with an (n, r) root C, ``K ~ C C^T``, through
+    one r x r Cholesky factor (Fine & Scheinberg, *Efficient SVM training
+    using low-rank kernel representations*, JMLR 2001).
 
-    While r <= 0.4 n (where it needs fewer flops) this takes r solves,
-    ``W = A^-1 root``, and forms ``X = W root^T``; otherwise it solves the n
-    columns of B as they are. Either way every column of X is held to the
-    residual contract against B itself. On the root route the residual
-    ``B - (A W) root^T`` also carries the truncation ``B - root root^T``,
-    and the columns that miss it are refined from their start by the
-    factor's solve, so a short, stale or non-PSD root costs time, never
-    accuracy. Returns X, the number of columns solved (r or n) and the
-    number of columns of X that needed refinement.
+    With ``M = lam I + C^T D C = R^T R`` and ``G = C R^-1``, the push-through
+    and Woodbury identities give ``F^-T C C^T = G G^T`` and
+    ``F^-1 = (I - D G G^T) / lam``. :meth:`solve` starts from that map and
+    refines against F on the full K under the other factors' residual
+    contract; :meth:`kernel_misses` holds ``G G^T`` to the same contract, so
+    a short, stale or indefinite root costs work, never accuracy. An M that
+    is not positive definite raises :class:`FactorizationError`.
+    ``refined_cols`` counts the right-hand-side columns its solves refined.
     """
-    n, rank = root.shape
-    if rank > _ROOT_MAX_SHARE * n:
-        before = factor.refined_cols
-        X = factor.solve(B, trans)
-        return X, n, factor.refined_cols - before
-    W = factor.solve(root, trans)
-    X = W @ root.T
-    AW = factor._matrix(trans) @ W
-    bound = _RESIDUAL_RTOL * _column_norms(B)
-    miss = np.zeros(n, dtype=bool)
-    for j in range(0, n, _ROOT_CHECK_COLS):
-        cols = slice(j, j + _ROOT_CHECK_COLS)
-        res = B[:, cols] - AW @ root[cols].T
-        miss[cols] = ~(_column_norms(res) <= bound[cols])
-    if miss.any():
-        X[:, miss] = factor.solve(B[:, miss], trans, x0=X[:, miss])
-    return X, rank, int(np.count_nonzero(miss))
+
+    def __init__(self, lam: float, D, K: np.ndarray, C: np.ndarray):
+        self._lam, self._D, self._K = lam, D, K
+        self.refined_cols = 0
+        M = C.T @ (D @ C)
+        M[np.diag_indices_from(M)] += lam
+        try:
+            R = sla.cholesky(M, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError("the root's r x r system is not positive definite") from exc
+        if not np.isfinite(np.diagonal(R)).all():
+            raise FactorizationError("the root's r x r factor is not finite")
+        self.G = sla.solve_triangular(R, C.T, trans="T", check_finite=False).T  # C R^-1
+
+    def _apply(self, X):
+        """``F X = lam X + D (K X)`` on the full K."""
+        out = self._D @ (self._K @ X)
+        out += self._lam * X
+        return out
+
+    def _solve_once(self, b):
+        G = self.G
+        return (b - self._D @ (G @ (G.T @ b))) / self._lam
+
+    def solve(self, b) -> np.ndarray:
+        """Solve F x = b to relative residual 1e-8."""
+        x, refined = _refined_solve(self._apply, self._solve_once, b)
+        self.refined_cols += refined
+        return x
+
+    def kernel_misses(self) -> int:
+        """The number of columns of ``G G^T`` that miss the residual contract
+        as columns of ``F^-T K``. Their residuals are
+        ``F^T G G^T - K = (lam G + K (D G)) G^T - K`` (K and D are
+        symmetric), formed in blocks of 256 columns."""
+        G, K = self.G, self._K
+        P = K @ (self._D @ G)
+        P += self._lam * G
+        bound = _RESIDUAL_RTOL * _column_norms(K)
+        misses = 0
+        for j in range(0, K.shape[0], _ROOT_CHECK_COLS):
+            cols = slice(j, j + _ROOT_CHECK_COLS)
+            res = P @ G[cols].T
+            res -= K[:, cols]
+            misses += int(np.count_nonzero(~(_column_norms(res) <= bound[cols])))
+        return misses
 
 
 def _power_norm(matvec, n: int, iters: int) -> float:

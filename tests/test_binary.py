@@ -33,8 +33,8 @@ from tvssl.errors import (
     InvalidParameterError,
 )
 from tvssl.graph import SimilarityGraph, build_knn_graph, graph_tv
-from tvssl.kernel import KernelMatrix, median_bandwidth, rbf_gram
-from tvssl.opt_core import HyperParams, LuFactor, SpdFactor, _solve_gram
+from tvssl.kernel import KernelMatrix, _symmetrize, median_bandwidth, rbf_gram
+from tvssl.opt_core import HyperParams, LuFactor, RootFactor, SpdFactor
 
 from oracles import (
     exhaustive_two_level_ratio,
@@ -381,26 +381,43 @@ def test_margin_kernel_through_the_gram_root_matches_the_n_column_route(name, gr
             SvmProxSolver(K, hp, **kw)
         return
     prox = SvmProxSolver(K, hp, **kw)
-    assert isinstance(prox.factor, LuFactor if graph_term else SpdFactor)
-    S_ref = margin_kernel_n_columns(prox.factor, K.values)
+    full = binary._kernel_factor(K, hp, **kw)  # the n-column route's factor of F
+    assert isinstance(full, LuFactor if graph_term else SpdFactor)
+    S_ref = margin_kernel_n_columns(full, K.values)
     rank, refined = prox.counters["gram_rank"], prox.counters["s_refined_cols"]
-    if name == "full_rank":
-        assert K.root().shape[1] == K.n and rank == K.n and refined == 0
+    if name in ("full_rank", "indefinite", "stale"):
+        # r = n, or a root the check rejects: the n-column route, bit for bit
+        assert isinstance(prox.factor, type(full)) and rank == K.n
         assert np.array_equal(prox.S, S_ref)
+        if name == "full_rank":
+            assert K.root().shape[1] == K.n and refined == 0
+        else:
+            assert K.root().shape[1] <= 0.4 * K.n
+            assert refined > K.n // 2  # the root misses them, and the trace says so
+            y = np.where(np.arange(K.n) % 2 == 0, 1.0, -1.0)
+            trace = binary._svm_model("svm", K, hp, prox, y).trace
+            assert (trace["gram_rank"], trace["s_refined_cols"]) == (K.n, refined)
         return
-    assert rank == K.root().shape[1] <= 0.4 * K.n
+    assert isinstance(prox.factor, RootFactor)
+    assert rank == K.root().shape[1] <= 0.4 * K.n and refined == 0
     assert np.max(np.abs(prox.S - S_ref)) <= 1e-10 * np.max(np.abs(S_ref))
+    assert np.array_equal(prox.S, prox.S.T)
+    exact = np.linalg.eigvalsh(prox.S)[-1]
+    assert abs(prox.q_norm - exact) <= 1e-12 * exact
     # the per-column residual contract against the full K and system matrix
-    X, rank_again, refined_again = _solve_gram(prox.factor, K.values, K.root(), trans=True)
-    assert (rank_again, refined_again) == (rank, refined)
-    res = K.values - prox.factor._matrix(True) @ X
+    F = full._A
+    res = K.values - F.T @ prox.S
     assert np.all(
         np.linalg.norm(res, axis=0) <= 1e-8 * np.linalg.norm(K.values, axis=0)
     )
-    if name in ("indefinite", "stale"):
-        assert refined > K.n // 2  # the root misses them; refinement repairs
-    else:
-        assert refined == 0
+    rng = np.random.default_rng(3)
+    for b in (rng.normal(size=K.n), rng.normal(size=(K.n, 3))):
+        x = prox.factor.solve(b)
+        assert x.shape == b.shape
+        r = (F @ x - b).reshape(K.n, -1)
+        assert np.all(
+            np.linalg.norm(r, axis=0) <= 1e-8 * np.linalg.norm(b.reshape(K.n, -1), axis=0)
+        )
 
 
 @pytest.mark.parametrize("n", [200, 600])
@@ -422,20 +439,26 @@ def test_margin_trainers_trace_how_their_dual_kernel_was_solved(n):
         assert "gram_rank" not in m.trace
 
 
-def test_margin_kernel_root_route_solves_fewer_than_n_columns(monkeypatch):
+def test_margin_solver_on_a_gram_matrix_of_rank_zero():
+    K = KernelMatrix(np.zeros((10, 10)), 1.0)  # an empty root: S = 0 and ||S|| = 0
+    y = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
+    m = svm_train(K, y, HyperParams())
+    assert m.trace["gram_rank"] == 0 and m.trace["s_refined_cols"] == 0
+    assert np.all(m.alpha == 0.0) and m.trace["support"] == 0
+
+
+def test_lap_svm_through_the_gram_root_builds_no_n_by_n_factor(monkeypatch):
     K, g, split, hp = _lap_svm_inputs(600, 2)
-    cols = []
-    real_solve = LuFactor.solve
 
-    def spy(self, b, *args, **kwargs):
-        cols.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
-        return real_solve(self, b, *args, **kwargs)
+    def refuse(self, A):
+        raise AssertionError(f"the root route built an n x n {type(self).__name__}")
 
-    monkeypatch.setattr(LuFactor, "solve", spy)
+    monkeypatch.setattr(LuFactor, "__init__", refuse)
+    monkeypatch.setattr(SpdFactor, "__init__", refuse)
     m = lap_svm_train(K, g, split, hp)
     r = K.root().shape[1]
+    assert r <= 0.4 * K.n
     assert m.trace["gram_rank"] == r and m.trace["s_refined_cols"] == 0
-    assert r in cols and max(cols) < K.n
 
 
 def test_qp_through_the_signed_kernel_equals_the_dense_dual():
@@ -614,7 +637,7 @@ def test_symmetrize_equals_the_fresh_sum_bit_for_bit(n, order):
     ref = np.add(S, S.T)
     np.multiply(ref, 0.5, out=ref)
     given = np.array(S, order=order)
-    got = binary._symmetrize(given)
+    got = _symmetrize(given)
     assert got.flags.c_contiguous and np.shares_memory(got, given)  # no n x n copy
     assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -211,23 +212,6 @@ def test_block_solve_refines_only_missing_columns(kind):
 
 
 @pytest.mark.parametrize("factor_cls", [SpdFactor, LuFactor])
-def test_solve_refines_a_start_and_counts_the_columns_it_refined(factor_cls):
-    A = random_spd(6, 2)
-    f = factor_cls(A)
-    B = np.random.default_rng(3).normal(size=(6, 3))
-    exact = np.linalg.solve(A, B)
-    start = exact.copy()
-    start[:, 1] += 1.0  # only this column misses the contract
-    X = f.solve(B, x0=start)
-    assert f.refined_cols == 1
-    assert np.array_equal(X[:, [0, 2]], exact[:, [0, 2]])  # kept as given
-    assert np.all(np.linalg.norm(A @ X - B, axis=0) <= 1e-8 * np.linalg.norm(B, axis=0))
-    assert np.array_equal(start[:, 1], exact[:, 1] + 1.0)  # the start is not written
-    f.solve(B)
-    assert f.refined_cols == 1
-
-
-@pytest.mark.parametrize("factor_cls", [SpdFactor, LuFactor])
 def test_block_solve_raises_when_refinement_fails(factor_cls):
     A = random_spd(6, 5)
     f = _mismatched(factor_cls, A, 50.0 * np.linalg.norm(A))
@@ -240,12 +224,75 @@ def test_block_solve_raises_when_refinement_fails(factor_cls):
 
 @pytest.mark.parametrize("b", [np.ones(2), np.ones((2, 3))], ids=["1d", "2d"])
 def test_singular_lu_solve_raises(b):
-    # the solve returned [-inf, inf]: its NaN residual passed `norm > bound`
+    # the factor is rejected when it is built, before any solve, and scipy's
+    # LinAlgWarning does not leak (its solve returned [-inf, inf], whose NaN
+    # residual once passed `norm > bound`)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy's LinAlgWarning and numpy's
-        f = LuFactor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        warnings.simplefilter("error")
         with pytest.raises(FactorizationError):
-            f.solve(b)
+            LuFactor(np.array([[1.0, 2.0], [2.0, 4.0]])).solve(b)
+
+
+@pytest.mark.parametrize("b", [np.ones(2), np.ones((2, 3))], ids=["1d", "2d"])
+@pytest.mark.parametrize("factor_cls", [SpdFactor, LuFactor])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
+def test_factors_reject_a_non_finite_matrix_when_built(where, bad, factor_cls, b):
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    A[where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from a solve's residual
+        with pytest.raises(FactorizationError):
+            factor_cls(A)
+        with pytest.raises(FactorizationError):
+            factor_cls(A).solve(b)
+
+
+def _root_system(n=80, rank=12, seed=2):
+    """``lam``, a sparse symmetric PSD D, a Gram matrix of the given rank and
+    its exact root."""
+    rng = np.random.default_rng(seed)
+    C = rng.normal(size=(n, rank)) / np.sqrt(rank)
+    g = build_knn_graph(rng.normal(size=(n, 2)), 5)
+    D = 0.5 * sp.identity(n, format="csr") + 2.0 * g.laplacian()
+    return 1e-2, D, C @ C.T, C
+
+
+@pytest.mark.parametrize("b_cols", [0, 3])
+def test_root_factor_solves_against_the_full_system(b_cols):
+    lam, D, K, C = _root_system()
+    F = lam * np.eye(K.shape[0]) + D @ K
+    b = np.random.default_rng(5).normal(size=(K.shape[0], b_cols) if b_cols else K.shape[0])
+    f = opt_core.RootFactor(lam, D, K, C)
+    x = f.solve(b)
+    assert x.shape == b.shape
+    res = (F @ x - b).reshape(K.shape[0], -1)
+    bn = np.linalg.norm(b.reshape(K.shape[0], -1), axis=0)
+    assert np.all(np.linalg.norm(res, axis=0) <= 1e-8 * bn)
+    assert f.refined_cols == 0 and f.kernel_misses() == 0
+    # the dual kernel G G^T is F^-T K
+    S = f.G @ f.G.T
+    assert np.array_equal(S, S.T)
+    assert np.linalg.norm(F.T @ S - K) <= 1e-10 * np.linalg.norm(K)
+
+
+def test_root_factor_refines_a_stale_root_and_rejects_its_kernel():
+    lam, D, K, C = _root_system()
+    n = K.shape[0]
+    K_full = K + 1e-7 * np.eye(n)  # the root no longer spans K
+    F = lam * np.eye(n) + D @ K_full
+    f = opt_core.RootFactor(lam, D, K_full, C)
+    b = np.random.default_rng(6).normal(size=(n, 4))
+    x = f.solve(b)
+    assert np.all(np.linalg.norm(F @ x - b, axis=0) <= 1e-8 * np.linalg.norm(b, axis=0))
+    assert f.refined_cols == 4
+    assert f.kernel_misses() == n
+
+
+def test_root_factor_rejects_an_indefinite_reduced_system():
+    lam, D, K, C = _root_system()
+    with pytest.raises(FactorizationError):
+        opt_core.RootFactor(lam, -D, K, C)  # lam I - C^T D C is indefinite
 
 
 # ---------------------------------------------------------------------------
