@@ -221,10 +221,16 @@ class _SignedKernel:
 
     The dual's iterates are sparse (a few percent of the points are support
     vectors), so on a large S a sparse ``v = y * b`` is applied as
-    ``v[nz] @ S[nz]``: S is symmetric, and its rows are contiguous."""
+    ``v[nz] @ S[nz]``: S is symmetric, and its rows are contiguous.
+    ``block(idx)`` is the principal submatrix that :func:`qp_box_eq`'s face
+    step solves with."""
 
     def __init__(self, S, y):
         self.S, self.y = S, y
+
+    def block(self, idx):
+        y = self.y[idx]
+        return (y[:, None] * y) * self.S[idx[:, None], idx]
 
     def __matmul__(self, b):
         v = self.y * b
@@ -357,15 +363,16 @@ def svm_value_prox(e, y, r2: float, mu: float) -> tuple[np.ndarray, DualSolution
 def _svm_model(variant, K, hp, prox: SvmProxSolver, y, tol=1e-8) -> BinaryModel:
     """Solve the margin dual for labels ``y``. With ``use_bias`` the bias is
     the mean margin residual over the free support vectors (0 without any).
-    The trace records the dual's ``qp_iters``, ``qp_stop_reason`` and
-    ``support``, the number of nonzero dual coefficients, and the solver's
-    ``counters``."""
+    The trace records the dual's ``qp_iters``, ``qp_face_steps``,
+    ``qp_stop_reason`` and ``support``, the number of nonzero dual
+    coefficients, and the solver's ``counters``."""
     alpha, sol = prox.solve(y)
     vals = K.values @ alpha
     free = (sol.beta > tol) & (sol.beta < hp.mu - tol)
     bias = float(np.mean(y[free] - vals[free])) if hp.use_bias and np.any(free) else 0.0
     trace = {
         "qp_iters": sol.iterations,
+        "qp_face_steps": sol.face_steps,
         "qp_stop_reason": sol.stop_reason,
         "support": int(np.count_nonzero(sol.beta)),
         **prox.counters,

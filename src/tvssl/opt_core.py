@@ -39,6 +39,7 @@ _RESIDUAL_RTOL = 1e-8
 # qp_box_eq skips its reference projection only when the step's lower bound
 # on the projected gradient exceeds tol by this factor, far above rounding
 _PG_BOUND_MARGIN = 1.0 + 1e-6
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -120,6 +121,8 @@ class DualSolution:
     solve (a closed-form solution counts as such) and "cap" when
     ``max_iters`` did; a solve that meets ``tol`` on its last allowed
     iteration is "tol" although ``iterations`` equals the cap.
+    ``iterations`` counts projected-gradient steps; ``face_steps`` counts
+    the Newton steps on a settled face that were kept between them.
     """
 
     beta: np.ndarray
@@ -127,6 +130,7 @@ class DualSolution:
     kkt_residuals: dict
     iterations: int
     stop_reason: str
+    face_steps: int = 0
 
 
 @dataclass
@@ -681,24 +685,54 @@ def project_box_eq(v, y, mu: float) -> np.ndarray:
     return np.minimum(b, mu, out=b)
 
 
-def _vector_product(Q):
-    """``b -> Q @ b`` as a 1-D array. An ndarray product (dense arrays and
-    scipy sparse matrices give one) is returned as it is."""
-
-    def matvec(b):
-        out = Q @ b
-        if type(out) is np.ndarray and out.ndim == 1:
-            return out
-        return np.asarray(out).ravel()
-
-    return matvec
-
-
 def _qp_norm(Q, m: int) -> float:
     """:func:`qp_box_eq`'s estimate of ``||Q||`` for an ``m``-vector dual:
     30 power-iteration products from a fixed start, so the same operator
     gives the same float."""
-    return _power_norm(_vector_product(Q), m, 30)
+    return _power_norm(Q.__matmul__, m, 30)
+
+
+def _face_step(block, beta, grad, y, free, mu: float):
+    """The Newton step of ``F(b) = 0.5 b@Q@b - q@b`` on the face of ``beta``,
+    which moves only the ``free`` coordinates and keeps ``y@b``, or None.
+
+    ``d`` solves ``[Q_FF y_F; y_F^T 0] [d; nu] = [-grad_F; 0]`` with
+    ``Q_FF = block(free)`` by one LU (LAPACK ``dgesv``). The step is ``a d``
+    for the largest ``a`` in (0, 1] that stays in the box; the coordinate
+    that blocks it is put exactly on its bound. None when the system is
+    singular to working precision (``dgecon``'s reciprocal condition number
+    below machine epsilon, as scipy's ``solve`` warns) or ``d`` is not
+    finite.
+    """
+    k = free.size
+    A = np.zeros((k + 1, k + 1), order="F")
+    A[:k, :k] = block(free)
+    A[:k, k] = A[k, :k] = y[free]
+    rhs = np.zeros(k + 1)
+    rhs[:k] = -grad[free]
+    a_norm = np.abs(A).sum(axis=0).max()
+    lu, _piv, x, info = sla.lapack.dgesv(A, rhs, overwrite_a=1, overwrite_b=1)
+    if info != 0 or sla.lapack.dgecon(lu, a_norm)[0] < _EPS:
+        return None
+    d = x[:k]
+    if not np.isfinite(d).all():
+        return None
+    b = beta[free]
+    room = np.full(k, np.inf)  # the step length to the bound each coordinate moves to
+    np.divide(b, -d, out=room, where=d < 0.0)
+    np.divide(mu - b, d, out=room, where=d > 0.0)
+    j = int(room.argmin())
+    a = min(1.0, room.item(j))
+    if not a > 0.0:
+        return None
+    b += a * d
+    np.maximum(b, 0.0, out=b)
+    np.minimum(b, mu, out=b)
+    if room.item(j) <= 1.0:
+        b[j] = 0.0 if d[j] < 0.0 else mu
+    out = beta.copy()
+    out[free] = b
+    return out
 
 
 def qp_box_eq(
@@ -725,10 +759,19 @@ def qp_box_eq(
     decide the test, which leaves every iterate as with both projections.
     The labels are checked and prepared for :func:`project_box_eq` once per
     call (:class:`_BoxEqLabels`), not once per projection.
-    ``Q`` may be a dense array, a scipy sparse matrix or
-    any object whose ``Q @ b`` is its product with a vector; it must be
-    symmetric PSD. A non-finite ``p`` or ``beta0``, a negative or
-    non-finite ``mu``, ``tol`` or ``q_norm`` raise
+
+    When a step leaves the free set ``F = {i : 0 < b_i < mu}`` as it found
+    it, ``F`` is not empty, ``|F|^3 <= m^2`` and the cap is not reached, the
+    iterate takes :func:`_face_step`'s Newton step on that face (gradient
+    projection plus subspace minimization; More & Toraldo, SIAM J. Optim.
+    1991) if it does not raise the objective. ``iterations`` counts the
+    projected steps only; ``face_steps`` the kept Newton steps. A solve
+    that keeps none has the iterates of the plain projected iteration.
+
+    ``Q`` is symmetric PSD: a dense array, or an operator whose ``Q @ b``
+    is its product with a vector and whose ``Q.block(idx)`` is the dense
+    principal submatrix ``Q[idx][:, idx]``. A non-finite ``p`` or ``beta0``,
+    a negative or non-finite ``mu``, ``tol`` or ``q_norm`` raise
     :class:`InvalidParameterError`.
     """
     y = pm1_labels(y)
@@ -761,21 +804,30 @@ def qp_box_eq(
             beta, 0.0, {"eq": 0.0, "box": 0.0, "stationarity": 0.0}, 0, "tol"
         )
 
+    if hasattr(Q, "block"):
+        block = Q.block
+    else:
+        Q = np.asarray(Q, dtype=np.float64)
+
+        def block(idx):
+            return Q[idx[:, None], idx]
+
+    matvec = Q.__matmul__
     labels = _BoxEqLabels(y, mu)
     q_lin = 1.0 - p  # minimize F(b) = 0.5 b Q b - q_lin @ b
     half_q = 0.5 * q_lin
-    matvec = _vector_product(Q)
     L = _qp_norm(Q, m) if q_norm is None else q_norm
     t_ref = 1.0 / max(L, 1e-12)
     t_min, t_max = 1e-5 * t_ref, 1e5 * t_ref
 
     beta = project_box_eq(np.zeros(m) if beta0 is None else beta0, labels, mu)
     grad = matvec(beta) - q_lin
+    free = (beta > 0.0) & (beta < mu)
     t = t_ref
     f_hist: list[float] = []
     pg_norm = np.inf
     stop_reason = "cap"
-    it = 0
+    it = faces = 0
     for it in range(1, max_iters + 1):
         beta_new = project_box_eq(beta - t * grad, labels, mu)
         s = beta_new - beta
@@ -807,6 +859,22 @@ def qp_box_eq(
             t = t_ref
         f_hist.append(f_new)
         beta, grad = beta_new, grad_new
+        # a face step costs about one product while |F|^3 <= m^2: the LU of
+        # its (|F| + 1)-square system takes about 2 |F|^3 / 3 flops against
+        # 2 m^2 for a dense product, and its own product is gathered at
+        # this support
+        free_new = (beta > 0.0) & (beta < mu)
+        k = np.count_nonzero(free_new)
+        if it < max_iters and 0 < k and k**3 <= m * m and np.array_equal(free_new, free):
+            cand = _face_step(block, beta, grad, labels.y, np.flatnonzero(free_new), mu)
+            if cand is not None:
+                grad_c = matvec(cand) - q_lin
+                f_c = float(0.5 * cand @ grad_c - half_q @ cand)
+                if f_c <= f_new:
+                    beta, grad, f_hist[-1] = cand, grad_c, f_c
+                    faces += 1
+                    free_new = (beta > 0.0) & (beta < mu)
+        free = free_new
 
     obj = float(beta @ np.ones(m) - 0.5 * beta @ matvec(beta) - beta @ p)
     kkt = {
@@ -814,7 +882,7 @@ def qp_box_eq(
         "box": float(max(0.0, -beta.min(), (beta - mu).max())),
         "stationarity": pg_norm if np.isfinite(pg_norm) else 0.0,
     }
-    return DualSolution(beta, obj, kkt, it, stop_reason)
+    return DualSolution(beta, obj, kkt, it, stop_reason, faces)
 
 
 # ---------------------------------------------------------------------------

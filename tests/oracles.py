@@ -9,6 +9,7 @@ import itertools
 import types
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.optimize as sopt
 import scipy.sparse as sp
 
@@ -322,15 +323,67 @@ def qp_box_eq_enumerate(Q, p, y, mu):
     return best_b, best_obj
 
 
-def qp_box_eq_two_projections(Q, p, y, mu, project, *, tol=1e-6, max_iters=5000, beta0=None):
+def _face_newton_step(Q, beta, grad, y, free, mu):
+    """The library's face step, written plainly: solve the KKT system of
+    the face's quadratic with the equality row by LU, walk the Newton
+    direction to the first bound (at most a full step) and put that
+    coordinate on it. None when the system is singular to working precision
+    (reciprocal condition number below machine epsilon)."""
+    k = len(free)
+    Q_ff = Q.block(free) if hasattr(Q, "block") else np.asarray(Q)[np.ix_(free, free)]
+    A = np.zeros((k + 1, k + 1))
+    A[:k, :k] = Q_ff
+    A[:k, k] = y[free]
+    A[k, :k] = y[free]
+    rhs = np.zeros(k + 1)
+    rhs[:k] = -grad[free]
+    lu, _piv, x, info = sla.lapack.dgesv(A, rhs)
+    if info != 0:
+        return None  # an exactly zero pivot
+    rcond, _ = sla.lapack.dgecon(lu, np.linalg.norm(A, 1))
+    if rcond < np.finfo(float).eps:
+        return None
+    d = x[:k]
+    if not np.all(np.isfinite(d)):
+        return None
+    a, blocking = np.inf, None
+    for i in range(k):
+        b_i = beta[free[i]]
+        if d[i] < 0.0:
+            a_i = -b_i / d[i]
+        elif d[i] > 0.0:
+            a_i = (mu - b_i) / d[i]
+        else:
+            continue
+        if a_i < a:
+            a, blocking = a_i, i
+    if blocking is not None and a > 1.0:
+        blocking = None
+    a = min(a, 1.0)
+    if not a > 0.0:
+        return None
+    new = beta.copy()
+    new[free] = np.minimum(np.maximum(beta[free] + a * d, 0.0), mu)
+    if blocking is not None:
+        new[free[blocking]] = 0.0 if d[blocking] < 0.0 else mu
+    return new
+
+
+def qp_box_eq_two_projections(
+    Q, p, y, mu, project, *, tol=1e-6, max_iters=5000, beta0=None, face_steps=True
+):
     """The library's projected-gradient dual solver in its two-projection form.
 
     Every iteration projects at the reference step ``1/L`` for the stop test
     and again at the Barzilai-Borwein step for the move. The library skips
     the first projection when the second already decides the test, which
     must leave every iterate unchanged; with the same ``project`` both give
-    the same results bit for bit. Returns ``(beta, objective,
-    kkt_residuals, iterations, stop_reason)``.
+    the same results bit for bit. After a step that keeps the free set
+    ``{i : 0 < b_i < mu}`` of its start (nonempty, of size ``k`` with
+    ``k**3 <= m**2``), short of the cap, the Newton step on that face is kept
+    if it does not raise the objective; ``face_steps=False`` leaves it out.
+    Returns ``(beta, objective, kkt_residuals, iterations, stop_reason,
+    face_steps_kept)``.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     m = y.size
@@ -339,6 +392,9 @@ def qp_box_eq_two_projections(Q, p, y, mu, project, *, tol=1e-6, max_iters=5000,
 
     def matvec(b):
         return np.asarray(Q @ b).ravel()
+
+    def free_set(b):
+        return np.flatnonzero((b > 0.0) & (b < mu))
 
     v = np.ones(m) + 1e-3 * np.arange(m)
     v /= np.linalg.norm(v)
@@ -359,7 +415,7 @@ def qp_box_eq_two_projections(Q, p, y, mu, project, *, tol=1e-6, max_iters=5000,
     f_hist = []
     pg_norm = np.inf
     stop_reason = "cap"
-    it = 0
+    it = kept = 0
     for it in range(1, max_iters + 1):
         ref = project(beta - t_ref * grad, y, mu)
         pg_norm = float(np.linalg.norm(ref - beta) / t_ref)
@@ -379,7 +435,17 @@ def qp_box_eq_two_projections(Q, p, y, mu, project, *, tol=1e-6, max_iters=5000,
         if f_hist and f_new > max(f_hist[-10:]) + 1e-10 * (1 + abs(f_new)):
             t = t_ref
         f_hist.append(f_new)
+        free = free_set(beta_new)
+        settled = np.array_equal(free, free_set(beta)) and 0 < len(free) and len(free) ** 3 <= m * m
         beta, grad = beta_new, grad_new
+        if face_steps and settled and it < max_iters:
+            cand = _face_newton_step(Q, beta, grad, y, free, mu)
+            if cand is not None:
+                grad_c = matvec(cand) - q_lin
+                f_c = float(0.5 * cand @ grad_c - 0.5 * q_lin @ cand)
+                if f_c <= f_new:
+                    beta, grad, f_hist[-1] = cand, grad_c, f_c
+                    kept += 1
 
     obj = float(beta @ np.ones(m) - 0.5 * beta @ matvec(beta) - beta @ p)
     kkt = {
@@ -387,7 +453,7 @@ def qp_box_eq_two_projections(Q, p, y, mu, project, *, tol=1e-6, max_iters=5000,
         "box": float(max(0.0, -beta.min(), (beta - mu).max())),
         "stationarity": pg_norm if np.isfinite(pg_norm) else 0.0,
     }
-    return beta, obj, kkt, it, stop_reason
+    return beta, obj, kkt, it, stop_reason, kept
 
 
 # ---------------------------------------------------------------------------

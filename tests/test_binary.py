@@ -34,7 +34,7 @@ from tvssl.errors import (
 )
 from tvssl.graph import SimilarityGraph, build_knn_graph, graph_tv
 from tvssl.kernel import KernelMatrix, _symmetrize, median_bandwidth, rbf_gram
-from tvssl.opt_core import HyperParams, LuFactor, RootFactor, SpdFactor
+from tvssl.opt_core import HyperParams, LuFactor, RootFactor, SpdFactor, project_box_eq
 
 from oracles import (
     exhaustive_two_level_ratio,
@@ -44,6 +44,7 @@ from oracles import (
     margin_primal_slsqp,
     masked_rls_alpha,
     qp_box_eq_enumerate,
+    qp_box_eq_two_projections,
     rls_gradient_descent,
     tv_prox_row_by_row,
     tv_rls_objective,
@@ -478,6 +479,24 @@ def test_qp_through_the_signed_kernel_equals_the_dense_dual():
     assert abs(a.iterations - b.iterations) <= 0.05 * b.iterations + 5
 
 
+def test_lap_svm_dual_finishes_on_its_face():
+    """On a lap_svm dual the face steps cut the projected steps and land
+    closer to the optimum than the plain iteration's stop at the same tol."""
+    K, g, split, hp = _lap_svm_inputs(400, 2)
+    prox = SvmProxSolver(K, hp, laplacian=g.laplacian(), gamma=hp.gamma)
+    y = binary._pseudo_refresh(split, 1.0, binary._warm_values(prox.S, split, hp.eta))
+    _alpha, sol = prox.solve(y)
+    signed = binary._SignedKernel(prox.S, y)
+    plain = qp_box_eq_two_projections(
+        signed, 0.0, y, hp.mu, project_box_eq, tol=prox.qp_tol, face_steps=False
+    )
+    tight = binary.qp_box_eq(signed, 0.0, y, hp.mu, tol=1e-10, q_norm=prox.q_norm)
+    assert sol.stop_reason == plain[4] == tight.stop_reason == "tol"
+    assert sol.face_steps >= 1
+    assert sol.iterations < plain[3]
+    assert np.linalg.norm(sol.beta - tight.beta) <= 1e-6 * np.linalg.norm(tight.beta)
+
+
 def test_svm_prox_solver_runs_no_power_iteration_per_solve(monkeypatch):
     """One solver fed repeated and changing labels gives what a fresh solver
     gives for each call, bit for bit. The dual's norm is estimated once, on
@@ -660,6 +679,7 @@ def test_lap_svm_factors_once_and_traces_its_dual(monkeypatch):
     )
     assert m.trace == {
         "qp_iters": sol.iterations,
+        "qp_face_steps": sol.face_steps,
         "qp_stop_reason": sol.stop_reason,
         "support": int(np.count_nonzero(sol.beta)),
         # n = 200: the root is too long to pay, so S is solved column by column

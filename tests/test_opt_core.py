@@ -828,7 +828,7 @@ def _random_dual(m, seed, kind):
 @pytest.mark.parametrize("kind", ["dense", "signed"])
 @pytest.mark.parametrize("max_iters", [1, 2, 3, 7, 5000])
 def test_qp_bit_identical_to_two_projection_loop(kind, max_iters):
-    reasons = set()
+    reasons, face_steps = set(), 0
     for seed in range(6):
         m = (5, 40)[seed % 2]
         Q, y, mu, rng = _random_dual(m, seed, kind)
@@ -838,7 +838,7 @@ def test_qp_bit_identical_to_two_projection_loop(kind, max_iters):
             for beta0 in (None, rng.uniform(-0.5, 1.5, size=m) * mu, solved):
                 for tol in (1e-6, 1e-9):
                     sol = qp_box_eq(Q, p, y, mu, tol=tol, max_iters=max_iters, beta0=beta0)
-                    beta, obj, kkt, iters, reason = qp_box_eq_two_projections(
+                    beta, obj, kkt, iters, reason, faces = qp_box_eq_two_projections(
                         Q, p, y, mu, project_box_eq, tol=tol, max_iters=max_iters, beta0=beta0
                     )
                     assert sol.beta.tobytes() == beta.tobytes()
@@ -846,8 +846,12 @@ def test_qp_bit_identical_to_two_projection_loop(kind, max_iters):
                     assert sol.kkt_residuals == kkt
                     assert sol.iterations == iters
                     assert sol.stop_reason == reason
+                    assert sol.face_steps == faces
                     reasons.add(reason)
+                    face_steps += faces
     assert reasons == ({"tol"} if max_iters == 5000 else {"tol", "cap"})
+    # the face steps ran, so the comparison covers them
+    assert face_steps > 0 or max_iters == 1
 
 
 def test_qp_projects_reference_step_only_when_the_step_cannot_decide(monkeypatch):
@@ -858,12 +862,117 @@ def test_qp_projects_reference_step_only_when_the_step_cannot_decide(monkeypatch
         return project_box_eq(v, y, mu)
 
     monkeypatch.setattr(opt_core, "project_box_eq", counting)
-    Q, y, mu, _ = _random_dual(60, 11, "signed")
+    # a free set too wide for face steps: every iterate is a projected step
+    Q, y, mu, _ = _random_dual(60, 0, "signed")
     sol = qp_box_eq(Q, 0.0, y, mu, tol=1e-9)
     assert sol.stop_reason == "tol" and sol.iterations > 20
     # one projection of the start, one per step, and the reference ones:
     # two per iteration before the skip
     assert sol.iterations + 1 <= len(calls) < 1.5 * sol.iterations
+
+
+def _spy_face_steps(monkeypatch):
+    """Record ``(beta, free, candidate)`` for every face step qp_box_eq tries."""
+    tried = []
+    real = opt_core._face_step
+
+    def spy(block, beta, grad, y, free, mu):
+        cand = real(block, beta, grad, y, free, mu)
+        tried.append((beta.copy(), free.copy(), cand))
+        return cand
+
+    monkeypatch.setattr(opt_core, "_face_step", spy)
+    return tried
+
+
+def _face_dual_cases():
+    """(Q, p, y, mu) over the random-dual family and the enumeration's m = 6
+    instances of test_qp_random_instances_match_enumeration."""
+    cases = []
+    for seed in range(12):
+        m = (5, 40, 60, 100)[seed % 4]
+        Q, y, mu, rng = _random_dual(m, seed, ("dense", "signed")[seed % 2])
+        for p in (0.0, 0.3 * rng.normal(size=m)):
+            cases.append((Q, p, y, mu))
+    rng = np.random.default_rng(42)
+    for _ in range(12):
+        A = rng.normal(size=(6, 6))
+        p = rng.normal(size=6)
+        y = np.array([1.0] * 3 + [-1.0] * 3)
+        rng.shuffle(y)
+        cases.append((A @ A.T + 0.5 * np.eye(6), p, y, float(rng.uniform(0.5, 2.0))))
+    return cases
+
+
+def test_qp_face_steps_stay_feasible_and_never_raise_the_objective(monkeypatch):
+    tried = _spy_face_steps(monkeypatch)
+    kept = 0
+    for Q, p, y, mu in _face_dual_cases():
+        m = y.size
+        q = 1.0 - (np.full(m, p) if np.isscalar(p) else p)
+        start = len(tried)
+        sol = qp_box_eq(Q, p, y, mu, tol=1e-9, max_iters=20000)
+        assert sol.stop_reason == "tol"
+        accepted = 0
+        for beta, free, cand in tried[start:]:
+            # tried only on a settled face narrow enough for the cost rule
+            assert free.size and free.size**3 <= m * m
+            assert np.array_equal(free, np.flatnonzero((beta > 0) & (beta < mu)))
+            if cand is None:
+                continue
+            # exactly in the box, on the equality within rounding, and moved
+            # on the face only
+            assert cand.min() >= 0.0 and cand.max() <= mu
+            assert abs(cand @ y) <= 1e-13 * m * mu
+            fixed = np.ones(m, bool)
+            fixed[free] = False
+            assert cand[fixed].tobytes() == beta[fixed].tobytes()
+            # the library's objective decides; the kept ones never raise it
+            f_c = float(0.5 * cand @ (Q @ cand - q) - (0.5 * q) @ cand)
+            f_b = float(0.5 * beta @ (Q @ beta - q) - (0.5 * q) @ beta)
+            accepted += f_c <= f_b
+        assert sol.face_steps == accepted
+        kept += accepted
+        assert abs(sol.beta @ y) <= 1e-12 * m * mu
+    assert kept > 20
+
+
+def test_qp_face_step_skips_a_singular_face_quietly(monkeypatch):
+    """A face wider than rank(S) + 1 makes the face's KKT system singular:
+    the step is skipped with no error and no warning, and the projected
+    iteration still solves the dual."""
+    rng = np.random.default_rng(10)
+    m = 30
+    C = rng.integers(-3, 4, size=(m, 2)).astype(float)
+    S = C @ C.T  # rank 2, exactly
+    y = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    Q = _SignedKernel(S, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta = np.full(m, 0.5)
+        assert opt_core._face_step(Q.block, beta, rng.normal(size=m), y, np.arange(6), 1.0) is None
+        tried = _spy_face_steps(monkeypatch)
+        sol = qp_box_eq(Q, 0.0, y, 1.0, tol=1e-8)
+    assert sol.stop_reason == "tol" and sol.face_steps == 0
+    assert tried and all(cand is None and free.size >= 4 for _, free, cand in tried)
+    # with every face step skipped, the solve is the plain projected iteration
+    plain = qp_box_eq_two_projections(Q, 0.0, y, 1.0, project_box_eq, tol=1e-8, face_steps=False)
+    assert sol.beta.tobytes() == plain[0].tobytes() and sol.iterations == plain[3]
+
+
+def test_qp_without_face_steps_is_the_plain_iteration():
+    """A solve that keeps no face step returns the projected iteration's bits."""
+    plain_solves = 0
+    for Q, p, y, mu in _face_dual_cases():
+        sol = qp_box_eq(Q, p, y, mu, tol=1e-9)
+        if sol.face_steps:
+            continue
+        beta, obj, kkt, iters, reason, _ = qp_box_eq_two_projections(
+            Q, p, y, mu, project_box_eq, tol=1e-9, face_steps=False
+        )
+        assert (sol.beta.tobytes(), sol.objective, sol.iterations) == (beta.tobytes(), obj, iters)
+        plain_solves += 1
+    assert plain_solves > 5
 
 
 def test_qp_stop_reason_on_the_last_allowed_iteration():
@@ -1051,15 +1160,23 @@ def test_qp_makes_every_projection_through_the_module_name(monkeypatch):
         states.add(id(y))
         return real(v, y, mu)
 
-    Q, y, mu, _ = _random_dual(60, 11, "signed")
-    plain = qp_box_eq(Q, 0.0, y, mu, tol=1e-9)
-    monkeypatch.setattr(opt_core, "_BoxEqLabels", Labels)
-    monkeypatch.setattr(opt_core, "project_box_eq", spy)
-    sol = qp_box_eq(Q, 0.0, y, mu, tol=1e-9)
-    assert sol.beta.tobytes() == plain.beta.tobytes()
-    assert sol.iterations == plain.iterations > 20
-    assert len(sorts) == len(calls) > sol.iterations
-    assert len(states) == 1  # the labels are prepared once per solve
+    # (60, 0) takes more than 20 projected steps and no face step;
+    # (60, 11) converges in a few after a face step, which projects nothing
+    for seed in (0, 11):
+        Q, y, mu, _ = _random_dual(60, seed, "signed")
+        plain = qp_box_eq(Q, 0.0, y, mu, tol=1e-9)
+        with monkeypatch.context() as patch:
+            patch.setattr(opt_core, "_BoxEqLabels", Labels)
+            patch.setattr(opt_core, "project_box_eq", spy)
+            sol = qp_box_eq(Q, 0.0, y, mu, tol=1e-9)
+        assert sol.beta.tobytes() == plain.beta.tobytes()
+        assert sol.face_steps == plain.face_steps
+        assert sol.iterations == plain.iterations > (20 if seed == 0 else 1)
+        assert len(sorts) == len(calls) > sol.iterations
+        assert len(states) == 1  # the labels are prepared once per solve
+        del sorts[:], calls[:]
+        states.clear()
+    assert plain.face_steps > 0
 
 
 # ---------------------------------------------------------------------------
