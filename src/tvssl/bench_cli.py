@@ -51,11 +51,13 @@ ALGORITHMS = tuple(_SUPERVISED) + tuple(_SEMI_BINARY) + tuple(_SEMI_MULTI)
 
 
 def default_hyperparams(algorithm: str, overrides: dict | None = None) -> HyperParams:
-    """Per-algorithm defaults from the shipped config file, plus overrides."""
+    """:class:`HyperParams`' defaults with ``algorithm``'s departures from
+    them, from the shipped ``configs/defaults.json``, plus overrides. An
+    algorithm not in :data:`ALGORITHMS` raises :class:`InvalidParameterError`."""
+    if algorithm not in ALGORITHMS:
+        raise InvalidParameterError(f"unknown algorithm {algorithm!r}")
     text = resources.files("tvssl").joinpath("configs/defaults.json").read_text()
-    table = json.loads(text)
-    merged = dict(table.get("default", {}))
-    merged.update(table.get(algorithm, {}))
+    merged = dict(json.loads(text).get(algorithm, {}))
     if overrides:
         merged.update(overrides)
     return HyperParams.from_dict(merged, algorithm)

@@ -279,7 +279,9 @@ class SvmProxSolver:
     ``gram_rank`` (r on the root route, n on the n-column route) and
     ``s_refined_cols``, the columns of S that missed the contract at first:
     those the root route rejected (all n if its factorization failed) plus
-    those the n-column solve refined.
+    those the n-column solve refined. It also sums the dual's work over
+    every ``solve``: ``qp_solves``, ``qp_iters`` (projected steps),
+    ``qp_face_steps`` (kept face steps) and ``qp_cap_hits``.
     """
 
     def __init__(
@@ -300,6 +302,7 @@ class SvmProxSolver:
         if gamma > 0 and laplacian is None:
             raise InvalidParameterError("gamma > 0 requires a Laplacian")
         n = K.n
+        self.counters = dict.fromkeys(("qp_solves", "qp_iters", "qp_face_steps", "qp_cap_hits"), 0)
         root = K.root()  # first: the n x n workspace of dpstrf is freed before S exists
         missed = 0
         if root.shape[1] <= _ROOT_MAX_SHARE * n:
@@ -315,12 +318,12 @@ class SvmProxSolver:
                 G = factor.G
                 self.factor, self.S = factor, G @ G.T  # one syrk: exactly symmetric
                 self.q_norm = float(np.linalg.eigvalsh(G.T @ G).max(initial=0.0))  # r may be 0
-                self.counters = {"gram_rank": root.shape[1], "s_refined_cols": 0}
+                self.counters.update(gram_rank=root.shape[1], s_refined_cols=0)
                 return
         self.factor = _kernel_factor(K, hp, r=self.r, laplacian=laplacian, gamma=gamma)
         self.S = _symmetrize(self.factor.solve(K.values, trans=True))
         self.q_norm = _qp_norm(self.S, n)
-        self.counters = {"gram_rank": n, "s_refined_cols": missed + self.factor.refined_cols}
+        self.counters.update(gram_rank=n, s_refined_cols=missed + self.factor.refined_cols)
 
     def solve(self, y, target=None, beta0=None) -> tuple[np.ndarray, DualSolution]:
         """Return (alpha, dual solution) for labels y and proximity target."""
@@ -336,6 +339,11 @@ class SvmProxSolver:
             _SignedKernel(self.S, y), p, y, self.mu, tol=self.qp_tol,
             max_iters=self.qp_iters, beta0=beta0, q_norm=self.q_norm,
         )
+        c = self.counters
+        c["qp_solves"] += 1
+        c["qp_iters"] += sol.iterations
+        c["qp_face_steps"] += sol.face_steps
+        c["qp_cap_hits"] += sol.stop_reason == "cap"
         alpha = self.factor.solve(y * sol.beta + rhs_extra)
         return alpha, sol
 
@@ -363,16 +371,13 @@ def svm_value_prox(e, y, r2: float, mu: float) -> tuple[np.ndarray, DualSolution
 def _svm_model(variant, K, hp, prox: SvmProxSolver, y, tol=1e-8) -> BinaryModel:
     """Solve the margin dual for labels ``y``. With ``use_bias`` the bias is
     the mean margin residual over the free support vectors (0 without any).
-    The trace records the dual's ``qp_iters``, ``qp_face_steps``,
-    ``qp_stop_reason`` and ``support``, the number of nonzero dual
-    coefficients, and the solver's ``counters``."""
+    The trace records the dual's ``qp_stop_reason`` and ``support``, the
+    number of nonzero dual coefficients, and the solver's ``counters``."""
     alpha, sol = prox.solve(y)
     vals = K.values @ alpha
     free = (sol.beta > tol) & (sol.beta < hp.mu - tol)
     bias = float(np.mean(y[free] - vals[free])) if hp.use_bias and np.any(free) else 0.0
     trace = {
-        "qp_iters": sol.iterations,
-        "qp_face_steps": sol.face_steps,
         "qp_stop_reason": sol.stop_reason,
         "support": int(np.count_nonzero(sol.beta)),
         **prox.counters,

@@ -59,26 +59,23 @@ class HyperParams:
     the move-tied gap of every later one, and, times n, the consensus
     residual that stops the TV split loop of tv_rls and tv_svm.
 
-    The dataclass defaults are not the shipped ones: those are per algorithm
-    in ``configs/defaults.json``, read by ``bench_cli.default_hyperparams``
-    (for instance ``lam=1e-4``, ``gamma=1.0``, ``r1=r2=5.0`` and
-    ``norm_scale="sqrt_n"``, which is why the README's quick start passes
-    them by hand).
+    The defaults are the shipped ones; ``configs/defaults.json`` lists each
+    algorithm's departures from them (``bench_cli.default_hyperparams``).
     """
 
     eta: float = 1.0
-    lam: float = 0.01
-    gamma: float = 0.1
+    lam: float = 1e-4
+    gamma: float = 1.0
     mu: float = 1.0
     r: float = 1.0
-    r1: float = 1.0
-    r2: float = 1.0
+    r1: float = 5.0
+    r2: float = 5.0
     c: float = 1.0
     outer_iters: int = 200
-    inner_iters: int = 500
+    inner_iters: int = 150
     tol: float = 1e-5
     normalize: bool = True
-    norm_scale: str = "n"  # "n" or "sqrt_n"
+    norm_scale: str = "sqrt_n"  # or "n"
     use_bias: bool = False
     simplex_last: bool = False
 
@@ -119,8 +116,10 @@ class DualSolution:
 
     ``stop_reason`` is "tol" when the projected-gradient test ended the
     solve (a closed-form solution counts as such) and "cap" when
-    ``max_iters`` did; a solve that meets ``tol`` on its last allowed
-    iteration is "tol" although ``iterations`` equals the cap.
+    ``max_iters`` did; a solve whose returned point meets ``tol`` after the
+    cap is "tol" although ``iterations`` equals the cap.
+    ``kkt_residuals["stationarity"]`` is the returned point's projected
+    gradient at the reference step.
     ``iterations`` counts projected-gradient steps; ``face_steps`` counts
     the Newton steps on a settled face that were kept between them.
     """
@@ -752,21 +751,23 @@ def qp_box_eq(
     a Barzilai-Borwein step (fallback ``1/L``). ``L`` is ``q_norm`` when
     given, else :func:`_qp_norm`'s power-iteration estimate of ``||Q||``;
     passing the value that estimate gave for the same ``Q`` skips its 30
-    products and changes nothing else. Terminates
-    when the projected-gradient norm at the reference step ``1/L`` drops below
-    ``tol`` ("tol") or at ``max_iters`` ("cap"). Each iteration projects its
-    step first; the reference projection runs only when the step cannot
-    decide the test, which leaves every iterate as with both projections.
-    The labels are checked and prepared for :func:`project_box_eq` once per
-    call (:class:`_BoxEqLabels`), not once per projection.
+    products and changes nothing else. Terminates when the projected-gradient
+    norm at the reference step ``1/L`` drops below ``tol`` ("tol") or at
+    ``max_iters``; after the cap one reference projection gives the returned
+    point's residual, and the solve is "tol" if it meets ``tol``, else
+    "cap". Each iteration projects its step first; the reference projection
+    runs only when the step cannot decide the test, which leaves every
+    iterate as with both projections. The labels are checked and prepared
+    for :func:`project_box_eq` once per call (:class:`_BoxEqLabels`), not
+    once per projection.
 
     When a step leaves the free set ``F = {i : 0 < b_i < mu}`` as it found
-    it, ``F`` is not empty, ``|F|^3 <= m^2`` and the cap is not reached, the
-    iterate takes :func:`_face_step`'s Newton step on that face (gradient
-    projection plus subspace minimization; More & Toraldo, SIAM J. Optim.
-    1991) if it does not raise the objective. ``iterations`` counts the
-    projected steps only; ``face_steps`` the kept Newton steps. A solve
-    that keeps none has the iterates of the plain projected iteration.
+    it, ``F`` is not empty and ``|F|^3 <= m^2``, the iterate takes
+    :func:`_face_step`'s Newton step on that face (gradient projection plus
+    subspace minimization; More & Toraldo, SIAM J. Optim. 1991) if it does
+    not raise the objective. ``iterations`` counts the projected steps only;
+    ``face_steps`` the kept Newton steps. A solve that keeps none has the
+    iterates of the plain projected iteration.
 
     ``Q`` is symmetric PSD: a dense array, or an operator whose ``Q @ b``
     is its product with a vector and whose ``Q.block(idx)`` is the dense
@@ -825,8 +826,6 @@ def qp_box_eq(
     free = (beta > 0.0) & (beta < mu)
     t = t_ref
     f_hist: list[float] = []
-    pg_norm = np.inf
-    stop_reason = "cap"
     it = faces = 0
     for it in range(1, max_iters + 1):
         beta_new = project_box_eq(beta - t * grad, labels, mu)
@@ -838,16 +837,14 @@ def qp_box_eq(
         # Lemma 2.2), so pg(t_ref) >= ||s|| / max(t, t_ref). While that bound
         # clears tol by more than rounding the test cannot stop, and its
         # projection is skipped; at t == t_ref the step is the test's point.
-        # The last iteration always runs the test, for the returned residual.
         bound = math.sqrt(ss) / max(t, t_ref)
-        if t == t_ref or it == max_iters or bound <= _PG_BOUND_MARGIN * tol:
+        if t == t_ref or bound <= _PG_BOUND_MARGIN * tol:
             if t == t_ref:
                 pg_norm = math.sqrt(ss) / t_ref
             else:
                 d = project_box_eq(beta - t_ref * grad, labels, mu) - beta
                 pg_norm = math.sqrt(float(d @ d)) / t_ref  # np.linalg.norm's arithmetic
             if pg_norm <= tol:
-                stop_reason = "tol"
                 break
         grad_new = matvec(beta_new) - q_lin
         u = grad_new - grad
@@ -865,7 +862,7 @@ def qp_box_eq(
         # this support
         free_new = (beta > 0.0) & (beta < mu)
         k = np.count_nonzero(free_new)
-        if it < max_iters and 0 < k and k**3 <= m * m and np.array_equal(free_new, free):
+        if 0 < k and k**3 <= m * m and np.array_equal(free_new, free):
             cand = _face_step(block, beta, grad, labels.y, np.flatnonzero(free_new), mu)
             if cand is not None:
                 grad_c = matvec(cand) - q_lin
@@ -875,14 +872,17 @@ def qp_box_eq(
                     faces += 1
                     free_new = (beta > 0.0) & (beta < mu)
         free = free_new
+    else:  # the cap: the returned beta's own residual, which may meet tol
+        d = project_box_eq(beta - t_ref * grad, labels, mu) - beta
+        pg_norm = math.sqrt(float(d @ d)) / t_ref
 
     obj = float(beta @ np.ones(m) - 0.5 * beta @ matvec(beta) - beta @ p)
     kkt = {
         "eq": float(abs(beta @ y)),
         "box": float(max(0.0, -beta.min(), (beta - mu).max())),
-        "stationarity": pg_norm if np.isfinite(pg_norm) else 0.0,
+        "stationarity": pg_norm,
     }
-    return DualSolution(beta, obj, kkt, it, stop_reason, faces)
+    return DualSolution(beta, obj, kkt, it, "tol" if pg_norm <= tol else "cap", faces)
 
 
 # ---------------------------------------------------------------------------

@@ -380,10 +380,11 @@ def qp_box_eq_two_projections(
     must leave every iterate unchanged; with the same ``project`` both give
     the same results bit for bit. After a step that keeps the free set
     ``{i : 0 < b_i < mu}`` of its start (nonempty, of size ``k`` with
-    ``k**3 <= m**2``), short of the cap, the Newton step on that face is kept
-    if it does not raise the objective; ``face_steps=False`` leaves it out.
-    Returns ``(beta, objective, kkt_residuals, iterations, stop_reason,
-    face_steps_kept)``.
+    ``k**3 <= m**2``), the Newton step on that face is kept if it does not
+    raise the objective; ``face_steps=False`` leaves it out. After the cap,
+    the residual is the returned point's, and the solve counts as "tol" if
+    it meets ``tol``. Returns ``(beta, objective, kkt_residuals, iterations,
+    stop_reason, face_steps_kept)``.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     m = y.size
@@ -413,7 +414,6 @@ def qp_box_eq_two_projections(
     grad = matvec(beta) - q_lin
     t = t_ref
     f_hist = []
-    pg_norm = np.inf
     stop_reason = "cap"
     it = kept = 0
     for it in range(1, max_iters + 1):
@@ -438,7 +438,7 @@ def qp_box_eq_two_projections(
         free = free_set(beta_new)
         settled = np.array_equal(free, free_set(beta)) and 0 < len(free) and len(free) ** 3 <= m * m
         beta, grad = beta_new, grad_new
-        if face_steps and settled and it < max_iters:
+        if face_steps and settled:
             cand = _face_newton_step(Q, beta, grad, y, free, mu)
             if cand is not None:
                 grad_c = matvec(cand) - q_lin
@@ -446,12 +446,17 @@ def qp_box_eq_two_projections(
                 if f_c <= f_new:
                     beta, grad, f_hist[-1] = cand, grad_c, f_c
                     kept += 1
+    else:
+        ref = project(beta - t_ref * grad, y, mu)
+        pg_norm = float(np.linalg.norm(ref - beta) / t_ref)
+        if pg_norm <= tol:
+            stop_reason = "tol"
 
     obj = float(beta @ np.ones(m) - 0.5 * beta @ matvec(beta) - beta @ p)
     kkt = {
         "eq": float(abs(beta @ y)),
         "box": float(max(0.0, -beta.min(), (beta - mu).max())),
-        "stationarity": pg_norm if np.isfinite(pg_norm) else 0.0,
+        "stationarity": pg_norm,
     }
     return beta, obj, kkt, it, stop_reason, kept
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from tvssl.bench_cli import (
 from tvssl.data_io import load_csv
 from tvssl.errors import InvalidParameterError
 from tvssl.graph import load_edge_list
+from tvssl.opt_core import HyperParams
 
 
 def moons_config(**overrides):
@@ -56,6 +58,61 @@ def test_default_hyperparams_known_for_all_algorithms():
         assert hp.tol > 0
     hp = default_hyperparams("tv_rls", {"gamma": 9.5})
     assert hp.gamma == 9.5
+
+
+# The shipped configuration of every algorithm, written out in full, so that
+# a change to HyperParams' defaults or to defaults.json that moves any of it
+# fails here.
+SHIPPED_FIELDS = (
+    "eta", "lam", "gamma", "mu", "r", "r1", "r2", "c", "outer_iters", "inner_iters",
+    "tol", "normalize", "norm_scale", "use_bias", "simplex_last",
+)
+SHIPPED = {
+    "rls":            (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True, "sqrt_n", False, False),
+    "svm":            (1.0, 0.01, 1.0, 10.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True, "sqrt_n", False, False),
+    "lap_rls":        (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True, "sqrt_n", False, False),
+    "lap_svm":        (1.0, 0.01, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True, "sqrt_n", False, False),
+    "tv_rls":         (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True, "sqrt_n", False, False),
+    "tv_svm":         (1.0, 1e-4, 1.0,  0.1, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True, "sqrt_n", False, False),
+    "cheeger_rls":    (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 100, 150, 1e-05, True, "sqrt_n", False, False),
+    "cheeger_svm":    (1.0, 1e-4, 1.0,  0.1, 1.0, 5.0, 5.0, 1.0, 100, 150, 1e-05, True, "sqrt_n", False, False),
+    "lap_rls_mc":     (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0,  60, 150, 1e-05, True, "sqrt_n", False, False),
+    "lap_svm_mc":     (1.0, 0.01, 1.0,  0.1, 1.0, 5.0, 5.0, 1.0,  30, 150, 1e-05, True, "sqrt_n", False, False),
+    "tv_rls_mc":      (1.0, 1e-4, 1.0,  1.0, 5.0, 5.0, 5.0, 1.0, 150, 150, 1e-05, True, "sqrt_n", False, False),
+    "tv_svm_mc":      (1.0, 1e-4, 1.0,  0.1, 5.0, 5.0, 5.0, 1.0, 150, 150, 1e-05, True, "sqrt_n", False, False),
+    "cheeger_rls_mc": (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 100, 150, 1e-05, True, "sqrt_n", False, False),
+    "cheeger_svm_mc": (1.0, 1e-4, 1.0,  0.1, 1.0, 5.0, 5.0, 1.0, 100, 150, 1e-05, True, "sqrt_n", False, False),
+}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_default_hyperparams_are_the_shipped_configuration(algo):
+    shipped = dict(zip(SHIPPED_FIELDS, SHIPPED[algo]))
+    assert asdict(default_hyperparams(algo)) == shipped
+    overrides = {"lam": 0.5, "outer_iters": 7, "norm_scale": "n"}
+    assert asdict(default_hyperparams(algo, overrides)) == {**shipped, **overrides}
+
+
+@pytest.mark.parametrize("algo", ["rls", "lap_rls", "tv_rls"])
+def test_hyperparams_defaults_are_the_shipped_ones(algo):
+    assert HyperParams() == default_hyperparams(algo)
+
+
+def test_default_hyperparams_rejects_an_unknown_algorithm():
+    with pytest.raises(InvalidParameterError, match="'lap_svmm'"):
+        default_hyperparams("lap_svmm")
+    with pytest.raises(InvalidParameterError, match="'default'"):
+        default_hyperparams("default")
+
+
+def test_readme_quick_start_runs_with_the_shipped_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md quick start", "exec"), scope)
+    assert scope["hp"] == default_hyperparams("tv_rls")
+    assert scope["pred"].shape == (200,) and scope["new"].shape == (5,)
 
 
 def test_fully_labeled_separable_gives_zero_error():

@@ -678,8 +678,10 @@ def test_lap_svm_factors_once_and_traces_its_dual(monkeypatch):
         binary._pseudo_refresh(split, 1.0, binary._warm_values(prox.S, split, hp.eta))
     )
     assert m.trace == {
+        "qp_solves": 1,
         "qp_iters": sol.iterations,
         "qp_face_steps": sol.face_steps,
+        "qp_cap_hits": 0,
         "qp_stop_reason": sol.stop_reason,
         "support": int(np.count_nonzero(sol.beta)),
         # n = 200: the root is too long to pay, so S is solved column by column
@@ -688,6 +690,34 @@ def test_lap_svm_factors_once_and_traces_its_dual(monkeypatch):
     }
     assert m.trace["qp_stop_reason"] == "tol" and 0 < m.trace["support"] < K.n
     assert lap_svm_train(K, g, split, hp).trace == m.trace
+
+
+@pytest.mark.parametrize("trainer", ["lap_svm", "tv_svm", "cheeger_svm"])
+def test_margin_trainers_trace_their_dual_work(trainer, monkeypatch):
+    """The trace sums every ``qp_box_eq`` solve of the fit; tv_svm's margin
+    step is a closed-form projection and records none."""
+    solves = []
+    real_qp = binary.qp_box_eq
+
+    def spy(*args, **kwargs):
+        solves.append(real_qp(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(binary, "qp_box_eq", spy)
+    K, g, split, _ = _lap_svm_inputs(120, 1)
+    hp = replace(default_hyperparams(trainer), outer_iters=5)
+    m = getattr(binary, trainer + "_train")(K, g, split, hp)
+    keys = ("qp_solves", "qp_iters", "qp_face_steps", "qp_cap_hits")
+    if trainer == "tv_svm":
+        assert not solves and not set(keys) & set(m.trace)
+        return
+    assert [m.trace[k] for k in keys] == [
+        len(solves),
+        sum(s.iterations for s in solves),
+        sum(s.face_steps for s in solves),
+        sum(s.stop_reason == "cap" for s in solves),
+    ]
+    assert len(solves) == (1 if trainer == "lap_svm" else m.trace["outer_steps"])
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,33 @@ def test_margin_trainers_trace_how_their_dual_kernel_was_solved(name, trainer):
     assert m.trace["s_refined_cols"] == 0
 
 
+@pytest.mark.parametrize("name,trainer", ALL_TRAINERS)
+def test_margin_trainers_trace_their_dual_work(name, trainer, monkeypatch):
+    """The trace sums the work of every margin dual the fit solved; the
+    least-squares trainers solve none and record none."""
+    solves = []
+    real_qp = binary.qp_box_eq
+
+    def spy(*args, **kwargs):
+        solves.append(real_qp(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(binary, "qp_box_eq", spy)
+    K, g, mls = setup(three_cluster_dataset())
+    m = trainer(K, g, mls, replace(MC_HP, outer_iters=3))
+    keys = ("qp_solves", "qp_iters", "qp_face_steps", "qp_cap_hits")
+    if name.endswith("rls_mc"):
+        assert not solves and not set(keys) & set(m.trace)
+        return
+    assert [m.trace[k] for k in keys] == [
+        len(solves),
+        sum(s.iterations for s in solves),
+        sum(s.face_steps for s in solves),
+        sum(s.stop_reason == "cap" for s in solves),
+    ]
+    assert len(solves) >= 3 * mls.class_count
+
+
 # ---------------------------------------------------------------------------
 # simplex feasibility bookkeeping
 # ---------------------------------------------------------------------------

@@ -983,11 +983,49 @@ def test_qp_stop_reason_on_the_last_allowed_iteration():
     last = qp_box_eq(Q, 0.0, y, mu, tol=1e-8, max_iters=n)
     assert (last.iterations, last.stop_reason) == (n, "tol")
     assert last.beta.tobytes() == free.beta.tobytes()
+    # one step short of that test, the cap returns the same point, whose own
+    # residual meets tol; two steps short it does not
     short = qp_box_eq(Q, 0.0, y, mu, tol=1e-8, max_iters=n - 1)
-    assert (short.iterations, short.stop_reason) == (n - 1, "cap")
-    assert short.kkt_residuals["stationarity"] > 1e-8
+    assert (short.iterations, short.stop_reason) == (n - 1, "tol")
+    assert short.beta.tobytes() == free.beta.tobytes()
+    shorter = qp_box_eq(Q, 0.0, y, mu, tol=1e-8, max_iters=n - 2)
+    assert (shorter.iterations, shorter.stop_reason) == (n - 2, "cap")
+    assert shorter.kkt_residuals["stationarity"] > 1e-8
     # the closed-form mu = 0 solution counts as converged
     assert qp_box_eq(Q, 0.0, y, 0.0).stop_reason == "tol"
+
+
+@pytest.mark.parametrize("kind", ["dense", "signed"])
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 7])
+def test_qp_reports_the_residual_of_the_point_it_returns(kind, max_iters):
+    reasons = set()
+    for seed in range(6):
+        m = (5, 40)[seed % 2]
+        Q, y, mu, rng = _random_dual(m, seed, kind)
+        t_ref = 1.0 / opt_core._qp_norm(Q, m)
+        for p in (0.0, 0.3 * rng.normal(size=m)):
+            for tol in (1e-6, 1e-9):
+                sol = qp_box_eq(Q, p, y, mu, tol=tol, max_iters=max_iters)
+                grad = Q @ sol.beta - (1.0 - p)
+                step = project_box_eq(sol.beta - t_ref * grad, y, mu) - sol.beta
+                pg = float(np.linalg.norm(step)) / t_ref
+                assert sol.kkt_residuals["stationarity"] == pg
+                assert sol.stop_reason == ("tol" if pg <= tol else "cap")
+                reasons.add(sol.stop_reason)
+    assert "cap" in reasons
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the nonmonotone reset keeps a bad BB step")
+def test_qp_converges_on_an_exactly_rank_deficient_dual():
+    """S = C C^T of rank 2. Plain projected gradient at 1/L reaches the
+    objective 29.378 in 238 iterations; the BB iteration cycles to its
+    cap near 15.19, because after a bad step the nonmonotone test resets
+    the step length but keeps the step."""
+    C = np.random.default_rng(8).integers(-3, 4, size=(30, 2)).astype(float)
+    y = np.where(np.arange(30) % 2 == 0, 1.0, -1.0)
+    sol = qp_box_eq(_SignedKernel(C @ C.T, y), 0.0, y, 1.0)
+    assert sol.stop_reason == "tol"
+    assert sol.objective == pytest.approx(29.3778, abs=1e-3)
 
 
 def test_qp_and_projection_reject_non_finite_input():
