@@ -11,7 +11,9 @@ fit's wall time, the transductive error, a hash of the fitted coefficients
 and the margin duals' work in the last fit, read from its trace
 (``qp_solves``, ``qp_iters``, the projected-gradient iterations, and
 ``qp_face_steps``, the Newton steps on a settled face; all 0 for the
-least-squares trainers), so that two versions
+least-squares trainers), and ``peak_traced_mb``, the peak of the memory
+numpy and Python allocated during one more, untimed fit, as ``tracemalloc``
+traces it (MiB, above what the inputs already held), so that two versions
 of the library can be compared on equal inputs:
 
     PYTHONPATH=src python3 scripts/time_fit.py --algorithm cheeger_svm --n 1200
@@ -24,6 +26,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 
 SEMI_SUPERVISED = ("lap_rls", "lap_svm", "tv_rls", "tv_svm", "cheeger_rls", "cheeger_svm")
 ALGORITHMS = SEMI_SUPERVISED + tuple(a + "_mc" for a in SEMI_SUPERVISED)
@@ -76,6 +79,10 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         model = train(K, g, split, hp)
         seconds.append(time.perf_counter() - t0)
+    tracemalloc.start()
+    train(K, g, split, hp)
+    peak_bytes = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     unlabeled = ~split.labeled_mask
     if multi:
         pred = multiclass.transductive_classes(model)[unlabeled]
@@ -93,6 +100,7 @@ def main(argv=None) -> int:
         "error_pct": float(100.0 * np.mean(pred != truth)),
         "alpha_sha256": hashlib.sha256(coefficients.tobytes()).hexdigest(),
         **{k: model.trace.get(k, 0) for k in ("qp_solves", "qp_iters", "qp_face_steps")},
+        "peak_traced_mb": round(peak_bytes / 2**20, 2),
     }))
     return 0
 

@@ -50,14 +50,23 @@ _SEMI_MULTI = {
 ALGORITHMS = tuple(_SUPERVISED) + tuple(_SEMI_BINARY) + tuple(_SEMI_MULTI)
 
 
+@functools.cache
+def _shipped_departures() -> dict:
+    """The shipped ``configs/defaults.json``, read and parsed once per
+    process: each algorithm's departures as (field, value) pairs, which no
+    caller can change for the next."""
+    text = resources.files("tvssl").joinpath("configs/defaults.json").read_text()
+    return {algorithm: tuple(entry.items()) for algorithm, entry in json.loads(text).items()}
+
+
 def default_hyperparams(algorithm: str, overrides: dict | None = None) -> HyperParams:
     """:class:`HyperParams`' defaults with ``algorithm``'s departures from
     them, from the shipped ``configs/defaults.json``, plus overrides. An
-    algorithm not in :data:`ALGORITHMS` raises :class:`InvalidParameterError`."""
+    algorithm not in :data:`ALGORITHMS` raises :class:`InvalidParameterError`.
+    Every call returns a new object."""
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}")
-    text = resources.files("tvssl").joinpath("configs/defaults.json").read_text()
-    merged = dict(json.loads(text).get(algorithm, {}))
+    merged = dict(_shipped_departures().get(algorithm, ()))
     if overrides:
         merged.update(overrides)
     return HyperParams.from_dict(merged, algorithm)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import (
     DegenerateInputError,
@@ -31,6 +30,7 @@ from .kernel import KernelMatrix, _symmetrize, kernel_expand
 from .opt_core import (
     _BoxEqLabels,
     _qp_norm,
+    DiagLaplacian,
     DualSolution,
     HyperParams,
     LuFactor,
@@ -149,7 +149,7 @@ def _check_labels(K: KernelMatrix, y) -> np.ndarray:
 def rls_train(K: KernelMatrix, y, hp: HyperParams) -> BinaryModel:
     """Kernel ridge classifier: (eta*K + lam*I) alpha = eta*y."""
     y = _check_labels(K, y)
-    alpha = _kernel_factor(K, hp, r=hp.eta).solve(hp.eta * y)
+    alpha = _kernel_factor(K, hp.lam, DiagLaplacian(K.n, r=hp.eta)).solve(hp.eta * y)
     return BinaryModel(
         "rls", alpha, K.bandwidth, hp, K.data, node_values=K.values @ alpha
     )
@@ -174,29 +174,24 @@ def _lap_ls(K, g, mask, targets, hp) -> np.ndarray:
     """Laplacian least-squares coefficients ``(lam I + eta J K + 2 gamma L K)^-1
     eta targets``, J = diag(mask), for an N-vector or an (N, c) block: lap_rls
     and every margin warm start but lap_svm's (:func:`_warm_values`)."""
-    lu = _kernel_factor(K, hp, mask=mask, laplacian=g.laplacian(), gamma=hp.gamma)
-    return lu.solve(hp.eta * targets)
+    D = DiagLaplacian(
+        K.n, eta=hp.eta, mask=mask, laplacian=g.laplacian(), weight=2.0 * hp.gamma
+    )
+    return _kernel_factor(K, hp.lam, D).solve(hp.eta * targets)
 
 
-def _kernel_factor(K, hp, *, r=0.0, mask=None, laplacian=None, gamma=0.0):
-    """Factor of ``lam I (+ eta J K) (+ r K) (+ 2 gamma L K)`` with
-    ``J = diag(mask)`` and ``L = laplacian``: the one n x n kernel-space
+def _kernel_factor(K, lam, D):
+    """Factor of ``F = lam I + D K`` for a :class:`DiagLaplacian` D, in
+    practice ``D = eta J + r I + 2 gamma L``: the one n x n kernel-space
     system behind every trainer's step (:class:`SvmProxSolver` first tries
     the same margin system through the Gram root).
 
-    Without a label mask or a graph term the matrix is symmetric by
+    F is assembled in one Fortran-ordered array (:meth:`DiagLaplacian.system`)
+    that the factor overwrites. With ``D = r I`` it is symmetric by
     construction and gets a Cholesky :class:`SpdFactor`; otherwise an
     :class:`LuFactor`."""
-    M = hp.lam * np.eye(K.n)
-    if mask is not None:
-        M += hp.eta * (mask[:, None] * K.values)
-    if r:
-        M += r * K.values
-    if gamma > 0:
-        M += 2.0 * gamma * (laplacian @ K.values)
-    elif mask is None:
-        return SpdFactor(M)
-    return LuFactor(M)
+    cls = SpdFactor if D.mask is None and D.laplacian is None else LuFactor
+    return cls(D.system(lam, K.values), lam, D, K.values)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +300,8 @@ class SvmProxSolver:
         self.counters = dict.fromkeys(("qp_solves", "qp_iters", "qp_face_steps", "qp_cap_hits"), 0)
         root = K.root()  # first: the n x n workspace of dpstrf is freed before S exists
         missed = 0
+        D = DiagLaplacian(n, r=self.r, laplacian=laplacian, weight=2.0 * gamma)  # F = lam I + D K
         if root.shape[1] <= _ROOT_MAX_SHARE * n:
-            D = sp.identity(n, format="csr") * self.r  # F = lam I + D K
-            if gamma > 0:
-                D = D + (2.0 * gamma) * laplacian
             try:
                 factor = RootFactor(hp.lam, D, K.values, root)
                 missed = factor.kernel_misses()
@@ -320,7 +313,7 @@ class SvmProxSolver:
                 self.q_norm = float(np.linalg.eigvalsh(G.T @ G).max(initial=0.0))  # r may be 0
                 self.counters.update(gram_rank=root.shape[1], s_refined_cols=0)
                 return
-        self.factor = _kernel_factor(K, hp, r=self.r, laplacian=laplacian, gamma=gamma)
+        self.factor = _kernel_factor(K, hp.lam, D)
         self.S = _symmetrize(self.factor.solve(K.values, trans=True))
         self.q_norm = _qp_norm(self.S, n)
         self.counters.update(gram_rank=n, s_refined_cols=missed + self.factor.refined_cols)
@@ -504,7 +497,7 @@ def _tv_split_loop(K, g, ls, hp, h_step):
     residual and the proximal work.
     """
     n = K.n
-    factor = _kernel_factor(K, hp, r=hp.r1)
+    factor = _kernel_factor(K, hp.lam, DiagLaplacian(n, r=hp.r1))
     gv = ls.y_ext
     lam1 = np.zeros(n)
     lam2 = np.zeros(n)
@@ -696,7 +689,7 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, factor, coupling=None):
 def _ls_ratio_step(K, hp):
     """Least-squares kernel proximal of every channel for :func:`_ratio_loop`,
     ``alphas = (lam I + r K)^-1 r gstep``, and the factor it solves with."""
-    factor = _kernel_factor(K, hp, r=hp.r)
+    factor = _kernel_factor(K, hp.lam, DiagLaplacian(K.n, r=hp.r))
 
     def step(gstep, _it):
         alphas = factor.solve(hp.r * gstep.T).T

@@ -71,14 +71,23 @@ class KernelMatrix:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances ``|a_i|^2 + |b_j|^2 - 2 a_i . b_j``, clipped at 0,
-    with one n x m temporary beside the result."""
-    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-    ab = a @ b.T
-    ab *= 2.0
-    d2 -= ab
+    """Squared distances ``(|a_i|^2 + |b_j|^2) - 2 a_i . b_j``, clipped at 0.
+
+    They are formed in the buffer of the product ``a b^T``, a block of
+    ``_SQ_BLOCK`` rows of the norm sums at a time, so the n x m result is
+    the only n x m array."""
+    sa, sb = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+    d2 = a @ b.T
+    d2 *= 2.0
+    for i in range(0, d2.shape[0], _SQ_BLOCK):
+        rows = d2[i : i + _SQ_BLOCK]
+        np.subtract(sa[i : i + _SQ_BLOCK, None] + sb, rows, out=rows)
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+# _sq_dists sums the norms in blocks of this many rows
+_SQ_BLOCK = 64
 
 
 # _symmetrize works on blocks of this many rows and columns. Measured with
@@ -150,8 +159,10 @@ def kernel_expand(alpha, train, query, bandwidth: float) -> np.ndarray:
     if train.shape[1] != query.shape[1]:
         raise DimensionError("train and query dimensionality differ")
     _check_finite(query, "query points")
-    d2 = _sq_dists(query, train)
-    return np.exp(-d2 / (2.0 * bandwidth * bandwidth)) @ alpha
+    vals = _sq_dists(query, train)
+    np.negative(vals, out=vals)
+    vals /= 2.0 * bandwidth * bandwidth
+    return np.exp(vals, out=vals) @ alpha
 
 
 def median_bandwidth(data, max_points: int = 1000, seed: int = 0) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InvalidParameterError, check_int
 from .graph import SimilarityGraph
 from .kernel import KernelMatrix, kernel_expand
-from .opt_core import HyperParams, project_simplex_rows
+from .opt_core import DiagLaplacian, HyperParams, project_simplex_rows
 from .binary import (
     SvmProxSolver,
     _ProxChain,
@@ -214,9 +214,11 @@ def _ls_fidelity(K, g, mls, hp, gamma):
     """Least-squares channel fit to the consensus: one LU solve for all
     channels against 0/1 indicator targets."""
     y_ch = mls.indicator_targets()
-    lu = _kernel_factor(
-        K, hp, r=hp.r, mask=mls.labeled_mask, laplacian=g.laplacian(), gamma=gamma
+    D = DiagLaplacian(
+        K.n, r=hp.r, eta=hp.eta, mask=mls.labeled_mask, laplacian=g.laplacian(),
+        weight=2.0 * gamma,
     )
+    lu = _kernel_factor(K, hp.lam, D)
 
     def fidelity(gch, lam, _it):
         alphas = lu.solve((hp.eta * y_ch + hp.r * gch - lam).T).T

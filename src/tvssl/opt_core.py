@@ -204,29 +204,150 @@ def _refined_solve(apply, solve_once, b):
     raise FactorizationError("linear solve missed the residual bound")
 
 
-class SpdFactor:
-    """Cholesky factor of a symmetric positive (semi)definite matrix.
+class DiagLaplacian:
+    """The sparse symmetric ``D = eta J + r I + weight L`` of a kernel-space
+    system ``F = lam I + D K``: J = diag(mask) for a boolean ``mask`` (or no
+    J term), L a symmetric csr matrix, the graph Laplacian (no L term
+    unless ``weight > 0``).
 
-    Factor once, solve many times; a single jitter of ``1e-10 * trace / n``
-    is added if the plain factorization fails. A matrix that fails both, or
-    whose factor has a non-finite diagonal (NaN or infinite entries), raises
-    :class:`FactorizationError` at construction. ``refined_cols`` counts the
-    right-hand-side columns its solves had to refine.
+    ``D @ X`` for an (n,) or (n, k) X is ``d * X`` for the diagonal
+    ``d = eta mask + r``, plus ``weight L X`` added in by scipy's csr kernel
+    (as :func:`_csr_product` calls it), so no sparse matrix is built for D.
+    Without a mask, r is added to L's stored diagonal entries instead, so
+    the sums are those of scipy's ``r I + weight L`` entry by entry, which
+    the Gram-root route factors. :meth:`system` assembles F itself.
     """
 
-    def __init__(self, A):
-        A = _as_square(A)
-        self._A = A
-        self.refined_cols = 0
-        try:
-            self._cf = sla.cho_factor(A, check_finite=False)
-        except np.linalg.LinAlgError:
-            n = A.shape[0]
-            jitter = 1e-10 * max(np.trace(A), 1.0) / n
-            try:
-                self._cf = sla.cho_factor(
-                    A + jitter * np.eye(n), check_finite=False
+    def __init__(self, n: int, *, r=0.0, eta=0.0, mask=None, laplacian=None, weight=0.0):
+        self.r, self.eta, self.weight = float(r), float(eta), float(weight)
+        self.mask = None if mask is None else np.asarray(mask, dtype=bool)
+        self.laplacian = laplacian if weight > 0 else None
+        self.diag = np.full(n, self.r) if self.mask is None else self.eta * self.mask + self.r
+        self._rest = self.diag  # the part of d that no stored entry of L holds
+        if self.laplacian is not None:
+            L = self.laplacian
+            self._data = self.weight * L.data
+            if self.mask is None and self.r:
+                rows = np.repeat(np.arange(n), np.diff(L.indptr))
+                stored = np.flatnonzero(L.indices == rows)  # an empty row stores none
+                self._data[stored] += self.r
+                self._rest = self.diag.copy()
+                self._rest[rows[stored]] = 0.0
+
+    def __matmul__(self, X):
+        X = np.ascontiguousarray(X, dtype=np.float64)  # the csr kernel reads C order
+        out = (self._rest[:, None] if X.ndim == 2 else self._rest) * X
+        out += 0.0  # -0.0 to +0.0: the csr kernel's sums start from +0.0
+        if self.laplacian is not None:
+            L, n = self.laplacian, self.diag.size
+            if X.ndim == 1:
+                _sparsetools.csr_matvec(n, n, L.indptr, L.indices, self._data, X, out)
+            else:
+                _sparsetools.csr_matvecs(
+                    n, n, X.shape[1], L.indptr, L.indices, self._data, X, out
                 )
+        return out
+
+    def system(self, lam: float, K, out=None) -> np.ndarray:
+        """``F = lam I + D K`` in a Fortran-ordered n x n array (``out`` if
+        given), the layout LAPACK factors in place.
+
+        Each entry is summed in the order ``lam I``, ``eta J K``, ``r K``,
+        ``weight L K``, every term rounded on its own, so F does not depend
+        on the blocks of rows it is built in. A block is summed in a
+        C-ordered buffer and copied into F: a ufunc that writes F's strided
+        rows, or broadcasts the mask, allocates buffers of its own. The two
+        block buffers are the only temporaries."""
+        K = np.ascontiguousarray(K, dtype=np.float64)
+        n = K.shape[0]
+        F = np.empty((n, n), order="F") if out is None else out
+        rows = min(max(_SYSTEM_BLOCK // max(n, 1), -(-n // _SYSTEM_SPLIT)), max(n, 1))
+        acc, term = np.empty((rows, n)), np.empty((rows, n))
+        eta_mask = None if self.mask is None else self.eta * self.mask
+        L = self.laplacian
+        for i in range(0, n, rows):
+            h = min(rows, n - i)
+            a, t, Kb = acc[:h], term[:h], K[i : i + h]
+            a.fill(0.0)
+            a.reshape(-1)[i :: n + 1] = lam  # entries (k, i + k): the block's rows of lam I
+            if eta_mask is not None:
+                # (eta m_i) K_ij is eta (m_i K_ij) for m_i in {0, 1}. einsum
+                # may write +0.0 where that is -0.0: added to +0.0 or lam,
+                # either gives the same sum
+                a += np.einsum("ij,i->ij", Kb, eta_mask[i : i + h], out=t)
+            if self.r:
+                a += np.multiply(Kb, self.r, out=t)
+            if L is not None:
+                t.fill(0.0)  # the kernel adds into its output
+                _sparsetools.csr_matvecs(
+                    h, n, n, L.indptr[i : i + h + 1], L.indices, L.data, K, t
+                )
+                t *= self.weight
+                a += t
+            np.copyto(F[i : i + h], a)
+        return F
+
+
+# DiagLaplacian.system builds F in blocks of _SYSTEM_BLOCK / n or
+# n / _SYSTEM_SPLIT rows, whichever is more: ten blocks at n = 200, and from
+# n = 362 on two block buffers of n^2 / 16 entries beside F (0.07 n^2 at
+# n = 400, where the whole build and one solve stay within 1.1 n^2)
+_SYSTEM_BLOCK = 1 << 12
+_SYSTEM_SPLIT = 32
+
+
+class _KernelSystemFactor:
+    """What the factors of ``F = lam I + D K`` share, for a symmetric K and a
+    symmetric D (a :class:`DiagLaplacian`): :meth:`solve`, whose residual
+    check and refinement apply ``F X = lam X + D (K X)``, or
+    ``F^T X = lam X + K (D X)`` for a transposed solve, so no factor keeps
+    F. Each factor supplies ``_solve_once(b, trans)``. ``refined_cols``
+    counts the right-hand-side columns its solves had to refine."""
+
+    def __init__(self, lam: float, D, K: np.ndarray):
+        self._lam, self._D, self._K = lam, D, K
+        self.refined_cols = 0
+
+    def _apply(self, X, trans: bool = False):
+        out = self._K @ (self._D @ X) if trans else self._D @ (self._K @ X)
+        out += self._lam * X
+        return out
+
+    def solve(self, b, trans: bool = False) -> np.ndarray:
+        """Solve F x = b (F^T x = b when ``trans``) to relative residual
+        1e-8, each column of a 2-D ``b`` on its own."""
+        x, refined = _refined_solve(
+            lambda X: self._apply(X, trans), lambda rhs: self._solve_once(rhs, trans), b
+        )
+        self.refined_cols += refined
+        return x
+
+
+class SpdFactor(_KernelSystemFactor):
+    """Cholesky factor of a symmetric positive (semi)definite
+    ``F = lam I + D K``, factored in place in ``F`` (pass a copy to keep
+    it).
+
+    Factor once, solve many times; a single jitter of ``1e-10 * trace / n``
+    is added if the plain factorization fails, to F rebuilt by
+    :meth:`DiagLaplacian.system` (the failed factorization overwrote part of
+    it). A matrix that fails both, or whose factor has a non-finite diagonal
+    (NaN or infinite entries), raises :class:`FactorizationError` at
+    construction.
+    """
+
+    def __init__(self, F, lam: float, D, K: np.ndarray):
+        super().__init__(lam, D, K)
+        F = _as_square(F)
+        try:
+            self._cf = sla.cho_factor(F, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            F = D.system(lam, K, out=F)
+            n = F.shape[0]
+            jitter = 1e-10 * max(np.trace(F), 1.0) / n
+            F[np.diag_indices(n)] += jitter
+            try:
+                self._cf = sla.cho_factor(F, overwrite_a=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise FactorizationError(
                     "matrix is not positive definite, even with jitter"
@@ -234,47 +355,33 @@ class SpdFactor:
         if not np.isfinite(np.diagonal(self._cf[0])).all():
             raise FactorizationError("Cholesky factor is not finite")
 
-    def _solve_once(self, b):
-        return sla.cho_solve(self._cf, b, check_finite=False)
+    def _solve_once(self, b, trans=False):
+        return sla.cho_solve(self._cf, b, check_finite=False)  # F^T = F
 
-    def solve(self, b, trans: bool = False) -> np.ndarray:
-        """Solve A x = b with relative residual <= 1e-8. A is symmetric, so
-        ``trans`` changes nothing."""
-        x, refined = _refined_solve(self._A.__matmul__, self._solve_once, b)
-        self.refined_cols += refined
-        return x
+    # in the class's own dict, where perfbench's tracer wraps each factor's solve
+    solve = _KernelSystemFactor.solve
 
 
-class LuFactor:
-    """LU factor for general (possibly nonsymmetric) square systems. A
-    matrix whose U has an exactly zero or a non-finite diagonal entry
-    (singular, or NaN or infinite entries) raises
-    :class:`FactorizationError` at construction. ``refined_cols`` counts the
-    right-hand-side columns its solves had to refine."""
+class LuFactor(_KernelSystemFactor):
+    """LU factor of a general (possibly nonsymmetric) ``F = lam I + D K``,
+    factored in place in ``F`` (pass a copy to keep it). A matrix whose U
+    has an exactly zero or a non-finite diagonal entry (singular, or NaN or
+    infinite entries) raises :class:`FactorizationError` at construction."""
 
-    def __init__(self, A):
-        A = _as_square(A)
-        self._A = A
-        self.refined_cols = 0
+    def __init__(self, F, lam: float, D, K: np.ndarray):
+        super().__init__(lam, D, K)
         # LAPACK's getrf, as scipy's lu_factor calls it, without the warning
         # that function adds for an exactly zero pivot: that U is rejected here
-        lu, piv, _info = sla.lapack.dgetrf(A)
+        lu, piv, _info = sla.lapack.dgetrf(_as_square(F), overwrite_a=1)
         u = np.diagonal(lu)
         if not (np.isfinite(u).all() and u.all()):
             raise FactorizationError("LU factor is singular or not finite")
         self._lu = (lu, piv)
 
-    def solve(self, b, trans: bool = False) -> np.ndarray:
-        """Solve A x = b (or A^T x = b when ``trans``) to relative residual
-        1e-8."""
-        t = 1 if trans else 0
-        x, refined = _refined_solve(
-            (self._A.T if trans else self._A).__matmul__,
-            lambda rhs: sla.lu_solve(self._lu, rhs, trans=t, check_finite=False),
-            b,
-        )
-        self.refined_cols += refined
-        return x
+    def _solve_once(self, b, trans=False):
+        return sla.lu_solve(self._lu, b, trans=int(trans), check_finite=False)
+
+    solve = _KernelSystemFactor.solve  # as in SpdFactor
 
 
 # RootFactor.kernel_misses checks the residual of its kernel in blocks of this
@@ -282,7 +389,7 @@ class LuFactor:
 _ROOT_CHECK_COLS = 256
 
 
-class RootFactor:
+class RootFactor(_KernelSystemFactor):
     """Factor of ``F = lam I + D K`` for ``lam > 0``, a sparse symmetric PSD
     ``D`` and a Gram matrix K with an (n, r) root C, ``K ~ C C^T``, through
     one r x r Cholesky factor (Fine & Scheinberg, *Efficient SVM training
@@ -290,17 +397,16 @@ class RootFactor:
 
     With ``M = lam I + C^T D C = R^T R`` and ``G = C R^-1``, the push-through
     and Woodbury identities give ``F^-T C C^T = G G^T`` and
-    ``F^-1 = (I - D G G^T) / lam``. :meth:`solve` starts from that map and
-    refines against F on the full K under the other factors' residual
-    contract; :meth:`kernel_misses` holds ``G G^T`` to the same contract, so
-    a short, stale or indefinite root costs work, never accuracy. An M that
-    is not positive definite raises :class:`FactorizationError`.
-    ``refined_cols`` counts the right-hand-side columns its solves refined.
+    ``F^-1 = (I - D G G^T) / lam`` (``F^-T = (I - G G^T D) / lam``).
+    :meth:`solve` starts from that map and refines against F on the full K
+    under the other factors' residual contract; :meth:`kernel_misses` holds
+    ``G G^T`` to the same contract, so a short, stale or indefinite root
+    costs work, never accuracy. An M that is not positive definite raises
+    :class:`FactorizationError`.
     """
 
     def __init__(self, lam: float, D, K: np.ndarray, C: np.ndarray):
-        self._lam, self._D, self._K = lam, D, K
-        self.refined_cols = 0
+        super().__init__(lam, D, K)
         M = C.T @ (D @ C)
         M[np.diag_indices_from(M)] += lam
         try:
@@ -311,21 +417,9 @@ class RootFactor:
             raise FactorizationError("the root's r x r factor is not finite")
         self.G = sla.solve_triangular(R, C.T, trans="T", check_finite=False).T  # C R^-1
 
-    def _apply(self, X):
-        """``F X = lam X + D (K X)`` on the full K."""
-        out = self._D @ (self._K @ X)
-        out += self._lam * X
-        return out
-
-    def _solve_once(self, b):
-        G = self.G
-        return (b - self._D @ (G @ (G.T @ b))) / self._lam
-
-    def solve(self, b) -> np.ndarray:
-        """Solve F x = b to relative residual 1e-8."""
-        x, refined = _refined_solve(self._apply, self._solve_once, b)
-        self.refined_cols += refined
-        return x
+    def _solve_once(self, b, trans=False):
+        G, D = self.G, self._D
+        return (b - (G @ (G.T @ (D @ b)) if trans else D @ (G @ (G.T @ b)))) / self._lam
 
     def kernel_misses(self) -> int:
         """The number of columns of ``G G^T`` that miss the residual contract
@@ -772,7 +866,8 @@ def qp_box_eq(
     ``Q`` is symmetric PSD: a dense array, or an operator whose ``Q @ b``
     is its product with a vector and whose ``Q.block(idx)`` is the dense
     principal submatrix ``Q[idx][:, idx]``. A non-finite ``p`` or ``beta0``,
-    a negative or non-finite ``mu``, ``tol`` or ``q_norm`` raise
+    a negative or non-finite ``mu``, ``tol`` or ``q_norm``, and a
+    ``max_iters`` that is not an integer >= 1 raise
     :class:`InvalidParameterError`.
     """
     y = pm1_labels(y)
@@ -793,6 +888,7 @@ def qp_box_eq(
             raise DimensionError("beta0 and y must have the same length")
     check_real("mu", mu, 0.0)
     check_real("tol", tol, 0.0)
+    check_int("max_iters", max_iters, 1)
     if q_norm is not None:
         check_real("q_norm", q_norm, 0.0)
     if mu == 0.0:

@@ -15,6 +15,30 @@ import scipy.sparse as sp
 
 
 # ---------------------------------------------------------------------------
+# kernel oracles
+# ---------------------------------------------------------------------------
+
+
+def sq_dists_two_buffers(a, b):
+    """Squared distances ``(|a_i|^2 + |b_j|^2) - 2 a_i . b_j`` clipped at 0,
+    each step on a whole n x m array: the norm sums and the doubled product
+    in two buffers. The library forms them in one and must match it bit for
+    bit."""
+    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+    ab = a @ b.T
+    ab *= 2.0
+    d2 -= ab
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def kernel_expand_out_of_place(alpha, train, query, bandwidth):
+    """``exp(-d2 / (2 bandwidth^2)) @ alpha`` with a fresh array per step."""
+    d2 = sq_dists_two_buffers(query, train)
+    return np.exp(-d2 / (2.0 * bandwidth * bandwidth)) @ alpha
+
+
+# ---------------------------------------------------------------------------
 # graph oracles
 # ---------------------------------------------------------------------------
 

@@ -98,6 +98,28 @@ def test_hyperparams_defaults_are_the_shipped_ones(algo):
     assert HyperParams() == default_hyperparams(algo)
 
 
+def test_default_hyperparams_reads_the_shipped_file_once_and_returns_fresh_objects(monkeypatch):
+    reads = []
+    real_files = bench_cli.resources.files
+
+    def counting_files(package):
+        reads.append(package)
+        return real_files(package)
+
+    bench_cli._shipped_departures.cache_clear()
+    monkeypatch.setattr(bench_cli.resources, "files", counting_files)
+    first = default_hyperparams("svm")
+    first.lam, first.mu = 7.0, 3.0  # changing one result ...
+    assert default_hyperparams("svm", {"mu": 2.0}).mu == 2.0
+    again = default_hyperparams("svm")
+    assert (again.lam, again.mu) == (0.01, 10.0)  # ... leaves the next one unchanged
+    assert again is not default_hyperparams("svm")
+    assert len(reads) == 1
+    with pytest.raises(InvalidParameterError, match="'bogus'"):
+        default_hyperparams("svm", {"bogus": 1.0})
+    assert asdict(default_hyperparams("svm")) == asdict(again)
+
+
 def test_default_hyperparams_rejects_an_unknown_algorithm():
     with pytest.raises(InvalidParameterError, match="'lap_svmm'"):
         default_hyperparams("lap_svmm")

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,14 @@ from tvssl.errors import (
 )
 from tvssl.graph import SimilarityGraph, build_knn_graph, graph_tv
 from tvssl.kernel import KernelMatrix, _symmetrize, median_bandwidth, rbf_gram
-from tvssl.opt_core import HyperParams, LuFactor, RootFactor, SpdFactor, project_box_eq
+from tvssl.opt_core import (
+    DiagLaplacian,
+    HyperParams,
+    LuFactor,
+    RootFactor,
+    SpdFactor,
+    project_box_eq,
+)
 
 from oracles import (
     exhaustive_two_level_ratio,
@@ -382,7 +390,14 @@ def test_margin_kernel_through_the_gram_root_matches_the_n_column_route(name, gr
             SvmProxSolver(K, hp, **kw)
         return
     prox = SvmProxSolver(K, hp, **kw)
-    full = binary._kernel_factor(K, hp, **kw)  # the n-column route's factor of F
+    L, I = g.laplacian(), np.eye(K.n)
+    if graph_term:
+        D = DiagLaplacian(K.n, laplacian=L, weight=2.0 * hp.gamma)
+        F = hp.lam * I + 2.0 * hp.gamma * (L @ K.values)
+    else:
+        D = DiagLaplacian(K.n, r=1.0)
+        F = hp.lam * I + K.values
+    full = binary._kernel_factor(K, hp.lam, D)  # the n-column route's factor of F
     assert isinstance(full, LuFactor if graph_term else SpdFactor)
     S_ref = margin_kernel_n_columns(full, K.values)
     rank, refined = prox.counters["gram_rank"], prox.counters["s_refined_cols"]
@@ -406,7 +421,6 @@ def test_margin_kernel_through_the_gram_root_matches_the_n_column_route(name, gr
     exact = np.linalg.eigvalsh(prox.S)[-1]
     assert abs(prox.q_norm - exact) <= 1e-12 * exact
     # the per-column residual contract against the full K and system matrix
-    F = full._A
     res = K.values - F.T @ prox.S
     assert np.all(
         np.linalg.norm(res, axis=0) <= 1e-8 * np.linalg.norm(K.values, axis=0)
@@ -451,7 +465,7 @@ def test_margin_solver_on_a_gram_matrix_of_rank_zero():
 def test_lap_svm_through_the_gram_root_builds_no_n_by_n_factor(monkeypatch):
     K, g, split, hp = _lap_svm_inputs(600, 2)
 
-    def refuse(self, A):
+    def refuse(self, *args):
         raise AssertionError(f"the root route built an n x n {type(self).__name__}")
 
     monkeypatch.setattr(LuFactor, "__init__", refuse)
@@ -666,9 +680,9 @@ def test_lap_svm_factors_once_and_traces_its_dual(monkeypatch):
     factors = []
     real_init = binary.LuFactor.__init__
 
-    def counting_init(self, A):
-        factors.append(A.shape)
-        real_init(self, A)
+    def counting_init(self, F, *args):
+        factors.append(F.shape)
+        real_init(self, F, *args)
 
     monkeypatch.setattr(binary.LuFactor, "__init__", counting_init)
     m = lap_svm_train(K, g, split, hp)
@@ -1099,9 +1113,9 @@ def test_cheeger_initialization_won_reuses_the_callers_factor(trainer, monkeypat
     spd = []
     real_init = binary.SpdFactor.__init__
 
-    def counting_init(self, A):
-        spd.append(A.shape)
-        real_init(self, A)
+    def counting_init(self, F, *args):
+        spd.append(F.shape)
+        real_init(self, F, *args)
 
     monkeypatch.setattr(binary.SpdFactor, "__init__", counting_init)
     m = trainer(K, g, ls, hp)
@@ -1109,7 +1123,8 @@ def test_cheeger_initialization_won_reuses_the_callers_factor(trainer, monkeypat
     monkeypatch.undo()
     assert m.trace["best_ratio_energy"] == 0.0 and m.trace["stop_reason"] == "plateau"
     assert m.node_values.tobytes() == y.tobytes()
-    alpha = SpdFactor(hp.lam * np.eye(8) + hp.r * K.values).solve(hp.r * y)
+    F = hp.lam * np.eye(8) + hp.r * K.values
+    alpha = SpdFactor(F, hp.lam, DiagLaplacian(8, r=hp.r), K.values).solve(hp.r * y)
     assert m.alpha.tobytes() == alpha.tobytes()
 
 
@@ -1154,9 +1169,9 @@ def test_each_trainer_factors_its_hand_assembled_system(name, monkeypatch):
     seen = []
     for cls in (binary.SpdFactor, binary.LuFactor):
 
-        def spy(self, A, _init=cls.__init__, _kind=cls.__name__):
-            seen.append((_kind, np.array(A)))
-            _init(self, A)
+        def spy(self, F, *args, _init=cls.__init__, _kind=cls.__name__):
+            seen.append((_kind, np.array(F)))  # before the factor overwrites it
+            _init(self, F, *args)
 
         monkeypatch.setattr(cls, "__init__", spy)
     ds = make_two_moons(40, 0.08, 1)
@@ -1179,6 +1194,33 @@ def test_each_trainer_factors_its_hand_assembled_system(name, monkeypatch):
     assert [kind for kind, _ in seen] == [kind for kind, _ in expected]
     for (_, got), (_, want) in zip(seen, expected):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["cholesky", "lu"])
+def test_kernel_factor_and_one_solve_hold_one_n_by_n_array(kind):
+    # F is assembled in the buffer the factor overwrites, and the residual is
+    # lam X + D (K X): one n x n array above the inputs, where keeping F and
+    # handing LAPACK a copy of it took about 2 n^2 doubles
+    n = 400
+    K, g, split, hp = _lap_svm_inputs(n, 2)
+    L, mask = g.laplacian(), split.labeled_mask
+    if kind == "lu":
+        D = DiagLaplacian(n, eta=hp.eta, mask=mask, laplacian=L, weight=2.0 * hp.gamma)
+        F = hp.lam * np.eye(n) + hp.eta * (mask[:, None] * K.values) + 2.0 * hp.gamma * (L @ K.values)
+    else:
+        D = DiagLaplacian(n, r=5.0)
+        F = hp.lam * np.eye(n) + 5.0 * K.values
+    b = split.y_ext
+    tracemalloc.start()
+    try:
+        factor = binary._kernel_factor(K, hp.lam, D)
+        x = factor.solve(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(factor, LuFactor if kind == "lu" else SpdFactor)
+    assert peak <= 1.1 * 8 * n * n
+    assert np.linalg.norm(F @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
 def test_cheeger_rls_label_clamp():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from tvssl.errors import DimensionError, InvalidParameterError, NonFiniteInputError
-from tvssl.kernel import KernelMatrix, kernel_expand, median_bandwidth, rbf_gram
+from tvssl.kernel import KernelMatrix, _sq_dists, kernel_expand, median_bandwidth, rbf_gram
+
+from oracles import kernel_expand_out_of_place, sq_dists_two_buffers
 
 
 def test_diagonal_is_exactly_one():
@@ -41,11 +43,12 @@ def test_gram_symmetry_and_psd():
 
 
 def test_gram_factorizable_with_jitter_policy():
-    from tvssl.opt_core import SpdFactor
+    from tvssl.opt_core import DiagLaplacian, SpdFactor
 
     data = np.random.default_rng(2).normal(size=(40, 2))
     K = rbf_gram(data, 3.0)  # wide bandwidth, numerically near-singular
-    x = SpdFactor(K.values).solve(np.ones(40))
+    F = np.array(K.values, order="F")  # the factor overwrites it
+    x = SpdFactor(F, 0.0, DiagLaplacian(40, r=1.0), K.values).solve(np.ones(40))
     assert np.all(np.isfinite(x))
 
 
@@ -195,3 +198,27 @@ def test_root_is_built_once_per_kernel_matrix(monkeypatch):
     assert calls == [(80, 80)]
     SvmProxSolver(rbf_gram(data, 1.0), hp)
     assert calls == [(80, 80), (80, 80)]
+
+
+@pytest.mark.parametrize(
+    "n, m, d", [(7, 7, 2), (150, 150, 2), (130, 57, 3), (40, 300, 256), (200, 200, 256)]
+)
+def test_sq_dists_in_one_buffer_match_the_two_buffer_formula_bit_for_bit(n, m, d):
+    rng = np.random.default_rng(n + m + d)
+    a = rng.normal(size=(n, d))
+    b = a if m == n else rng.normal(size=(m, d))
+    got = _sq_dists(a, b)
+    assert got.shape == (n, m)
+    assert got.tobytes() == sq_dists_two_buffers(a, b).tobytes()
+    if m == n:  # the Gram matrix's own call, a @ a.T
+        assert _sq_dists(a, a).tobytes() == sq_dists_two_buffers(a, a).tobytes()
+
+
+@pytest.mark.parametrize("n, m, d", [(90, 90, 2), (130, 57, 3), (40, 300, 256)])
+def test_expand_in_place_matches_the_out_of_place_formula_bit_for_bit(n, m, d):
+    rng = np.random.default_rng(d)
+    train, query = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    alpha = rng.normal(size=n)
+    bw = 0.7 * np.sqrt(d)
+    got = kernel_expand(alpha, train, query, bw)
+    assert got.tobytes() == kernel_expand_out_of_place(alpha, train, query, bw).tobytes()

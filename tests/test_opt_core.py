@@ -20,6 +20,7 @@ from tvssl.binary import _SignedKernel
 from tvssl.data_io import make_two_moons
 from tvssl.graph import SimilarityGraph, build_knn_graph
 from tvssl.opt_core import (
+    DiagLaplacian,
     HyperParams,
     LuFactor,
     SpdFactor,
@@ -50,6 +51,27 @@ def random_spd(n, seed, cond=10.0):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n))
     return A @ A.T + cond * np.eye(n)
+
+
+def plain_factor(factor_cls, A):
+    """``factor_cls`` on a copy of A (the factor overwrites what it is
+    handed), read as the system ``0 I + I A``: its residuals are ``A X``,
+    and for a symmetric A its transposed ones too."""
+    A = np.asarray(A, dtype=np.float64)
+    return factor_cls(np.array(A, order="F"), 0.0, DiagLaplacian(A.shape[0], r=1.0), A)
+
+
+def kernel_system(n, seed, lam=0.05):
+    """``lam``, a :class:`DiagLaplacian` ``D = 2 J + 0.5 I + 0.4 L`` over a
+    random mask and a path graph's Laplacian, an SPD K and the dense
+    ``F = lam I + D K``, which is not symmetric."""
+    rng = np.random.default_rng(seed)
+    K = random_spd(n, seed, cond=1.0)
+    L = path_graph(rng.uniform(0.5, 1.5, n - 1)).laplacian()
+    mask = rng.random(n) < 0.5
+    D = DiagLaplacian(n, r=0.5, eta=2.0, mask=mask, laplacian=L, weight=0.4)
+    F = lam * np.eye(n) + (2.0 * mask + 0.5)[:, None] * K + 0.4 * (L @ K)
+    return lam, D, K, F
 
 
 def path_graph(weights):
@@ -116,12 +138,13 @@ def test_ball_scale_modes():
 
 def test_solve_identity():
     b = np.array([3.0, -1.0, 2.0])
-    assert np.allclose(SpdFactor(np.eye(3)).solve(b), b)
+    assert np.allclose(plain_factor(SpdFactor, np.eye(3)).solve(b), b)
 
 
 def test_solve_diagonal():
     assert np.allclose(
-        SpdFactor(2.0 * np.eye(3)).solve(np.array([2.0, 4.0, 6.0])), [1.0, 2.0, 3.0]
+        plain_factor(SpdFactor, 2.0 * np.eye(3)).solve(np.array([2.0, 4.0, 6.0])),
+        [1.0, 2.0, 3.0],
     )
 
 
@@ -130,64 +153,196 @@ def test_solve_random_spd_residual():
         n = 10
         A = random_spd(n, seed)
         b = np.random.default_rng(seed + 100).normal(size=n)
-        x = SpdFactor(A).solve(b)
+        x = plain_factor(SpdFactor, A).solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
 def test_solve_routes_nonsymmetric_to_lu():
-    rng = np.random.default_rng(3)
-    n = 12
-    K = random_spd(n, 5, cond=1.0)
-    mask = rng.random(n) < 0.5
-    L = np.diag(rng.uniform(0.5, 1.5, n))  # stand-in for a graph operator
-    L[0, 1] = -0.3
-    M = 2.0 * mask[:, None] * K + 0.05 * np.eye(n) + 0.4 * (L @ K)
-    b = rng.normal(size=n)
-    x = LuFactor(M).solve(b)
+    lam, D, K, M = kernel_system(12, 5)
+    b = np.random.default_rng(3).normal(size=12)
+    x = LuFactor(D.system(lam, K), lam, D, K).solve(b)
     assert np.linalg.norm(M @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
 def test_spd_factor_jitter_then_error():
     # PSD singular: jitter saves it
     A = np.ones((3, 3))
-    x = SpdFactor(A + np.eye(3)).solve(np.ones(3))
+    x = plain_factor(SpdFactor, A + np.eye(3)).solve(np.ones(3))
     assert np.all(np.isfinite(x))
     # indefinite: must raise
     with pytest.raises(FactorizationError):
-        SpdFactor(np.diag([1.0, -1.0]))
+        plain_factor(SpdFactor, np.diag([1.0, -1.0]))
 
 
 def test_lu_factor_transposed_solve():
-    rng = np.random.default_rng(9)
-    A = rng.normal(size=(6, 6)) + 6 * np.eye(6)
-    B = rng.normal(size=(6, 3))
-    lu = LuFactor(A)
+    # a transposed solve meets the contract against F^T, the transpose of
+    # the nonsymmetric lam I + D K, column by column, at n = 6 and n = 300
+    for n in (6, 300):
+        _check_transposed_solve(n)
+
+
+def _check_transposed_solve(n):
+    lam, D, K, A = kernel_system(n, 9)
+    B = np.random.default_rng(9).normal(size=(n, 3))
+    lu = LuFactor(D.system(lam, K), lam, D, K)
     X = lu.solve(B, trans=True)
-    assert np.linalg.norm(A.T @ X - B) <= 1e-8 * np.linalg.norm(B)
+    assert np.all(np.linalg.norm(A.T @ X - B, axis=0) <= 1e-8 * np.linalg.norm(B, axis=0))
+    x = lu.solve(B[:, 0], trans=True)
+    assert np.linalg.norm(A.T @ x - B[:, 0]) <= 1e-8 * np.linalg.norm(B[:, 0])
+    assert np.linalg.norm(A @ x - B[:, 0]) > 1e-3 * np.linalg.norm(B[:, 0])  # F is not symmetric
 
 
 def test_zero_rhs_gives_zero():
-    assert np.all(SpdFactor(random_spd(4, 0)).solve(np.zeros(4)) == 0.0)
+    assert np.all(plain_factor(SpdFactor, random_spd(4, 0)).solve(np.zeros(4)) == 0.0)
 
 
-def _mismatched(factor_cls, A, delta):
+def _old_assembly(lam, K, eta=0.0, mask=None, r=0.0, L=None, weight=0.0):
+    """``lam I + eta J K + r K + weight L K`` as whole-matrix adds in that
+    order: the bytes a kernel-space factor must be handed."""
+    M = lam * np.eye(K.shape[0])
+    if mask is not None:
+        M += eta * (mask[:, None] * K)
+    if r:
+        M += r * K
+    if weight > 0:
+        M += weight * (L @ K)
+    return M
+
+
+@pytest.mark.parametrize("terms", ["r", "mask", "laplacian", "mask_r", "r_laplacian", "all", "none"])
+@pytest.mark.parametrize("n", [7, 300])
+def test_system_is_the_whole_matrix_sum_bit_for_bit_in_every_block(terms, n):
+    # n = 300 takes many blocks of rows and a short last one; K is not
+    # symmetric and has negative entries and signed zeros, so no term may
+    # lean on symmetry or drop a -0.0
+    rng = np.random.default_rng(n)
+    K = rng.normal(size=(n, n))
+    K[rng.random((n, n)) < 0.05] = -0.0
+    kw = {
+        "r": 0.7 if "r" in terms.split("_") or terms == "all" else 0.0,
+        "mask": rng.random(n) < 0.3 if "mask" in terms or terms == "all" else None,
+        "eta": 1.3,
+        "L": path_graph(rng.uniform(0.5, 1.5, n - 1)).laplacian(),
+        "weight": 0.9 if "laplacian" in terms or terms == "all" else 0.0,
+    }
+    D = DiagLaplacian(
+        n, r=kw["r"], eta=kw["eta"], mask=kw["mask"], laplacian=kw["L"], weight=kw["weight"]
+    )
+    F = D.system(0.25, K)
+    assert F.flags.f_contiguous and F.shape == (n, n)
+    want = _old_assembly(0.25, K, **kw)
+    assert F.tobytes() == want.tobytes()
+    out = np.full((n, n), np.nan, order="F")
+    assert D.system(0.25, K, out=out) is out and out.tobytes() == want.tobytes()
+    # D @ X is the dense (diag + weight L) X up to rounding, for a vector and a block
+    dense = np.diag(D.diag) + kw["weight"] * kw["L"].toarray()
+    for X in (rng.normal(size=n), rng.normal(size=(n, 3)), np.asfortranarray(rng.normal(size=(n, 4)))):
+        np.testing.assert_allclose(D @ X, dense @ X, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.7])
+@pytest.mark.parametrize("weight", [0.0, 0.9])
+def test_maskless_product_is_scipys_r_identity_plus_weighted_laplacian_bit_for_bit(r, weight):
+    # the Gram-root route factors C^T (D C) and solves through D @ X: with
+    # no mask those must be the sums of scipy's r I + weight L. The last
+    # node is isolated, so L stores no diagonal entry in its row
+    n = 40
+    rng = np.random.default_rng(5)
+    L = SimilarityGraph(
+        n, np.arange(n - 2), np.arange(1, n - 1), rng.uniform(0.5, 1.5, n - 2)
+    ).laplacian()
+    D = DiagLaplacian(n, r=r, laplacian=L, weight=weight)
+    scipy_D = sp.identity(n, format="csr") * r
+    if weight > 0:
+        scipy_D = scipy_D + weight * L
+    X = rng.normal(size=(n, 5))
+    X[rng.random((n, 5)) < 0.2] = -0.0
+    for x in (X, X[:, 0], np.asfortranarray(X)):
+        assert (D @ x).tobytes() == (scipy_D @ x).tobytes()
+
+
+def test_perfbench_tracer_wraps_each_factor_and_restores_it(monkeypatch):
+    """perfbench's tracer wraps the ``__init__`` and ``solve`` that each
+    factor class holds in its own dict; one only inherited stops it
+    installing."""
+    import pathlib
+    import tvssl.bench_cli  # noqa: F401  the tracer patches every layer module
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    solves = SpdFactor.solve, LuFactor.solve
+    tracer = Tracer()
+    tracer.phase = "pass"
+    tracer.install()
+    try:
+        plain_factor(SpdFactor, random_spd(5, 0)).solve(np.ones(5))
+        plain_factor(LuFactor, random_spd(5, 1)).solve(np.ones((5, 2)), trans=True)
+    finally:
+        tracer.uninstall()
+    table = tracer.layer_table("pass")
+    for name in ("SpdFactor", "LuFactor"):
+        assert table[f"opt_core.{name}.factor"]["calls"] == 1
+    assert table["opt_core.SpdFactor.solve"]["extras"] == [{"cols": 1}]
+    assert table["opt_core.LuFactor.solve"]["extras"] == [{"cols": 2}]
+    assert (SpdFactor.solve, LuFactor.solve) == solves
+
+
+def test_spd_jitter_retry_factors_exactly_the_rebuilt_matrix_plus_jitter(monkeypatch):
+    # lam I + 4 K for a PSD K with an all-ones block: the in-place Cholesky
+    # fails at its second pivot after overwriting the first row, so the
+    # retry must factor the rebuilt F plus the jitter, not what is left
+    n = 6
+    K = np.zeros((n, n))
+    K[:4, :4] = 1.0
+    K[4:, 4:] = np.eye(2)
+    D = DiagLaplacian(n, r=4.0)
+    F_ref = _old_assembly(0.0, K, r=4.0)
+    handed, left = [], []
+    real = sla.cho_factor
+
+    def spy(a, *args, **kwargs):
+        handed.append(np.array(a))
+        try:
+            return real(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            left.append(np.array(a))
+            raise
+
+    monkeypatch.setattr(sla, "cho_factor", spy)
+    f = SpdFactor(D.system(0.0, K), 0.0, D, K)
+    jitter = 1e-10 * np.trace(F_ref) / n
+    assert len(handed) == 2 and len(left) == 1
+    assert handed[0].tobytes() == F_ref.tobytes()
+    assert left[0].tobytes() != F_ref.tobytes()  # the failed factorization wrote into F
+    assert handed[1].tobytes() == (F_ref + jitter * np.eye(n)).tobytes()
+    b = F_ref @ np.arange(1.0, n + 1.0)  # in the range of the singular F
+    x = f.solve(b)
+    assert np.linalg.norm(F_ref @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+
+def _mismatched(factor_cls, lam, D, K, delta):
     """A factor of ``A + delta * e0 e0^T`` that checks residuals against
-    ``A``: its plain solve is exact on columns A e_j, j > 0, and inexact on
-    any column whose solution has a nonzero first entry."""
-    E = np.zeros_like(A)
-    E[0, 0] = delta
-    f = factor_cls(A + E)
-    f._A = A
-    return f
+    ``A = lam I + D K``: its plain solve is exact on columns A e_j, j > 0,
+    and inexact on any column whose solution has a nonzero first entry."""
+    F = D.system(lam, K)
+    F[0, 0] += delta
+    return factor_cls(F, lam, D, K)
 
 
 @pytest.mark.parametrize("kind", ["spd", "lu", "lu_trans"])
 def test_block_solve_refines_only_missing_columns(kind):
     n = 8
-    A = random_spd(n, 3) if kind == "spd" else random_spd(n, 3) + np.triu(np.ones((n, n)), 1)
+    if kind == "spd":
+        lam, D, K = 0.0, DiagLaplacian(n, r=1.0), random_spd(n, 3)
+        A = K
+    else:
+        lam, D, K, A = kernel_system(n, 3)
     trans = kind == "lu_trans"
     At = A.T if trans else A
-    f = _mismatched(SpdFactor if kind == "spd" else LuFactor, A, 1e-6 * np.linalg.norm(A))
+    f = _mismatched(
+        SpdFactor if kind == "spd" else LuFactor, lam, D, K, 1e-6 * np.linalg.norm(A)
+    )
     rng = np.random.default_rng(4)
     # a column needing refinement, a zero column, a column exact at once, two random
     B = np.column_stack([At[:, 0], np.zeros(n), At[:, 2], rng.normal(size=(n, 2))])
@@ -214,7 +369,7 @@ def test_block_solve_refines_only_missing_columns(kind):
 @pytest.mark.parametrize("factor_cls", [SpdFactor, LuFactor])
 def test_block_solve_raises_when_refinement_fails(factor_cls):
     A = random_spd(6, 5)
-    f = _mismatched(factor_cls, A, 50.0 * np.linalg.norm(A))
+    f = _mismatched(factor_cls, 0.0, DiagLaplacian(6, r=1.0), A, 50.0 * np.linalg.norm(A))
     B = np.column_stack([A[:, 1], A[:, 0]])  # the second column cannot converge
     with pytest.raises(FactorizationError):
         f.solve(B)
@@ -230,7 +385,7 @@ def test_singular_lu_solve_raises(b):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FactorizationError):
-            LuFactor(np.array([[1.0, 2.0], [2.0, 4.0]])).solve(b)
+            plain_factor(LuFactor, np.array([[1.0, 2.0], [2.0, 4.0]])).solve(b)
 
 
 @pytest.mark.parametrize("b", [np.ones(2), np.ones((2, 3))], ids=["1d", "2d"])
@@ -243,9 +398,9 @@ def test_factors_reject_a_non_finite_matrix_when_built(where, bad, factor_cls, b
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning from a solve's residual
         with pytest.raises(FactorizationError):
-            factor_cls(A)
+            plain_factor(factor_cls, A)
         with pytest.raises(FactorizationError):
-            factor_cls(A).solve(b)
+            plain_factor(factor_cls, A).solve(b)
 
 
 def _root_system(n=80, rank=12, seed=2):
@@ -270,6 +425,11 @@ def test_root_factor_solves_against_the_full_system(b_cols):
     bn = np.linalg.norm(b.reshape(K.shape[0], -1), axis=0)
     assert np.all(np.linalg.norm(res, axis=0) <= 1e-8 * bn)
     assert f.refined_cols == 0 and f.kernel_misses() == 0
+    # F is not symmetric; its transposed solve starts from (I - G G^T D) / lam
+    x = f.solve(b, trans=True)
+    res = (F.T @ x - b).reshape(K.shape[0], -1)
+    assert np.all(np.linalg.norm(res, axis=0) <= 1e-8 * bn)
+    assert f.refined_cols == 0
     # the dual kernel G G^T is F^-T K
     S = f.G @ f.G.T
     assert np.array_equal(S, S.T)
@@ -1052,6 +1212,15 @@ def test_qp_and_projection_reject_non_finite_input():
     # a zero tolerance is valid: the solve runs to its cap
     sol = qp_box_eq(Q, p, y, mu, tol=0.0, max_iters=5)
     assert (sol.iterations, sol.stop_reason) == (5, "cap")
+
+
+@pytest.mark.parametrize("max_iters", [2.5, True, 0, -1])
+def test_qp_rejects_a_max_iters_that_is_not_a_positive_integer(max_iters):
+    # 2.5 raised a raw TypeError from range(), True ran one iteration, and
+    # 0 or -1 returned the start
+    Q, y, mu, rng = _random_dual(6, 3, "dense")
+    with pytest.raises(InvalidParameterError, match="max_iters"):
+        qp_box_eq(Q, rng.normal(size=6), y, mu, max_iters=max_iters)
 
 
 def test_project_box_eq_properties():
