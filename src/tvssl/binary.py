@@ -95,7 +95,7 @@ class LabeledSet:
 
 @dataclass(eq=False)
 class BinaryModel:
-    """Trained binary classifier f(x) = sum_j k(x, x_j) alpha_j (+ bias)."""
+    """Trained binary classifier f(x) = sum_j k(x, x_j) alpha_j."""
 
     variant: str
     alpha: np.ndarray
@@ -103,7 +103,6 @@ class BinaryModel:
     hyperparams: HyperParams | None = None
     train_data: np.ndarray | None = None
     node_values: np.ndarray | None = None
-    bias: float = 0.0
     trace: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -121,14 +120,14 @@ def predict_binary(model: BinaryModel, query) -> np.ndarray:
     if model.train_data is None:
         raise InvalidParameterError("model carries no training data reference")
     vals = kernel_expand(model.alpha, model.train_data, query, model.bandwidth)
-    return np.where(vals + model.bias >= 0.0, 1, -1).astype(np.int64)
+    return np.where(vals >= 0.0, 1, -1).astype(np.int64)
 
 
 def transductive_labels(model: BinaryModel) -> np.ndarray:
     """Class decisions at the training nodes, read from the fitted values."""
     if model.node_values is None:
         raise InvalidParameterError("model has no fitted node values")
-    return np.where(model.node_values + model.bias >= 0.0, 1, -1).astype(np.int64)
+    return np.where(model.node_values >= 0.0, 1, -1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -361,22 +360,18 @@ def svm_value_prox(e, y, r2: float, mu: float) -> tuple[np.ndarray, DualSolution
     return h, DualSolution(beta, obj, kkt, 1, "tol")
 
 
-def _svm_model(variant, K, hp, prox: SvmProxSolver, y, tol=1e-8) -> BinaryModel:
-    """Solve the margin dual for labels ``y``. With ``use_bias`` the bias is
-    the mean margin residual over the free support vectors (0 without any).
-    The trace records the dual's ``qp_stop_reason`` and ``support``, the
-    number of nonzero dual coefficients, and the solver's ``counters``."""
+def _svm_model(variant, K, hp, prox: SvmProxSolver, y) -> BinaryModel:
+    """Solve the margin dual for labels ``y``. The trace records the dual's
+    ``qp_stop_reason`` and ``support``, the number of nonzero dual
+    coefficients, and the solver's ``counters``."""
     alpha, sol = prox.solve(y)
-    vals = K.values @ alpha
-    free = (sol.beta > tol) & (sol.beta < hp.mu - tol)
-    bias = float(np.mean(y[free] - vals[free])) if hp.use_bias and np.any(free) else 0.0
     trace = {
         "qp_stop_reason": sol.stop_reason,
         "support": int(np.count_nonzero(sol.beta)),
         **prox.counters,
     }
     return BinaryModel(
-        variant, alpha, K.bandwidth, hp, K.data, node_values=vals, bias=bias, trace=trace
+        variant, alpha, K.bandwidth, hp, K.data, node_values=K.values @ alpha, trace=trace
     )
 
 
@@ -786,9 +781,9 @@ def _read_model(path, kind: str) -> dict:
     """Read a model file written by :func:`_write_model` for ``kind`` and
     return its model's constructor arguments. A file of the other kind, or a
     missing or malformed field, raises :class:`InvalidParameterError` naming
-    the file (and the field). A non-finite bias, a bandwidth that is not
-    finite and > 0, and node values not shaped like the coefficients count
-    as malformed."""
+    the file (and the field). A bandwidth that is not finite and > 0, node
+    values not shaped like the coefficients and, in a binary file, a
+    ``"bias"`` other than absent or 0 count as malformed."""
     coef_key, rank = _MODEL_COEFS[kind]
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -809,6 +804,10 @@ def _read_model(path, kind: str) -> dict:
         if not minimum < out < np.inf:  # NaN fails too
             raise ValueError(f"expected a finite number > {minimum}")
         return out
+
+    def zero(value):
+        if float(value) != 0.0:
+            raise ValueError("the model intercept is retired; only 0 loads")
 
     def read(key, convert, optional=False):
         value = doc.get(key)
@@ -838,16 +837,13 @@ def _read_model(path, kind: str) -> dict:
         "node_values": read("node_values", lambda v: array(v, coefs.shape), optional=True),
     }
     if kind == "binary":
-        args["bias"] = read("bias", real, optional=True) or 0.0
+        read("bias", zero, optional=True)  # files written while models had one
     return args
 
 
 def save_model(model: BinaryModel, path) -> None:
     """Write the model header and coefficients as a JSON document."""
-    _write_model(
-        path, "binary", model,
-        n_train=model.n_train, bandwidth=model.bandwidth, bias=model.bias,
-    )
+    _write_model(path, "binary", model, n_train=model.n_train, bandwidth=model.bandwidth)
 
 
 def load_model(path) -> BinaryModel:

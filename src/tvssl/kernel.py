@@ -184,9 +184,12 @@ def median_bandwidth(data, max_points: int = 1000, seed: int = 0) -> float:
         idx = rng.choice(n, size=max_points, replace=False)
         data = data[np.sort(idx)]
         n = max_points
-    d2 = _sq_dists(data, data)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.sqrt(d2[iu])))
+    # distances in the squared distances' buffer, and the pairs i < j gathered
+    # by a boolean mask: one n x n float array, where index arrays add two more
+    d = _sq_dists(data, data)
+    np.sqrt(d, out=d)
+    idx = np.arange(n)
+    med = float(np.median(d[idx[:, None] < idx], overwrite_input=True))
     if med <= 0.0:
         raise DegenerateScaleError("median pairwise distance is zero")
     return med

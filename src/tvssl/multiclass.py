@@ -172,9 +172,8 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
     consensus ``gch`` with multiplier ``lam``. The consensus is the per-node
     simplex projection of ``f + lam / r``; with ``tv`` each channel first
     takes a TV shrink and the projection is followed by channel
-    renormalization (literal order; ``simplex_last`` swaps the two). The
-    channels' TV shrinks form one :class:`binary._ProxChain`, one batched
-    call per step.
+    renormalization, the literal order. The channels' TV shrinks form one
+    :class:`binary._ProxChain`, one batched call per step.
 
     The loop always runs ``outer_iters`` steps (``stop_reason`` "cap"):
     the cap and the proximal tolerance rule are part of the algorithm and
@@ -196,11 +195,9 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
         if tv:
             z = chain(z, hp.gamma / hp.r)
             chain.record()
-            if hp.simplex_last:
-                z = _renormalize_channels(z, scale)
         gch, dev = _simplex_coupling(z)
         trace["simplex_dev"].append(dev)
-        if tv and not hp.simplex_last:
+        if tv:
             gch = _renormalize_channels(gch, scale)
         lam += hp.r * (f - gch)
         trace["consensus"].append(float(np.linalg.norm(f - gch)))
@@ -246,7 +243,7 @@ def tv_rls_mc_train(
     K: KernelMatrix, g: SimilarityGraph, mls: MultiLabelSet, hp: HyperParams
 ) -> MulticlassModel:
     """Least-squares channels with per-channel TV shrink, simplex projection
-    and channel renormalization (literal order; ``simplex_last`` swaps it)."""
+    and channel renormalization."""
     _check_semi(K, g, mls)
     fidelity = _ls_fidelity(K, g, mls, hp, gamma=0.0)
     return _consensus_train("tv_rls_mc", K, g, mls, hp, fidelity, tv=True)

@@ -42,17 +42,23 @@ _PG_BOUND_MARGIN = 1.0 + 1e-6
 _EPS = float(np.finfo(np.float64).eps)
 
 
+# Fields HyperParams no longer has, each with the value its code path now
+# always takes; config and model files may still carry them at that value
+_RETIRED = {"norm_scale": "sqrt_n", "use_bias": False, "simplex_last": False}
+
+
 @dataclass
 class HyperParams:
     """Scalar knobs shared by the training loops.
 
     ``eta`` weighs label fidelity, ``lam`` the RKHS norm, ``gamma`` the graph
     regularizer, ``mu`` the slack penalty, ``r``/``r1``/``r2`` the quadratic
-    consensus penalties, and ``c`` the ratio-descent step constant. The
-    boolean flags toggle documented algorithm variants and default to the
-    literal update order. Each is read by some trainers only, and the rest
-    ignore it: ``normalize`` by tv_rls and tv_svm, ``simplex_last`` by
-    tv_rls_mc and tv_svm_mc, ``use_bias`` by svm and lap_svm.
+    consensus penalties, and ``c`` the ratio-descent step constant.
+    ``normalize``, read by tv_rls and tv_svm only, rescales their consensus
+    variable to norm sqrt(n) (:meth:`ball_scale`) and subtracts its mean
+    after each TV shrink. It is the one switch kept: turned off, the
+    splitting with no TV term reduces to masked least squares or the
+    margin fit, which the no-TV reduction tests check.
 
     ``outer_iters`` caps every outer loop and ``inner_iters`` every TV prox.
     ``tol`` is the duality gap of each channel's first TV prox, the floor of
@@ -75,9 +81,6 @@ class HyperParams:
     inner_iters: int = 150
     tol: float = 1e-5
     normalize: bool = True
-    norm_scale: str = "sqrt_n"  # or "n"
-    use_bias: bool = False
-    simplex_last: bool = False
 
     def __post_init__(self):
         # config and model files reach here unchecked: reject wrong types,
@@ -87,18 +90,25 @@ class HyperParams:
         check_real("gamma", self.gamma, 0.0)
         for name in ("outer_iters", "inner_iters"):
             check_int(name, getattr(self, name), 1)
-        for name in ("normalize", "use_bias", "simplex_last"):
-            v = getattr(self, name)
-            if not isinstance(v, (bool, np.bool_)):
-                raise InvalidParameterError(f"{name} must be true or false, got {v!r}")
-        if self.norm_scale not in ("n", "sqrt_n"):
-            raise InvalidParameterError("norm_scale must be 'n' or 'sqrt_n'")
+        if not isinstance(self.normalize, (bool, np.bool_)):
+            raise InvalidParameterError(f"normalize must be true or false, got {self.normalize!r}")
 
     @classmethod
     def from_dict(cls, values: dict, source: str) -> "HyperParams":
         """Build from a mapping of field names, as read from a config or model
         file; names that are not fields raise :class:`InvalidParameterError`
-        naming them and ``source``."""
+        naming them and ``source``. A retired key is dropped at the value its
+        code path now always takes (a bool must be a real bool) and raises
+        the same error at any other."""
+        values = dict(values)
+        for key, fixed in _RETIRED.items():
+            if key in values:
+                value = values.pop(key)
+                if type(value) is not type(fixed) or value != fixed:
+                    raise InvalidParameterError(
+                        f"retired hyperparameter {key!r} for {source} can only be "
+                        f"{fixed!r}, got {value!r}"
+                    )
         unknown = sorted(set(values) - {f.name for f in fields(cls)})
         if unknown:
             raise InvalidParameterError(
@@ -107,7 +117,7 @@ class HyperParams:
         return cls(**values)
 
     def ball_scale(self, n_nodes: int) -> float:
-        return float(n_nodes) if self.norm_scale == "n" else float(np.sqrt(n_nodes))
+        return float(np.sqrt(n_nodes))
 
 
 @dataclass
@@ -213,9 +223,7 @@ class DiagLaplacian:
     ``D @ X`` for an (n,) or (n, k) X is ``d * X`` for the diagonal
     ``d = eta mask + r``, plus ``weight L X`` added in by scipy's csr kernel
     (as :func:`_csr_product` calls it), so no sparse matrix is built for D.
-    Without a mask, r is added to L's stored diagonal entries instead, so
-    the sums are those of scipy's ``r I + weight L`` entry by entry, which
-    the Gram-root route factors. :meth:`system` assembles F itself.
+    :meth:`system` assembles F itself.
     """
 
     def __init__(self, n: int, *, r=0.0, eta=0.0, mask=None, laplacian=None, weight=0.0):
@@ -223,20 +231,12 @@ class DiagLaplacian:
         self.mask = None if mask is None else np.asarray(mask, dtype=bool)
         self.laplacian = laplacian if weight > 0 else None
         self.diag = np.full(n, self.r) if self.mask is None else self.eta * self.mask + self.r
-        self._rest = self.diag  # the part of d that no stored entry of L holds
         if self.laplacian is not None:
-            L = self.laplacian
-            self._data = self.weight * L.data
-            if self.mask is None and self.r:
-                rows = np.repeat(np.arange(n), np.diff(L.indptr))
-                stored = np.flatnonzero(L.indices == rows)  # an empty row stores none
-                self._data[stored] += self.r
-                self._rest = self.diag.copy()
-                self._rest[rows[stored]] = 0.0
+            self._data = self.weight * self.laplacian.data
 
     def __matmul__(self, X):
         X = np.ascontiguousarray(X, dtype=np.float64)  # the csr kernel reads C order
-        out = (self._rest[:, None] if X.ndim == 2 else self._rest) * X
+        out = (self.diag[:, None] if X.ndim == 2 else self.diag) * X
         out += 0.0  # -0.0 to +0.0: the csr kernel's sums start from +0.0
         if self.laplacian is not None:
             L, n = self.laplacian, self.diag.size
@@ -478,9 +478,8 @@ def _tv_operator(g: SimilarityGraph):
             shape=(g.n_edges, n),
         )
         Dt = D.T.tocsr()
-        norm_est = _power_norm(lambda v: Dt @ (D @ v), n, 20)
-        norm_bound = 2.0 * float(np.max(g.degrees))
-        op_norm = np.sqrt(min(max(norm_est, 1e-30), norm_bound))
+        # the estimate never exceeds lambda_max(D^T D) = lambda_max(L) <= 2 max degree
+        op_norm = np.sqrt(max(_power_norm(lambda v: Dt @ (D @ v), n, 20), 1e-30))
         g._tv_op = (D, Dt, sw, 0.99 / op_norm)
     return g._tv_op
 
@@ -536,9 +535,10 @@ def tv_prox(
     """Minimize ``weight * graph_tv(g, x) + 0.5 * ||x - z||^2``.
 
     Primal-dual iteration on the weighted edge-difference operator with equal
-    step sizes ``0.99 / ||D||`` (operator norm from 20 power iterations,
-    bounded by ``sqrt(2 * max degree)``); the operator and step are built once
-    per graph and cached on it. The duality gap is checked only at
+    step sizes ``0.99 / ||D||``; the operator and step are built once per
+    graph and cached on it. ``||D||^2`` is a 20-step power estimate, which
+    can read a few percent low, so the step can exceed ``1 / ||D||``, the
+    bound of Chambolle & Pock's convergence proof, by a few percent. The duality gap is checked only at
     checkpoints, every 10th iteration and ``max_iters``: the iteration stops
     when the gap drops to ``tol`` ("gap") or at ``max_iters`` ("cap"). The
     objective is 1-strongly convex, so a gap ``eps`` puts the returned point
@@ -987,21 +987,9 @@ def qp_box_eq(
 
 
 def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto {u : sum(u) = 1, u >= 0} by Michelot's
-    finite active-set iteration."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size < 1:
-        raise InvalidParameterError("need at least one coordinate")
-    active = np.ones(v.size, dtype=bool)
-    tau = (v.sum() - 1.0) / v.size
-    while True:
-        # the active residuals sum to 1, so at least one stays positive
-        keep = active & (v - tau > 0.0)
-        if np.array_equal(keep, active) or not keep.any():
-            break
-        active = keep
-        tau = (v[active].sum() - 1.0) / active.sum()
-    return np.maximum(v - tau, 0.0)
+    """Euclidean projection of a vector onto {u : sum(u) = 1, u >= 0}: the
+    one-row case of :func:`project_simplex_rows`."""
+    return project_simplex_rows(np.ravel(v)[None])[0]
 
 
 def project_simplex_rows(V) -> np.ndarray:

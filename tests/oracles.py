@@ -32,6 +32,19 @@ def sq_dists_two_buffers(a, b):
     return d2
 
 
+def median_bandwidth_index_pairs(data, max_points=1000, seed=0):
+    """Median pairwise distance through the upper triangle's two index
+    arrays, square roots taken of the gathered pairs, on the subsample the
+    library draws. The library takes them in its distance buffer and must
+    match bit for bit."""
+    n = data.shape[0]
+    if n > max_points:
+        idx = np.random.default_rng(seed).choice(n, size=max_points, replace=False)
+        data, n = data[np.sort(idx)], max_points
+    iu = np.triu_indices(n, k=1)
+    return float(np.median(np.sqrt(sq_dists_two_buffers(data, data)[iu])))
+
+
 def kernel_expand_out_of_place(alpha, train, query, bandwidth):
     """``exp(-d2 / (2 bandwidth^2)) @ alpha`` with a fresh array per step."""
     d2 = sq_dists_two_buffers(query, train)

@@ -65,23 +65,23 @@ def test_default_hyperparams_known_for_all_algorithms():
 # fails here.
 SHIPPED_FIELDS = (
     "eta", "lam", "gamma", "mu", "r", "r1", "r2", "c", "outer_iters", "inner_iters",
-    "tol", "normalize", "norm_scale", "use_bias", "simplex_last",
+    "tol", "normalize",
 )
 SHIPPED = {
-    "rls":            (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True, "sqrt_n", False, False),
-    "svm":            (1.0, 0.01, 1.0, 10.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True, "sqrt_n", False, False),
-    "lap_rls":        (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True, "sqrt_n", False, False),
-    "lap_svm":        (1.0, 0.01, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True, "sqrt_n", False, False),
-    "tv_rls":         (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True, "sqrt_n", False, False),
-    "tv_svm":         (1.0, 1e-4, 1.0,  0.1, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True, "sqrt_n", False, False),
-    "cheeger_rls":    (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 100, 150, 1e-05, True, "sqrt_n", False, False),
-    "cheeger_svm":    (1.0, 1e-4, 1.0,  0.1, 1.0, 5.0, 5.0, 1.0, 100, 150, 1e-05, True, "sqrt_n", False, False),
-    "lap_rls_mc":     (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0,  60, 150, 1e-05, True, "sqrt_n", False, False),
-    "lap_svm_mc":     (1.0, 0.01, 1.0,  0.1, 1.0, 5.0, 5.0, 1.0,  30, 150, 1e-05, True, "sqrt_n", False, False),
-    "tv_rls_mc":      (1.0, 1e-4, 1.0,  1.0, 5.0, 5.0, 5.0, 1.0, 150, 150, 1e-05, True, "sqrt_n", False, False),
-    "tv_svm_mc":      (1.0, 1e-4, 1.0,  0.1, 5.0, 5.0, 5.0, 1.0, 150, 150, 1e-05, True, "sqrt_n", False, False),
-    "cheeger_rls_mc": (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 100, 150, 1e-05, True, "sqrt_n", False, False),
-    "cheeger_svm_mc": (1.0, 1e-4, 1.0,  0.1, 1.0, 5.0, 5.0, 1.0, 100, 150, 1e-05, True, "sqrt_n", False, False),
+    "rls":            (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True),
+    "svm":            (1.0, 0.01, 1.0, 10.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True),
+    "lap_rls":        (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True),
+    "lap_svm":        (1.0, 0.01, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True),
+    "tv_rls":         (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True),
+    "tv_svm":         (1.0, 1e-4, 1.0,  0.1, 1.0, 5.0, 5.0, 1.0, 200, 150, 1e-05, True),
+    "cheeger_rls":    (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 100, 150, 1e-05, True),
+    "cheeger_svm":    (1.0, 1e-4, 1.0,  0.1, 1.0, 5.0, 5.0, 1.0, 100, 150, 1e-05, True),
+    "lap_rls_mc":     (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0,  60, 150, 1e-05, True),
+    "lap_svm_mc":     (1.0, 0.01, 1.0,  0.1, 1.0, 5.0, 5.0, 1.0,  30, 150, 1e-05, True),
+    "tv_rls_mc":      (1.0, 1e-4, 1.0,  1.0, 5.0, 5.0, 5.0, 1.0, 150, 150, 1e-05, True),
+    "tv_svm_mc":      (1.0, 1e-4, 1.0,  0.1, 5.0, 5.0, 5.0, 1.0, 150, 150, 1e-05, True),
+    "cheeger_rls_mc": (1.0, 1e-4, 1.0,  1.0, 1.0, 5.0, 5.0, 1.0, 100, 150, 1e-05, True),
+    "cheeger_svm_mc": (1.0, 1e-4, 1.0,  0.1, 1.0, 5.0, 5.0, 1.0, 100, 150, 1e-05, True),
 }
 
 
@@ -89,7 +89,7 @@ SHIPPED = {
 def test_default_hyperparams_are_the_shipped_configuration(algo):
     shipped = dict(zip(SHIPPED_FIELDS, SHIPPED[algo]))
     assert asdict(default_hyperparams(algo)) == shipped
-    overrides = {"lam": 0.5, "outer_iters": 7, "norm_scale": "n"}
+    overrides = {"lam": 0.5, "outer_iters": 7, "normalize": False}
     assert asdict(default_hyperparams(algo, overrides)) == {**shipped, **overrides}
 
 

@@ -761,7 +761,7 @@ def test_tv_rls_two_cluster_transduction_and_flip():
     ls = labeled_first_of_each(y)
     hp = HyperParams(
         eta=1.0, lam=1e-4, gamma=1.0, r1=5.0, r2=5.0,
-        outer_iters=150, inner_iters=150, norm_scale="sqrt_n",
+        outer_iters=150, inner_iters=150,
     )
     m = tv_rls_train(K, g, ls, hp)
     pred = transductive_labels(m)
@@ -965,7 +965,7 @@ def test_tv_svm_two_cluster_transduction_and_single_flips():
     ls = labeled_first_of_each(y)
     hp = HyperParams(
         eta=1.0, lam=1e-4, gamma=1.0, mu=0.1, r1=5.0, r2=5.0,
-        outer_iters=150, inner_iters=150, norm_scale="sqrt_n",
+        outer_iters=150, inner_iters=150,
     )
     m = tv_svm_train(K, g, ls, hp)
     pred = transductive_labels(m)
@@ -1001,7 +1001,7 @@ def cheeger_toy(seed=3):
 
 def test_cheeger_rls_energy_bookkeeping():
     _, y, K, g, ls = cheeger_toy()
-    hp = HyperParams(lam=1e-4, r=1.0, c=1.0, outer_iters=40, norm_scale="sqrt_n")
+    hp = HyperParams(lam=1e-4, r=1.0, c=1.0, outer_iters=40)
     m = cheeger_rls_train(K, g, ls, hp)
     trace = m.trace["ratio_energy"]
     assert m.trace["best_ratio_energy"] <= trace[0] + 1e-12
@@ -1012,7 +1012,7 @@ def test_cheeger_rls_energy_bookkeeping():
 @pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])
 def test_cheeger_prox_trace_one_entry_per_outer_step(trainer):
     _, _, K, g, ls = cheeger_toy()
-    hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=12, norm_scale="sqrt_n")
+    hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=12)
     m = trainer(K, g, ls, hp)
     iters, caps = m.trace["prox_iters"], m.trace["prox_cap_hits"]
     # one entry per completed step; the plateau rule may end the loop before
@@ -1054,7 +1054,7 @@ def test_cheeger_one_row_prox_equals_the_one_dimensional_call(trainer, monkeypat
     # the ratio loop shrinks its single channel as a (1, n) batch, which
     # must give the fit of 1-D calls bit for bit
     _, _, K, g, ls = cheeger_toy()
-    hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=12, norm_scale="sqrt_n")
+    hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=12)
     batched = trainer(K, g, ls, hp)
     calls = []
     prox = binary.tv_prox
@@ -1074,7 +1074,7 @@ def test_cheeger_one_row_prox_equals_the_one_dimensional_call(trainer, monkeypat
 @pytest.mark.parametrize("trainer", [cheeger_rls_train, cheeger_svm_train])
 def test_cheeger_stops_on_ratio_plateau(trainer):
     _, _, K, g, ls = cheeger_toy()
-    hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=100, norm_scale="sqrt_n")
+    hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=100)
     m = trainer(K, g, ls, hp)
     steps, window = m.trace["outer_steps"], binary.RATIO_PLATEAU_STEPS
     assert m.trace["stop_reason"] == "plateau"
@@ -1093,7 +1093,7 @@ def test_cheeger_stops_on_ratio_plateau(trainer):
 def test_cheeger_cap_below_plateau_window_stops_on_cap(trainer):
     _, _, K, g, ls = cheeger_toy()
     outer = binary.RATIO_PLATEAU_STEPS - 1
-    hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=outer, norm_scale="sqrt_n")
+    hp = HyperParams(lam=1e-4, mu=0.5, r=1.0, c=1.0, outer_iters=outer)
     m = trainer(K, g, ls, hp)
     assert m.trace["stop_reason"] == "cap"
     assert m.trace["outer_steps"] == len(m.trace["ratio_energy"]) - 1 == outer
@@ -1226,7 +1226,7 @@ def test_kernel_factor_and_one_solve_hold_one_n_by_n_array(kind):
 def test_cheeger_rls_label_clamp():
     _, y, K, g, ls = cheeger_toy()
     for outer in (1, 3, 7):
-        hp = HyperParams(lam=1e-4, r=1.0, c=1.0, outer_iters=outer, norm_scale="sqrt_n")
+        hp = HyperParams(lam=1e-4, r=1.0, c=1.0, outer_iters=outer)
         m = cheeger_rls_train(K, g, ls, hp)
         pred = transductive_labels(m)
         lab = ls.labeled_mask
@@ -1238,7 +1238,7 @@ def test_cheeger_rls_two_moons_and_exhaustive_cut():
     K = rbf_gram(ds.data, median_bandwidth(ds.data) * 0.5)
     g = build_knn_graph(ds.data, 6)
     ls = make_split(ds, SplitSpec(1, 1))
-    hp = HyperParams(lam=1e-4, r=1.0, c=1.0, outer_iters=80, norm_scale="sqrt_n")
+    hp = HyperParams(lam=1e-4, r=1.0, c=1.0, outer_iters=80)
     m = cheeger_rls_train(K, g, ls, hp)
     truth = np.where(ds.true_labels == 1, 1, -1)
     agree = np.mean(transductive_labels(m) == truth)
@@ -1281,7 +1281,7 @@ def test_cheeger_svm_prox_matches_slsqp():
 
 def test_cheeger_svm_clamp_and_energy():
     _, y, K, g, ls = cheeger_toy()
-    hp = HyperParams(lam=1e-4, r=1.0, c=1.0, mu=0.1, outer_iters=30, norm_scale="sqrt_n")
+    hp = HyperParams(lam=1e-4, r=1.0, c=1.0, mu=0.1, outer_iters=30)
     m = cheeger_svm_train(K, g, ls, hp)
     pred = transductive_labels(m)
     lab = ls.labeled_mask
@@ -1306,7 +1306,7 @@ def test_cheeger_one_class_labels_degenerate_after_two_restarts(trainer, monkeyp
     K = rbf_gram(ds.data, median_bandwidth(ds.data) * 0.5)
     g = build_knn_graph(ds.data, 6)
     ls = LabeledSet(np.ones(40), np.ones(40, dtype=bool))
-    hp = HyperParams(lam=1e-4, r=1.0, c=1.0, outer_iters=20, norm_scale="sqrt_n")
+    hp = HyperParams(lam=1e-4, r=1.0, c=1.0, outer_iters=20)
     with pytest.raises(DegenerateInputError):
         trainer(K, g, ls, hp)
     assert len(restarts) == 2
@@ -1395,6 +1395,43 @@ def test_load_model_malformed_field_names_file_and_field(tmp_path, field, value)
         load_model(path)
 
 
+def _parent_format_model_file(tmp_path, bias=0.0, **retired):
+    """An rls model and its file in the layout written while HyperParams had
+    the fields norm_scale, use_bias and simplex_last and models a "bias"."""
+    X, y = two_cluster_data(3, seed=47)
+    m = rls_train(rbf_gram(X, 1.0), y, HyperParams(eta=2.0, lam=0.1))
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    doc = json.loads(path.read_text())
+    doc["bias"] = bias
+    doc["hyperparams"].update(
+        {"norm_scale": "sqrt_n", "use_bias": False, "simplex_last": False, **retired}
+    )
+    assert len(doc["hyperparams"]) == 15
+    path.write_text(json.dumps(doc))
+    return m, path
+
+
+def test_load_model_reads_the_retired_fields_at_their_hard_wired_values(tmp_path):
+    m, path = _parent_format_model_file(tmp_path)
+    m2 = load_model(path)
+    assert (m2.variant, m2.bandwidth, m2.hyperparams) == (m.variant, m.bandwidth, m.hyperparams)
+    assert np.array_equal(m2.alpha, m.alpha) and np.array_equal(m2.node_values, m.node_values)
+
+
+@pytest.mark.parametrize("bias", [0.5, -1e-300])
+def test_load_model_rejects_a_nonzero_bias(tmp_path, bias):
+    _, path = _parent_format_model_file(tmp_path, bias=bias)
+    with pytest.raises(InvalidParameterError, match="model.json.*'bias'"):
+        load_model(path)
+
+
+def test_load_model_rejects_a_retired_field_at_another_value(tmp_path):
+    _, path = _parent_format_model_file(tmp_path, use_bias=True)
+    with pytest.raises(InvalidParameterError, match="'use_bias' for .*model.json"):
+        load_model(path)
+
+
 def test_load_model_rejects_non_json_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("{not json")
@@ -1407,7 +1444,7 @@ def test_transduction_invariant_to_unlabeled_permutation():
     ls = labeled_first_of_each(y)
     hp = HyperParams(
         eta=1.0, lam=1e-4, gamma=1.0, r1=5.0, r2=5.0,
-        outer_iters=80, inner_iters=120, norm_scale="sqrt_n",
+        outer_iters=80, inner_iters=120,
     )
 
     def run(Xp, yp, maskp):
@@ -1435,27 +1472,3 @@ def test_labeled_set_validation():
     ls = LabeledSet(np.array([1.0, -1.0, 7.7]), np.array([True, True, False]))
     assert ls.y_ext[2] == 0.0  # unlabeled entries are zeroed
     assert ls.n_labeled == 2
-
-
-def test_svm_bias_flag_recovers_intercept():
-    # imbalanced layout: without an intercept the margins cannot all be met
-    # tightly; with use_bias the free support vectors sit exactly on them
-    rng = np.random.default_rng(51)
-    X = np.vstack([rng.normal(size=(4, 2)) * 0.3 + [0, 0],
-                   rng.normal(size=(2, 2)) * 0.3 + [2.2, 0]])
-    y = np.array([1.0] * 4 + [-1.0] * 2)
-    K = rbf_gram(X, 1.0)
-    hp = HyperParams(lam=0.5, mu=50.0, use_bias=True)
-    m = svm_train(K, y, hp)
-    f_raw = kernel_values = K.values @ m.alpha
-    assert m.bias != 0.0
-    # complementary slackness at strictly interior dual coordinates
-    prox = SvmProxSolver(K, HyperParams(lam=0.5, mu=50.0))
-    _, sol = prox.solve(y)
-    free = (sol.beta > 1e-6) & (sol.beta < 50.0 - 1e-6)
-    assert np.any(free)
-    assert np.allclose(y[free] * (f_raw[free] + m.bias), 1.0, atol=1e-4)
-    # prediction applies the stored intercept
-    assert np.array_equal(
-        predict_binary(m, X), np.where(f_raw + m.bias >= 0, 1, -1)
-    )

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tvssl.errors import DimensionError, InvalidParameterError, NonFiniteInputError
 from tvssl.kernel import KernelMatrix, _sq_dists, kernel_expand, median_bandwidth, rbf_gram
 
-from oracles import kernel_expand_out_of_place, sq_dists_two_buffers
+from oracles import (
+    kernel_expand_out_of_place,
+    median_bandwidth_index_pairs,
+    sq_dists_two_buffers,
+)
 
 
 def test_diagonal_is_exactly_one():
@@ -154,6 +160,30 @@ def test_median_bandwidth_deterministic_and_positive():
     b1 = median_bandwidth(data)
     b2 = median_bandwidth(data)
     assert b1 == b2 and b1 > 0
+
+
+@pytest.mark.parametrize("n", [7, 8, 50, 200, 2000])  # 21, 28, 1225, 19900, 499500 pairs
+def test_median_bandwidth_matches_the_index_pair_formula_bit_for_bit(n):
+    from tvssl.data_io import make_two_moons
+
+    data = make_two_moons(n + n % 2, 0.08, n).data[:n]
+    assert median_bandwidth(data).hex() == median_bandwidth_index_pairs(data).hex()
+
+
+def test_median_bandwidth_holds_one_distance_matrix():
+    # the distances overwrite the squared ones and the pairs are gathered by
+    # a boolean mask; index arrays and a second distance array took 2.9x
+    from tvssl.data_io import make_two_moons
+
+    n = 1000
+    data = make_two_moons(n, 0.08, 3).data
+    tracemalloc.start()
+    try:
+        median_bandwidth(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 8 * n * n
 
 
 def test_gram_keeps_data_reference():

@@ -66,7 +66,7 @@ def setup(ds, k=6, lpc=1, seed=0):
 
 MC_HP = HyperParams(
     eta=1.0, lam=1e-4, gamma=1.0, mu=0.1, r=1.0,
-    outer_iters=40, inner_iters=120, norm_scale="sqrt_n",
+    outer_iters=40, inner_iters=120,
 )
 
 ALL_TRAINERS = [
@@ -266,14 +266,14 @@ BINARY_COUNTERPARTS = [
      dict(lam=0.01, gamma=1.0, mu=1.0, r=1.0, outer_iters=30)),
     ("tv_rls_mc", tv_rls_mc_train, tv_rls_train,
      dict(eta=1.0, lam=1e-4, gamma=1.0, r=5.0, r1=5.0, r2=5.0,
-          outer_iters=80, inner_iters=120, norm_scale="sqrt_n")),
+          outer_iters=80, inner_iters=120)),
     ("tv_svm_mc", tv_svm_mc_train, tv_svm_train,
      dict(eta=1.0, lam=1e-4, gamma=1.0, mu=0.1, r=5.0, r1=5.0, r2=5.0,
-          outer_iters=80, inner_iters=120, norm_scale="sqrt_n")),
+          outer_iters=80, inner_iters=120)),
     ("cheeger_rls_mc", cheeger_rls_mc_train, cheeger_rls_train,
-     dict(lam=1e-4, r=1.0, c=1.0, outer_iters=40, norm_scale="sqrt_n")),
+     dict(lam=1e-4, r=1.0, c=1.0, outer_iters=40)),
     ("cheeger_svm_mc", cheeger_svm_mc_train, cheeger_svm_train,
-     dict(lam=1e-4, r=1.0, c=1.0, mu=0.1, outer_iters=40, norm_scale="sqrt_n")),
+     dict(lam=1e-4, r=1.0, c=1.0, mu=0.1, outer_iters=40)),
 ]
 
 
@@ -495,25 +495,16 @@ def test_cheeger_mc_collapsed_channel_restart_keeps_trace_per_outer_step(monkeyp
     assert len(m.trace["simplex_dev"]) == steps
 
 
-def test_simplex_last_flag_keeps_final_iterate_feasible():
+def test_tv_mc_consensus_is_renormalized_after_the_simplex():
+    # the literal order: each step projects onto the simplex and then puts
+    # every channel on the sphere of radius sqrt(n), off the simplex
     ds = three_cluster_dataset(per=8)
     K, g, mls = setup(ds)
-    hp = HyperParams(
-        eta=1.0, lam=1e-4, gamma=1.0, r=5.0, outer_iters=30,
-        inner_iters=100, norm_scale="sqrt_n", simplex_last=True,
-    )
+    hp = HyperParams(eta=1.0, lam=1e-4, gamma=1.0, r=5.0, outer_iters=30, inner_iters=100)
     m = tv_rls_mc_train(K, g, mls, hp)
     gch = np.array(m.trace["g_final"])
-    sums = gch.sum(axis=0)
-    assert np.max(np.abs(sums - 1.0)) <= 1e-12 and gch.min() >= 0.0
-    # default literal order renormalizes after projecting, breaking feasibility
-    hp2 = HyperParams(
-        eta=1.0, lam=1e-4, gamma=1.0, r=5.0, outer_iters=30,
-        inner_iters=100, norm_scale="sqrt_n", simplex_last=False,
-    )
-    m2 = tv_rls_mc_train(K, g, mls, hp2)
-    g2 = np.array(m2.trace["g_final"])
-    assert np.max(np.abs(g2.sum(axis=0) - 1.0)) > 1e-6
+    assert np.max(np.abs(gch.sum(axis=0) - 1.0)) > 1e-6
+    assert np.allclose(np.linalg.norm(gch, axis=1), np.sqrt(K.n), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize(

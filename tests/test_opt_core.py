@@ -94,8 +94,6 @@ def test_hyperparams_validation():
         HyperParams(gamma=-0.1)
     with pytest.raises(InvalidParameterError):
         HyperParams(outer_iters=0)
-    with pytest.raises(InvalidParameterError):
-        HyperParams(norm_scale="weird")
 
 
 @pytest.mark.parametrize(
@@ -110,8 +108,8 @@ def test_hyperparams_validation():
         ("mu", "1.0"),
         ("c", True),
         ("normalize", 1),
-        ("use_bias", "false"),
-        ("simplex_last", None),
+        ("normalize", "false"),
+        ("normalize", None),
     ],
 )
 def test_hyperparams_rejects_wrong_types_and_non_finite_values(field, value):
@@ -122,13 +120,35 @@ def test_hyperparams_rejects_wrong_types_and_non_finite_values(field, value):
 
 
 def test_hyperparams_accepts_numpy_scalars():
-    hp = HyperParams(lam=np.float64(0.5), outer_iters=np.int64(3), use_bias=np.bool_(True))
-    assert hp.lam == 0.5 and hp.outer_iters == 3 and hp.use_bias
+    hp = HyperParams(lam=np.float64(0.5), outer_iters=np.int64(3), normalize=np.bool_(False))
+    assert hp.lam == 0.5 and hp.outer_iters == 3 and not hp.normalize
 
 
-def test_ball_scale_modes():
-    assert HyperParams(norm_scale="n").ball_scale(9) == 9.0
-    assert HyperParams(norm_scale="sqrt_n").ball_scale(9) == 3.0
+RETIRED = {"norm_scale": "sqrt_n", "use_bias": False, "simplex_last": False}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED))
+def test_from_dict_drops_a_retired_key_at_its_hard_wired_value(key):
+    assert HyperParams.from_dict({key: RETIRED[key], "lam": 0.5}, "a config") == HyperParams(lam=0.5)
+    with pytest.raises(TypeError):
+        HyperParams(**{key: RETIRED[key]})  # no longer a field
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("norm_scale", "n"),
+        ("norm_scale", None),
+        ("use_bias", True),
+        ("use_bias", 0),
+        ("use_bias", "false"),
+        ("simplex_last", True),
+        ("simplex_last", np.bool_(False)),
+    ],
+)
+def test_from_dict_rejects_a_retired_key_at_any_other_value(key, value):
+    with pytest.raises(InvalidParameterError, match=f"'{key}' for a config"):
+        HyperParams.from_dict({key: value}, "a config")
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +260,42 @@ def test_system_is_the_whole_matrix_sum_bit_for_bit_in_every_block(terms, n):
         np.testing.assert_allclose(D @ X, dense @ X, rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("r", [0.0, 0.7])
-@pytest.mark.parametrize("weight", [0.0, 0.9])
-def test_maskless_product_is_scipys_r_identity_plus_weighted_laplacian_bit_for_bit(r, weight):
-    # the Gram-root route factors C^T (D C) and solves through D @ X: with
-    # no mask those must be the sums of scipy's r I + weight L. The last
-    # node is isolated, so L stores no diagonal entry in its row
-    n = 40
-    rng = np.random.default_rng(5)
+def _path_laplacian_and_block(n, seed):
+    """A path graph's Laplacian on n nodes whose last node is isolated, so L
+    stores no diagonal entry in its row, and an (n, 5) block with -0.0s."""
+    rng = np.random.default_rng(seed)
     L = SimilarityGraph(
         n, np.arange(n - 2), np.arange(1, n - 1), rng.uniform(0.5, 1.5, n - 2)
     ).laplacian()
+    X = rng.normal(size=(n, 5))
+    X[rng.random((n, 5)) < 0.2] = -0.0
+    return L, X
+
+
+@pytest.mark.parametrize("weight, r", [(0.0, 0.0), (0.0, 0.7), (0.9, 0.0)])
+def test_maskless_product_is_scipys_r_identity_plus_weighted_laplacian_bit_for_bit(r, weight):
+    # with at most one of the two terms, D @ X gives the sums of scipy's r I + weight L
+    n = 40
+    L, X = _path_laplacian_and_block(n, 5)
     D = DiagLaplacian(n, r=r, laplacian=L, weight=weight)
     scipy_D = sp.identity(n, format="csr") * r
     if weight > 0:
         scipy_D = scipy_D + weight * L
-    X = rng.normal(size=(n, 5))
-    X[rng.random((n, 5)) < 0.2] = -0.0
     for x in (X, X[:, 0], np.asfortranarray(X)):
         assert (D @ x).tobytes() == (scipy_D @ x).tobytes()
+
+
+def test_product_adds_the_weighted_laplacian_to_the_diagonal_term():
+    # with both: d * x, then each stored entry of weight L times x in row order
+    n, r, weight = 40, 0.7, 0.9
+    L, X = _path_laplacian_and_block(n, 5)
+    D = DiagLaplacian(n, r=r, laplacian=L, weight=weight)
+    want = r * X + 0.0
+    for i in range(n):
+        for k in range(L.indptr[i], L.indptr[i + 1]):
+            want[i] += (weight * L.data[k]) * X[L.indices[k]]
+    for x, w in ((X, want), (X[:, 0], want[:, 0]), (np.asfortranarray(X), want)):
+        assert (D @ x).tobytes() == np.ascontiguousarray(w).tobytes()
 
 
 def test_perfbench_tracer_wraps_each_factor_and_restores_it(monkeypatch):
@@ -1427,7 +1464,7 @@ def test_simplex_rows_matches_single():
     V = rng.normal(size=(40, 5)) * 2
     U = project_simplex_rows(V)
     for i in range(40):
-        assert np.allclose(U[i], project_simplex(V[i]), atol=1e-12)
+        assert np.max(np.abs(U[i] - sort_simplex_projection(V[i]))) < 1e-12
 
 
 def test_simplex_rows_need_a_coordinate():
