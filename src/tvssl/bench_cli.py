@@ -179,7 +179,7 @@ class ExperimentConfig:
                 f"unknown algorithm(s) under hyperparams: {', '.join(map(repr, unknown))}"
             )
         for algo, overrides in self.hyperparams.items():
-            _section(f"hyperparams[{algo!r}]", overrides)
+            default_hyperparams(algo, _section(f"hyperparams[{algo!r}]", overrides))
         check_int("run_count", self.run_count, 1)
         check_int("seed", self.seed, 0)
         _read_dataset(self.dataset)

@@ -185,10 +185,10 @@ def _kernel_factor(K, lam, D):
     system behind every trainer's step (:class:`SvmProxSolver` first tries
     the same margin system through the Gram root).
 
-    F is assembled in one Fortran-ordered array (:meth:`DiagLaplacian.system`)
-    that the factor overwrites. With ``D = r I`` it is symmetric by
-    construction and gets a Cholesky :class:`SpdFactor`; otherwise an
-    :class:`LuFactor`."""
+    F is D's own product with K plus ``lam`` on the diagonal, one C-ordered
+    array (:meth:`DiagLaplacian.system`) whose transpose the factor
+    overwrites. With ``D = r I`` it is symmetric by construction and gets a
+    Cholesky :class:`SpdFactor`; otherwise an :class:`LuFactor`."""
     cls = SpdFactor if D.mask is None and D.laplacian is None else LuFactor
     return cls(D.system(lam, K.values), lam, D, K.values)
 
@@ -496,7 +496,7 @@ def _tv_split_loop(K, g, ls, hp, h_step):
     gv = ls.y_ext
     lam1 = np.zeros(n)
     lam2 = np.zeros(n)
-    scale = hp.ball_scale(n)
+    scale = float(np.sqrt(n))
     trace = {"consensus": []}
     chain = _ProxChain(g, hp, trace)
     alpha = np.zeros(n)
@@ -614,7 +614,7 @@ def _ratio_loop(K, g, mask, f0, clamp, hp, step, factor, coupling=None):
     before and after every step and, per step, the proximal work.
     """
     n = K.n
-    scale = hp.ball_scale(n)
+    scale = float(np.sqrt(n))
     f = f0
     ens = [_ratio_energy(g, fk) for fk in f]  # channel energies of the current f
     energies = [float(sum(ens))]

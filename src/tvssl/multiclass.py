@@ -182,7 +182,7 @@ def _consensus_train(variant, K, g, mls, hp, fidelity, tv: bool) -> MulticlassMo
     ``tv``) the proximal work.
     """
     n = K.n
-    scale = hp.ball_scale(n)
+    scale = float(np.sqrt(n))
     gch = mls.indicator_targets()
     lam = np.zeros_like(gch)
     trace = {"consensus": [], "simplex_dev": []}

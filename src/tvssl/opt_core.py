@@ -55,10 +55,10 @@ class HyperParams:
     regularizer, ``mu`` the slack penalty, ``r``/``r1``/``r2`` the quadratic
     consensus penalties, and ``c`` the ratio-descent step constant.
     ``normalize``, read by tv_rls and tv_svm only, rescales their consensus
-    variable to norm sqrt(n) (:meth:`ball_scale`) and subtracts its mean
-    after each TV shrink. It is the one switch kept: turned off, the
-    splitting with no TV term reduces to masked least squares or the
-    margin fit, which the no-TV reduction tests check.
+    variable to norm sqrt(n) for n nodes and subtracts its mean after each
+    TV shrink. It is the one switch kept: turned off, the splitting with no
+    TV term reduces to masked least squares or the margin fit, which the
+    two binary no-TV reduction tests check.
 
     ``outer_iters`` caps every outer loop and ``inner_iters`` every TV prox.
     ``tol`` is the duality gap of each channel's first TV prox, the floor of
@@ -115,9 +115,6 @@ class HyperParams:
                 f"unknown hyperparameter(s) for {source}: {', '.join(map(repr, unknown))}"
             )
         return cls(**values)
-
-    def ball_scale(self, n_nodes: int) -> float:
-        return float(np.sqrt(n_nodes))
 
 
 @dataclass
@@ -223,7 +220,7 @@ class DiagLaplacian:
     ``D @ X`` for an (n,) or (n, k) X is ``d * X`` for the diagonal
     ``d = eta mask + r``, plus ``weight L X`` added in by scipy's csr kernel
     (as :func:`_csr_product` calls it), so no sparse matrix is built for D.
-    :meth:`system` assembles F itself.
+    :meth:`system` forms F from that same product.
     """
 
     def __init__(self, n: int, *, r=0.0, eta=0.0, mask=None, laplacian=None, weight=0.0):
@@ -248,52 +245,13 @@ class DiagLaplacian:
                 )
         return out
 
-    def system(self, lam: float, K, out=None) -> np.ndarray:
-        """``F = lam I + D K`` in a Fortran-ordered n x n array (``out`` if
-        given), the layout LAPACK factors in place.
-
-        Each entry is summed in the order ``lam I``, ``eta J K``, ``r K``,
-        ``weight L K``, every term rounded on its own, so F does not depend
-        on the blocks of rows it is built in. A block is summed in a
-        C-ordered buffer and copied into F: a ufunc that writes F's strided
-        rows, or broadcasts the mask, allocates buffers of its own. The two
-        block buffers are the only temporaries."""
-        K = np.ascontiguousarray(K, dtype=np.float64)
-        n = K.shape[0]
-        F = np.empty((n, n), order="F") if out is None else out
-        rows = min(max(_SYSTEM_BLOCK // max(n, 1), -(-n // _SYSTEM_SPLIT)), max(n, 1))
-        acc, term = np.empty((rows, n)), np.empty((rows, n))
-        eta_mask = None if self.mask is None else self.eta * self.mask
-        L = self.laplacian
-        for i in range(0, n, rows):
-            h = min(rows, n - i)
-            a, t, Kb = acc[:h], term[:h], K[i : i + h]
-            a.fill(0.0)
-            a.reshape(-1)[i :: n + 1] = lam  # entries (k, i + k): the block's rows of lam I
-            if eta_mask is not None:
-                # (eta m_i) K_ij is eta (m_i K_ij) for m_i in {0, 1}. einsum
-                # may write +0.0 where that is -0.0: added to +0.0 or lam,
-                # either gives the same sum
-                a += np.einsum("ij,i->ij", Kb, eta_mask[i : i + h], out=t)
-            if self.r:
-                a += np.multiply(Kb, self.r, out=t)
-            if L is not None:
-                t.fill(0.0)  # the kernel adds into its output
-                _sparsetools.csr_matvecs(
-                    h, n, n, L.indptr[i : i + h + 1], L.indices, L.data, K, t
-                )
-                t *= self.weight
-                a += t
-            np.copyto(F[i : i + h], a)
+    def system(self, lam: float, K) -> np.ndarray:
+        """``F = lam I + D K``: ``D @ K`` with ``lam`` added to its
+        diagonal, one C-ordered n x n array and no other. Its transpose
+        ``F.T`` is the Fortran-ordered F^T that the factors overwrite."""
+        F = self @ K
+        F.reshape(-1)[:: F.shape[0] + 1] += lam
         return F
-
-
-# DiagLaplacian.system builds F in blocks of _SYSTEM_BLOCK / n or
-# n / _SYSTEM_SPLIT rows, whichever is more: ten blocks at n = 200, and from
-# n = 362 on two block buffers of n^2 / 16 entries beside F (0.07 n^2 at
-# n = 400, where the whole build and one solve stay within 1.1 n^2)
-_SYSTEM_BLOCK = 1 << 12
-_SYSTEM_SPLIT = 32
 
 
 class _KernelSystemFactor:
@@ -325,29 +283,33 @@ class _KernelSystemFactor:
 
 class SpdFactor(_KernelSystemFactor):
     """Cholesky factor of a symmetric positive (semi)definite
-    ``F = lam I + D K``, factored in place in ``F`` (pass a copy to keep
-    it).
+    ``F = lam I + D K`` (:meth:`DiagLaplacian.system`), factored in place in
+    ``F.T``, which is F for a symmetric F and Fortran-ordered for a
+    C-ordered one (pass a copy to keep F).
 
     Factor once, solve many times; a single jitter of ``1e-10 * trace / n``
     is added if the plain factorization fails, to F rebuilt by
     :meth:`DiagLaplacian.system` (the failed factorization overwrote part of
-    it). A matrix that fails both, or whose factor has a non-finite diagonal
-    (NaN or infinite entries), raises :class:`FactorizationError` at
-    construction.
+    it). LAPACK reads one triangle only, so a NaN or infinite entry in
+    either is rejected first. A matrix that fails both factorizations, or
+    whose factor has a non-finite diagonal, raises
+    :class:`FactorizationError` at construction.
     """
 
     def __init__(self, F, lam: float, D, K: np.ndarray):
         super().__init__(lam, D, K)
         F = _as_square(F)
+        if F.size and not np.isfinite([F.min(), F.max()]).all():
+            raise FactorizationError("system matrix is not finite")
         try:
-            self._cf = sla.cho_factor(F, overwrite_a=True, check_finite=False)
+            self._cf = sla.cho_factor(F.T, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
-            F = D.system(lam, K, out=F)
+            F = D.system(lam, K)
             n = F.shape[0]
             jitter = 1e-10 * max(np.trace(F), 1.0) / n
             F[np.diag_indices(n)] += jitter
             try:
-                self._cf = sla.cho_factor(F, overwrite_a=True, check_finite=False)
+                self._cf = sla.cho_factor(F.T, overwrite_a=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise FactorizationError(
                     "matrix is not positive definite, even with jitter"
@@ -363,23 +325,25 @@ class SpdFactor(_KernelSystemFactor):
 
 
 class LuFactor(_KernelSystemFactor):
-    """LU factor of a general (possibly nonsymmetric) ``F = lam I + D K``,
-    factored in place in ``F`` (pass a copy to keep it). A matrix whose U
-    has an exactly zero or a non-finite diagonal entry (singular, or NaN or
-    infinite entries) raises :class:`FactorizationError` at construction."""
+    """LU factor of a general (possibly nonsymmetric) ``F = lam I + D K``
+    (:meth:`DiagLaplacian.system`): ``F.T``, Fortran-ordered for a C-ordered
+    F, is factored in place (pass a copy to keep F), and a solve with F is a
+    transposed solve with that factor. A matrix whose U has an exactly zero
+    or a non-finite diagonal entry (singular, or NaN or infinite entries)
+    raises :class:`FactorizationError` at construction."""
 
     def __init__(self, F, lam: float, D, K: np.ndarray):
         super().__init__(lam, D, K)
         # LAPACK's getrf, as scipy's lu_factor calls it, without the warning
         # that function adds for an exactly zero pivot: that U is rejected here
-        lu, piv, _info = sla.lapack.dgetrf(_as_square(F), overwrite_a=1)
+        lu, piv, _info = sla.lapack.dgetrf(_as_square(F).T, overwrite_a=1)
         u = np.diagonal(lu)
         if not (np.isfinite(u).all() and u.all()):
             raise FactorizationError("LU factor is singular or not finite")
         self._lu = (lu, piv)
 
     def _solve_once(self, b, trans=False):
-        return sla.lu_solve(self._lu, b, trans=int(trans), check_finite=False)
+        return sla.lu_solve(self._lu, b, trans=int(not trans), check_finite=False)
 
     solve = _KernelSystemFactor.solve  # as in SpdFactor
 

@@ -488,6 +488,32 @@ def test_misspelled_algorithm_under_hyperparams_is_rejected(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "'rsl'" in err[0]
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"svm": {"lamb": 1}}, {"svm": {"use_bias": True}}, {"lap_rls": {"lam": -1.0}}],
+    ids=["misspelled", "retired", "out_of_range"],
+)
+def test_cli_bad_hyperparameters_fail_at_load_and_leave_no_out_directory(
+    tmp_path, capsys, monkeypatch, overrides
+):
+    with pytest.raises(InvalidParameterError):
+        moons_config(hyperparams=overrides)
+    cfg = moons_config().to_dict()
+    cfg["hyperparams"] = overrides
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("set up the run before the hyperparameters were checked")
+
+    monkeypatch.setattr(bench_cli, "run_experiment", no_setup)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_cli_out_path_is_checked_before_fitting(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(moons_config().to_dict()))

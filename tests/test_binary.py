@@ -1128,32 +1128,42 @@ def test_cheeger_initialization_won_reuses_the_callers_factor(trainer, monkeypat
     assert m.alpha.tobytes() == alpha.tobytes()
 
 
+def _row_order(lam, K, d, L=None, weight=0.0):
+    """``lam I + D K`` for ``D = diag(d) + weight L`` summed the way D's own
+    product sums it: ``d_i K_ij``, then each stored entry of ``weight L``
+    times its row of K, in row order, then ``lam`` on the diagonal."""
+    F = d[:, None] * K + 0.0
+    if weight:
+        for i in range(K.shape[0]):
+            for k in range(L.indptr[i], L.indptr[i + 1]):
+                F[i] += (weight * L.data[k]) * K[L.indices[k]]
+    F[np.diag_indices_from(F)] += lam
+    return F
+
+
 def _hand_systems(name, K, L, mask, hp):
     """The matrices each trainer factors, written out by hand in call order:
-    ``(factor class, matrix)``."""
-    I, JK, LK = np.eye(K.shape[0]), mask[:, None] * K, L @ K
-    lap_ls = hp.eta * JK + hp.lam * I + 2.0 * hp.gamma * LK  # Laplacian warm start
+    ``(factor class, matrix)``. The symmetric ones are whole-matrix sums;
+    the nonsymmetric ones are summed in row order by :func:`_row_order`."""
+    n, w = K.shape[0], 2.0 * hp.gamma
+    I, zero = np.eye(n), np.zeros(n)
+    lap_ls = ("LuFactor", _row_order(hp.lam, K, hp.eta * mask, L, w))  # Laplacian warm start
     spd_r = ("SpdFactor", hp.lam * I + hp.r * K)
     return {
         "rls": [("SpdFactor", hp.eta * K + hp.lam * I)],
         "svm": [("SpdFactor", hp.lam * I)],
-        "lap_rls": [("LuFactor", lap_ls)],
-        "lap_svm": [("LuFactor", hp.lam * I + 2.0 * hp.gamma * LK)],
+        "lap_rls": [lap_ls],
+        "lap_svm": [("LuFactor", _row_order(hp.lam, K, zero, L, w))],
         "tv_rls": [("SpdFactor", hp.lam * I + hp.r1 * K)],
-        "tv_svm": [("LuFactor", lap_ls), ("SpdFactor", hp.lam * I + hp.r1 * K)],
+        "tv_svm": [lap_ls, ("SpdFactor", hp.lam * I + hp.r1 * K)],
         "cheeger_rls": [spd_r],
-        "cheeger_svm": [spd_r, ("LuFactor", lap_ls)],
-        "lap_rls_mc": [
-            ("LuFactor", hp.eta * JK + hp.lam * I + hp.r * K + 2.0 * hp.gamma * LK)
-        ],
-        "lap_svm_mc": [
-            ("LuFactor", hp.lam * I + hp.r * K + 2.0 * hp.gamma * LK),
-            ("LuFactor", lap_ls),
-        ],
-        "tv_rls_mc": [("LuFactor", hp.eta * JK + hp.lam * I + hp.r * K)],
-        "tv_svm_mc": [spd_r, ("LuFactor", lap_ls)],
+        "cheeger_svm": [spd_r, lap_ls],
+        "lap_rls_mc": [("LuFactor", _row_order(hp.lam, K, hp.eta * mask + hp.r, L, w))],
+        "lap_svm_mc": [("LuFactor", _row_order(hp.lam, K, zero + hp.r, L, w)), lap_ls],
+        "tv_rls_mc": [("LuFactor", _row_order(hp.lam, K, hp.eta * mask + hp.r))],
+        "tv_svm_mc": [spd_r, lap_ls],
         "cheeger_rls_mc": [spd_r],
-        "cheeger_svm_mc": [spd_r, ("LuFactor", lap_ls)],
+        "cheeger_svm_mc": [spd_r, lap_ls],
     }[name]
 
 

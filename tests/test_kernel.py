@@ -53,7 +53,7 @@ def test_gram_factorizable_with_jitter_policy():
 
     data = np.random.default_rng(2).normal(size=(40, 2))
     K = rbf_gram(data, 3.0)  # wide bandwidth, numerically near-singular
-    F = np.array(K.values, order="F")  # the factor overwrites it
+    F = K.values.copy()  # the factor overwrites it
     x = SpdFactor(F, 0.0, DiagLaplacian(40, r=1.0), K.values).solve(np.ones(40))
     assert np.all(np.isfinite(x))
 

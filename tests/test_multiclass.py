@@ -224,8 +224,7 @@ def test_tv_rls_mc_no_graph_reduces_to_masked_ridge_channels():
     g = SimilarityGraph(n, [], [], [])
     mls = make_split(ds, SplitSpec(2, 1), multiclass=True)
     hp = HyperParams(
-        eta=2.0, lam=0.1, gamma=1e-300, r=1e-8, outer_iters=50,
-        normalize=False, tol=1e-12,
+        eta=2.0, lam=0.1, gamma=1e-300, r=1e-8, outer_iters=50, tol=1e-12,
     )
     m = tv_rls_mc_train(K, g, mls, hp)
     for k in range(2):

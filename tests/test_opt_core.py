@@ -58,7 +58,7 @@ def plain_factor(factor_cls, A):
     handed), read as the system ``0 I + I A``: its residuals are ``A X``,
     and for a symmetric A its transposed ones too."""
     A = np.asarray(A, dtype=np.float64)
-    return factor_cls(np.array(A, order="F"), 0.0, DiagLaplacian(A.shape[0], r=1.0), A)
+    return factor_cls(np.array(A), 0.0, DiagLaplacian(A.shape[0], r=1.0), A)
 
 
 def kernel_system(n, seed, lam=0.05):
@@ -216,46 +216,37 @@ def test_zero_rhs_gives_zero():
     assert np.all(plain_factor(SpdFactor, random_spd(4, 0)).solve(np.zeros(4)) == 0.0)
 
 
-def _old_assembly(lam, K, eta=0.0, mask=None, r=0.0, L=None, weight=0.0):
-    """``lam I + eta J K + r K + weight L K`` as whole-matrix adds in that
-    order: the bytes a kernel-space factor must be handed."""
-    M = lam * np.eye(K.shape[0])
-    if mask is not None:
-        M += eta * (mask[:, None] * K)
-    if r:
-        M += r * K
-    if weight > 0:
-        M += weight * (L @ K)
-    return M
-
-
 @pytest.mark.parametrize("terms", ["r", "mask", "laplacian", "mask_r", "r_laplacian", "all", "none"])
 @pytest.mark.parametrize("n", [7, 300])
 def test_system_is_the_whole_matrix_sum_bit_for_bit_in_every_block(terms, n):
-    # n = 300 takes many blocks of rows and a short last one; K is not
-    # symmetric and has negative entries and signed zeros, so no term may
-    # lean on symmetry or drop a -0.0
+    # F is D's own product with K plus lam on the diagonal, in one C-ordered
+    # array, and each block of its columns is D's product with that block of
+    # K: the sums the factors' residual checks form. K is not symmetric and
+    # has negative entries and signed zeros
     rng = np.random.default_rng(n)
     K = rng.normal(size=(n, n))
     K[rng.random((n, n)) < 0.05] = -0.0
-    kw = {
-        "r": 0.7 if "r" in terms.split("_") or terms == "all" else 0.0,
-        "mask": rng.random(n) < 0.3 if "mask" in terms or terms == "all" else None,
-        "eta": 1.3,
-        "L": path_graph(rng.uniform(0.5, 1.5, n - 1)).laplacian(),
-        "weight": 0.9 if "laplacian" in terms or terms == "all" else 0.0,
-    }
+    L = path_graph(rng.uniform(0.5, 1.5, n - 1)).laplacian()
+    weight = 0.9 if "laplacian" in terms or terms == "all" else 0.0
     D = DiagLaplacian(
-        n, r=kw["r"], eta=kw["eta"], mask=kw["mask"], laplacian=kw["L"], weight=kw["weight"]
+        n,
+        r=0.7 if "r" in terms.split("_") or terms == "all" else 0.0,
+        eta=1.3,
+        mask=rng.random(n) < 0.3 if "mask" in terms or terms == "all" else None,
+        laplacian=L,
+        weight=weight,
     )
     F = D.system(0.25, K)
-    assert F.flags.f_contiguous and F.shape == (n, n)
-    want = _old_assembly(0.25, K, **kw)
+    assert F.flags.c_contiguous and F.shape == (n, n)
+    want = D @ K
+    want[np.diag_indices(n)] += 0.25
     assert F.tobytes() == want.tobytes()
-    out = np.full((n, n), np.nan, order="F")
-    assert D.system(0.25, K, out=out) is out and out.tobytes() == want.tobytes()
+    for lo, hi in ((0, 1), (1, n // 2), (n // 2, n)):
+        block = D @ K[:, lo:hi]
+        block[np.arange(lo, hi), np.arange(hi - lo)] += 0.25
+        assert np.ascontiguousarray(F[:, lo:hi]).tobytes() == block.tobytes()
     # D @ X is the dense (diag + weight L) X up to rounding, for a vector and a block
-    dense = np.diag(D.diag) + kw["weight"] * kw["L"].toarray()
+    dense = np.diag(D.diag) + weight * L.toarray()
     for X in (rng.normal(size=n), rng.normal(size=(n, 3)), np.asfortranarray(rng.normal(size=(n, 4)))):
         np.testing.assert_allclose(D @ X, dense @ X, rtol=1e-13, atol=1e-13)
 
@@ -334,7 +325,7 @@ def test_spd_jitter_retry_factors_exactly_the_rebuilt_matrix_plus_jitter(monkeyp
     K[:4, :4] = 1.0
     K[4:, 4:] = np.eye(2)
     D = DiagLaplacian(n, r=4.0)
-    F_ref = _old_assembly(0.0, K, r=4.0)
+    F_ref = 4.0 * K
     handed, left = [], []
     real = sla.cho_factor
 
@@ -383,11 +374,10 @@ def test_block_solve_refines_only_missing_columns(kind):
     rng = np.random.default_rng(4)
     # a column needing refinement, a zero column, a column exact at once, two random
     B = np.column_stack([At[:, 0], np.zeros(n), At[:, 2], rng.normal(size=(n, 2))])
-    if kind == "spd":
-        once = f._solve_once
-    else:
-        def once(rhs):
-            return sla.lu_solve(f._lu, rhs, trans=int(trans))
+
+    def once(rhs):
+        return f._solve_once(rhs, trans)
+
     plain = np.linalg.norm(B - At @ once(B), axis=0)
     assert plain[0] > 1e-8 * np.linalg.norm(B[:, 0])  # the case needs refinement
     assert plain[2] <= 1e-8 * np.linalg.norm(B[:, 2])  # and this one does not
@@ -428,7 +418,7 @@ def test_singular_lu_solve_raises(b):
 @pytest.mark.parametrize("b", [np.ones(2), np.ones((2, 3))], ids=["1d", "2d"])
 @pytest.mark.parametrize("factor_cls", [SpdFactor, LuFactor])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
+@pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1), (1, 0)])
 def test_factors_reject_a_non_finite_matrix_when_built(where, bad, factor_cls, b):
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
     A[where] = bad
