@@ -29,6 +29,7 @@ from .graph import SimilarityGraph, graph_tv
 from .kernel import KernelMatrix, _symmetrize, kernel_expand
 from .opt_core import (
     _BoxEqLabels,
+    _margin_vector,
     _qp_norm,
     DiagLaplacian,
     DualSolution,
@@ -185,12 +186,12 @@ def _kernel_factor(K, lam, D):
     system behind every trainer's step (:class:`SvmProxSolver` first tries
     the same margin system through the Gram root).
 
-    F is D's own product with K plus ``lam`` on the diagonal, one C-ordered
-    array (:meth:`DiagLaplacian.system`) whose transpose the factor
-    overwrites. With ``D = r I`` it is symmetric by construction and gets a
-    Cholesky :class:`SpdFactor`; otherwise an :class:`LuFactor`."""
+    The factor builds F as D's own product with K plus ``lam`` on the
+    diagonal, one C-ordered array (:meth:`DiagLaplacian.system`) whose
+    transpose it overwrites. With ``D = r I`` F is symmetric by construction
+    and gets a Cholesky :class:`SpdFactor`; otherwise an :class:`LuFactor`."""
     cls = SpdFactor if D.mask is None and D.laplacian is None else LuFactor
-    return cls(D.system(lam, K.values), lam, D, K.values)
+    return cls(lam, D, K.values)
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +341,18 @@ class SvmProxSolver:
         return alpha, sol
 
 
-def svm_value_prox(e, y, r2: float, mu: float) -> tuple[np.ndarray, DualSolution]:
-    """Minimize ``mu * sum(slack) + r2/2 ||h - e||^2`` under the margin
-    constraints ``y_i (h_i + b) >= 1 - slack_i`` for a finite positive
-    ``r2``. The dual has a diagonal quadratic, so one exact projected step
-    solves it. Labels other than +-1 and a non-finite ``e`` raise
-    :class:`InvalidParameterError` before any work."""
+def svm_value_prox(e, y, r2: float, mu: float) -> np.ndarray:
+    """The h that minimizes ``mu * sum(slack) + r2/2 ||h - e||^2`` under the
+    margin constraints ``y_i (h_i + b) >= 1 - slack_i`` for a finite
+    positive ``r2``. The dual has a diagonal quadratic, so one exact
+    projected step solves it. Labels other than +-1 and a non-finite ``e``
+    raise :class:`InvalidParameterError` before any work, an ``e`` of
+    another length :class:`DimensionError`."""
     check_real("r2", r2, 0.0, strict=True)
-    e = np.asarray(e, dtype=np.float64).ravel()
     y = pm1_labels(y)
-    if e.size != y.size:
-        raise DimensionError("e and y lengths differ")
-    if not np.isfinite(e).all():
-        raise InvalidParameterError("e must be finite")
+    e = _margin_vector(e, y.size, "e")
     beta = project_box_eq(r2 * (1.0 - y * e), _BoxEqLabels(y, mu), mu)  # y is checked
-    h = (y * beta) / r2 + e
-    obj = float(beta.sum() - (beta @ beta) / (2.0 * r2) - beta @ (y * e))
-    kkt = {"eq": float(abs(beta @ y)), "box": 0.0, "stationarity": 0.0}
-    return h, DualSolution(beta, obj, kkt, 1, "tol")
+    return (y * beta) / r2 + e
 
 
 def _svm_model(variant, K, hp, prox: SvmProxSolver, y) -> BinaryModel:
@@ -559,9 +554,7 @@ def tv_svm_train(
     def h_step(gv, lam2, it):
         if it > 0:
             state["y"] = _pseudo_refresh(ls, state["y"], gv)
-        e = gv - lam2 / hp.r2
-        h, _sol = svm_value_prox(e, state["y"], hp.r2, hp.mu)
-        return h
+        return svm_value_prox(gv - lam2 / hp.r2, state["y"], hp.r2, hp.mu)
 
     alpha, f, trace = _tv_split_loop(K, g, ls, hp, h_step)
     return BinaryModel(

@@ -39,10 +39,6 @@ class DivergenceError(TvsslError, RuntimeError):
     """An iterative solver blew up past its safety bound."""
 
 
-class InfeasibleConstraintsError(TvsslError, ValueError):
-    """The constraint set of an optimization problem is empty or collapses."""
-
-
 class CsvParseError(TvsslError, ValueError):
     """A CSV file could not be parsed; the message carries the line number."""
 

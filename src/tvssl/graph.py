@@ -23,12 +23,11 @@ from .errors import (
     DegenerateScaleError,
     DimensionError,
     InvalidParameterError,
-    NonFiniteInputError,
     check_int,
     check_real,
     whole_numbers,
 )
-from .kernel import _sq_dists
+from .kernel import _check_points, _sq_dists
 
 
 @dataclass(eq=False)
@@ -182,14 +181,8 @@ def build_knn_graph(
     DegenerateScaleError
         If a self-tuning scale is zero (duplicate points).
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise InvalidParameterError("data must be a 2-D array of points")
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteInputError("data points contain NaN or infinite coordinates")
+    data = _check_points(data, "data points", 2)
     n = data.shape[0]
-    if n < 2:
-        raise InvalidParameterError("need at least two points")
     _check_knn_params(k, sigma_mode, sigma, m)
     if k >= n:
         raise InvalidParameterError(f"k must satisfy 1 <= k < {n}, got {k}")

@@ -123,46 +123,64 @@ def _symmetrize(S):
     return S
 
 
-def _check_finite(points: np.ndarray, what: str) -> None:
+def _check_points(points, what: str, min_rows: int) -> np.ndarray:
+    """``points`` as a float64 array of one point per row. An array that is
+    not 2-D, or has fewer than ``min_rows`` rows, raises
+    :class:`InvalidParameterError`; a NaN or infinite coordinate
+    :class:`NonFiniteInputError`. The kernel and k-NN builds check their
+    points here."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise InvalidParameterError(f"{what} must be a 2-D array of points")
     if not np.all(np.isfinite(points)):
         raise NonFiniteInputError(f"{what} contain NaN or infinite coordinates")
+    if points.shape[0] < min_rows:
+        raise InvalidParameterError(f"need at least {min_rows} {what}")
+    return points
+
+
+def _rbf_block(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
+    """``exp(-||a_i - b_j||^2 / (2 bandwidth^2))`` for every pair of rows,
+    exponentiated in the buffer of :func:`_sq_dists`."""
+    vals = _sq_dists(a, b)
+    np.negative(vals, out=vals)
+    vals /= 2.0 * bandwidth * bandwidth
+    return np.exp(vals, out=vals)
 
 
 def rbf_gram(data, bandwidth: float) -> KernelMatrix:
-    """Gram matrix K_ij = exp(-||x_i - x_j||^2 / (2 * bandwidth^2)) for a
-    finite positive ``bandwidth``."""
+    """Gram matrix K_ij = exp(-||x_i - x_j||^2 / (2 * bandwidth^2)) over the
+    rows of a finite 2-D ``data`` with at least one row, for a finite
+    positive ``bandwidth``."""
     check_real("bandwidth", bandwidth, 0.0, strict=True)
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise InvalidParameterError("data must be a 2-D array of points")
-    _check_finite(data, "data points")
-    vals = _sq_dists(data, data)
-    np.negative(vals, out=vals)
-    vals /= 2.0 * bandwidth * bandwidth
-    np.exp(vals, out=vals)
-    _symmetrize(vals)
+    data = _check_points(data, "data points", 1)
+    vals = _symmetrize(_rbf_block(data, data, bandwidth))
     np.fill_diagonal(vals, 1.0)
     return KernelMatrix(vals, float(bandwidth), data=data)
 
 
 def kernel_expand(alpha, train, query, bandwidth: float) -> np.ndarray:
     """Evaluate sum_j k(x_q, x_j) * alpha_j for each query row x_q, for a
-    finite positive ``bandwidth``."""
+    finite positive ``bandwidth`` and finite 2-D ``train`` and ``query``
+    points.
+
+    A (c, n) ``alpha`` holds c coefficient vectors over the n training
+    points and gives a (c, q) result, one row per vector, each the same
+    bytes as a call with that vector alone: the q x n kernel block is built
+    once.
+    """
     check_real("bandwidth", bandwidth, 0.0, strict=True)
-    alpha = np.asarray(alpha, dtype=np.float64).ravel()
-    train = np.atleast_2d(np.asarray(train, dtype=np.float64))
-    query = np.atleast_2d(np.asarray(query, dtype=np.float64))
-    if alpha.size != train.shape[0]:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    train = _check_points(train, "training points", 1)
+    query = _check_points(query, "query points", 0)
+    if alpha.ndim not in (1, 2) or alpha.shape[-1] != train.shape[0]:
         raise DimensionError(
-            f"alpha has length {alpha.size}, train has {train.shape[0]} rows"
+            f"alpha has shape {alpha.shape}, train has {train.shape[0]} rows"
         )
     if train.shape[1] != query.shape[1]:
         raise DimensionError("train and query dimensionality differ")
-    _check_finite(query, "query points")
-    vals = _sq_dists(query, train)
-    np.negative(vals, out=vals)
-    vals /= 2.0 * bandwidth * bandwidth
-    return np.exp(vals, out=vals) @ alpha
+    vals = _rbf_block(query, train, bandwidth)
+    return vals @ alpha if alpha.ndim == 1 else np.stack([vals @ a for a in alpha])
 
 
 def median_bandwidth(data, max_points: int = 1000, seed: int = 0) -> float:
@@ -174,11 +192,8 @@ def median_bandwidth(data, max_points: int = 1000, seed: int = 0) -> float:
     """
     check_int("max_points", max_points, 2)
     check_int("seed", seed, 0)
-    data = np.asarray(data, dtype=np.float64)
-    _check_finite(data, "data points")
+    data = _check_points(data, "data points", 2)
     n = data.shape[0]
-    if n < 2:
-        raise InvalidParameterError("need at least two points")
     if n > max_points:
         rng = np.random.default_rng(seed)
         idx = rng.choice(n, size=max_points, replace=False)

@@ -103,12 +103,7 @@ def predict_multiclass(model: MulticlassModel, query) -> np.ndarray:
     """Class of the largest channel value (1-based; ties -> smaller index)."""
     if model.train_data is None:
         raise InvalidParameterError("model carries no training data reference")
-    scores = np.vstack(
-        [
-            kernel_expand(a, model.train_data, query, model.bandwidth)
-            for a in model.alphas
-        ]
-    )
+    scores = kernel_expand(model.alphas, model.train_data, query, model.bandwidth)
     return np.argmax(scores, axis=0).astype(np.int64) + 1
 
 

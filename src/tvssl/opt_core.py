@@ -26,7 +26,6 @@ from .errors import (
     DegenerateInputError,
     DimensionError,
     FactorizationError,
-    InfeasibleConstraintsError,
     InvalidParameterError,
     NonFiniteInputError,
     check_int,
@@ -122,9 +121,9 @@ class DualSolution:
     """Result of :func:`qp_box_eq`: the maximizer, its objective and KKT data.
 
     ``stop_reason`` is "tol" when the projected-gradient test ended the
-    solve (a closed-form solution counts as such) and "cap" when
-    ``max_iters`` did; a solve whose returned point meets ``tol`` after the
-    cap is "tol" although ``iterations`` equals the cap.
+    solve and "cap" when ``max_iters`` did; a solve whose returned point
+    meets ``tol`` after the cap is "tol" although ``iterations`` equals the
+    cap.
     ``kkt_residuals["stationarity"]`` is the returned point's projected
     gradient at the reference step.
     ``iterations`` counts projected-gradient steps; ``face_steps`` counts
@@ -166,13 +165,6 @@ class ProxTrace:
 # ---------------------------------------------------------------------------
 # linear solves
 # ---------------------------------------------------------------------------
-
-
-def _as_square(A) -> np.ndarray:
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError("system matrix must be square")
-    return A
 
 
 def _column_norms(M) -> np.ndarray:
@@ -283,27 +275,31 @@ class _KernelSystemFactor:
 
 class SpdFactor(_KernelSystemFactor):
     """Cholesky factor of a symmetric positive (semi)definite
-    ``F = lam I + D K`` (:meth:`DiagLaplacian.system`), factored in place in
-    ``F.T``, which is F for a symmetric F and Fortran-ordered for a
-    C-ordered one (pass a copy to keep F).
+    ``F = lam I + D K``, built by :meth:`DiagLaplacian.system` and factored
+    in place in ``F.T`` (F itself, for a symmetric F): the factor is the one
+    n x n array it holds.
 
     Factor once, solve many times; a single jitter of ``1e-10 * trace / n``
-    is added if the plain factorization fails, to F rebuilt by
-    :meth:`DiagLaplacian.system` (the failed factorization overwrote part of
-    it). LAPACK reads one triangle only, so a NaN or infinite entry in
-    either is rejected first. A matrix that fails both factorizations, or
-    whose factor has a non-finite diagonal, raises
-    :class:`FactorizationError` at construction.
+    is added if the plain factorization fails, to F built afresh (the failed
+    factorization overwrote part of it, and is freed first). LAPACK reads
+    one triangle only, so a NaN or infinite entry in either is rejected
+    first. A matrix that fails both factorizations, or whose factor has a
+    non-finite diagonal, raises :class:`FactorizationError` at construction.
     """
 
-    def __init__(self, F, lam: float, D, K: np.ndarray):
+    def __init__(self, lam: float, D, K: np.ndarray):
         super().__init__(lam, D, K)
-        F = _as_square(F)
+        F = D.system(lam, K)
         if F.size and not np.isfinite([F.min(), F.max()]).all():
             raise FactorizationError("system matrix is not finite")
         try:
             self._cf = sla.cho_factor(F.T, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
+            self._cf = None
+        if self._cf is None:
+            # F, partly overwritten, is freed before it is built again: out
+            # here, where the LinAlgError's traceback no longer holds it
+            del F
             F = D.system(lam, K)
             n = F.shape[0]
             jitter = 1e-10 * max(np.trace(F), 1.0) / n
@@ -325,18 +321,18 @@ class SpdFactor(_KernelSystemFactor):
 
 
 class LuFactor(_KernelSystemFactor):
-    """LU factor of a general (possibly nonsymmetric) ``F = lam I + D K``
-    (:meth:`DiagLaplacian.system`): ``F.T``, Fortran-ordered for a C-ordered
-    F, is factored in place (pass a copy to keep F), and a solve with F is a
-    transposed solve with that factor. A matrix whose U has an exactly zero
-    or a non-finite diagonal entry (singular, or NaN or infinite entries)
-    raises :class:`FactorizationError` at construction."""
+    """LU factor of a general (possibly nonsymmetric) ``F = lam I + D K``,
+    built by :meth:`DiagLaplacian.system`: ``F.T``, Fortran-ordered, is
+    factored in place, and a solve with F is a transposed solve with that
+    factor. A matrix whose U has an exactly zero or a non-finite diagonal
+    entry (singular, or NaN or infinite entries) raises
+    :class:`FactorizationError` at construction."""
 
-    def __init__(self, F, lam: float, D, K: np.ndarray):
+    def __init__(self, lam: float, D, K: np.ndarray):
         super().__init__(lam, D, K)
         # LAPACK's getrf, as scipy's lu_factor calls it, without the warning
         # that function adds for an exactly zero pivot: that U is rejected here
-        lu, piv, _info = sla.lapack.dgetrf(_as_square(F).T, overwrite_a=1)
+        lu, piv, _info = sla.lapack.dgetrf(D.system(lam, K).T, overwrite_a=1)
         u = np.diagonal(lu)
         if not (np.isfinite(u).all() and u.all()):
             raise FactorizationError("LU factor is singular or not finite")
@@ -651,6 +647,18 @@ def _tv_primal_dual(g, Z, weights, tols, q0, max_iters) -> list:
 _SLOPE_SIGNS = np.array((1.0, -1.0))
 
 
+def _margin_vector(value, m: int, name: str) -> np.ndarray:
+    """``value`` as a flat float64 vector of one entry per label: another
+    length raises :class:`DimensionError`, a NaN or infinite entry
+    :class:`InvalidParameterError`."""
+    v = np.asarray(value, dtype=np.float64).ravel()
+    if v.size != m:
+        raise DimensionError(f"{name} has {v.size} entries, the labels {m}")
+    if not np.isfinite(v).all():
+        raise InvalidParameterError(f"{name} must be finite")
+    return v
+
+
 class _BoxEqLabels:
     """What :func:`project_box_eq` needs of its labels ``y`` and box ``mu``
     beyond the point it projects, prepared once: the labels as float64, the
@@ -708,12 +716,8 @@ def project_box_eq(v, y, mu: float) -> np.ndarray:
         if mu != labels.mu:
             raise InvalidParameterError("mu differs from the prepared labels' mu")
     else:
-        v = np.asarray(v, dtype=np.float64).ravel()
         y = pm1_labels(y)
-        if v.size != y.size:
-            raise DimensionError("v and y must have the same length")
-        if not np.isfinite(v).all():
-            raise InvalidParameterError("v must be finite")
+        v = _margin_vector(v, y.size, "v")
         labels = _BoxEqLabels(y, mu)
     if labels.trivial:
         return np.zeros_like(v)
@@ -829,46 +833,33 @@ def qp_box_eq(
 
     ``Q`` is symmetric PSD: a dense array, or an operator whose ``Q @ b``
     is its product with a vector and whose ``Q.block(idx)`` is the dense
-    principal submatrix ``Q[idx][:, idx]``. A non-finite ``p`` or ``beta0``,
-    a negative or non-finite ``mu``, ``tol`` or ``q_norm``, and a
-    ``max_iters`` that is not an integer >= 1 raise
-    :class:`InvalidParameterError`.
+    principal submatrix ``Q[idx][:, idx]``. A non-finite ``p``, ``beta0``
+    or dense ``Q``, a negative or non-finite ``mu``, ``tol`` or ``q_norm``,
+    and a ``max_iters`` that is not an integer >= 1 raise
+    :class:`InvalidParameterError`; a ``p`` or ``beta0`` of another length
+    than ``y``, or a dense ``Q`` not of shape (m, m), :class:`DimensionError`.
+    With ``mu = 0`` or one-sided labels only ``b = 0`` is feasible, and the
+    first iteration returns it with stop reason "tol".
     """
     y = pm1_labels(y)
     m = y.size
-    if np.isscalar(p):
-        p = np.full(m, float(p))
-    else:
-        p = np.asarray(p, dtype=np.float64).ravel()
-    if p.size != m:
-        raise DimensionError("p and y must have the same length")
-    if not np.isfinite(p).all():
-        raise InvalidParameterError("p must be finite")
+    p = _margin_vector(np.full(m, float(p)) if np.isscalar(p) else p, m, "p")
     if beta0 is not None:
-        beta0 = np.asarray(beta0, dtype=np.float64).ravel()
-        if not np.isfinite(beta0).all():
-            raise InvalidParameterError("beta0 must be finite")
-        if beta0.size != m:
-            raise DimensionError("beta0 and y must have the same length")
+        beta0 = _margin_vector(beta0, m, "beta0")
     check_real("mu", mu, 0.0)
     check_real("tol", tol, 0.0)
     check_int("max_iters", max_iters, 1)
     if q_norm is not None:
         check_real("q_norm", q_norm, 0.0)
-    if mu == 0.0:
-        if np.all(y == y[0]):
-            raise InfeasibleConstraintsError(
-                "equality with one-sided labels and mu = 0 leaves no feasible point"
-            )
-        beta = np.zeros(m)
-        return DualSolution(
-            beta, 0.0, {"eq": 0.0, "box": 0.0, "stationarity": 0.0}, 0, "tol"
-        )
 
     if hasattr(Q, "block"):
         block = Q.block
     else:
         Q = np.asarray(Q, dtype=np.float64)
+        if Q.shape != (m, m):
+            raise DimensionError(f"Q has shape {Q.shape}, the labels {m} entries")
+        if not np.isfinite(Q).all():
+            raise InvalidParameterError("Q must be finite")
 
         def block(idx):
             return Q[idx[:, None], idx]

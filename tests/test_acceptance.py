@@ -109,7 +109,7 @@ def test_criterion_1_dual_solutions_match_primal_oracles():
         # diagonal-dual value proximal
         e = rng.normal(size=n) * 1.5
         r2 = float(rng.uniform(0.5, 2.0))
-        h, _ = svm_value_prox(e, y, r2, mu)
+        h = svm_value_prox(e, y, r2, mu)
         h_star, obj_star = value_prox_primal_slsqp(e, y, r2, mu)
         assert np.linalg.norm(h - h_star) < var_tol
         ours = margin_objective_with_best_bias(

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from tvssl import binary, multiclass
 from tvssl.binary import (
@@ -680,9 +681,9 @@ def test_lap_svm_factors_once_and_traces_its_dual(monkeypatch):
     factors = []
     real_init = binary.LuFactor.__init__
 
-    def counting_init(self, F, *args):
-        factors.append(F.shape)
-        real_init(self, F, *args)
+    def counting_init(self, lam, D, K_values):
+        factors.append(K_values.shape)
+        real_init(self, lam, D, K_values)
 
     monkeypatch.setattr(binary.LuFactor, "__init__", counting_init)
     m = lap_svm_train(K, g, split, hp)
@@ -917,7 +918,7 @@ def test_value_prox_matches_slsqp():
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
         r2, mu = 2.0, 0.8
-        h, _ = svm_value_prox(e, y, r2, mu)
+        h = svm_value_prox(e, y, r2, mu)
         h_oracle, obj_oracle = value_prox_primal_slsqp(e, y, r2, mu)
         ours = margin_objective_with_best_bias(
             None, y, 0.0, mu, h, value_only=True, r=r2, target=e
@@ -1113,18 +1114,17 @@ def test_cheeger_initialization_won_reuses_the_callers_factor(trainer, monkeypat
     spd = []
     real_init = binary.SpdFactor.__init__
 
-    def counting_init(self, F, *args):
-        spd.append(F.shape)
-        real_init(self, F, *args)
+    def counting_init(self, lam, D, K_values):
+        spd.append((lam, D.r, K_values.shape))
+        real_init(self, lam, D, K_values)
 
     monkeypatch.setattr(binary.SpdFactor, "__init__", counting_init)
     m = trainer(K, g, ls, hp)
-    assert spd == [(8, 8)]
+    assert spd == [(hp.lam, hp.r, (8, 8))]
     monkeypatch.undo()
     assert m.trace["best_ratio_energy"] == 0.0 and m.trace["stop_reason"] == "plateau"
     assert m.node_values.tobytes() == y.tobytes()
-    F = hp.lam * np.eye(8) + hp.r * K.values
-    alpha = SpdFactor(F, hp.lam, DiagLaplacian(8, r=hp.r), K.values).solve(hp.r * y)
+    alpha = SpdFactor(hp.lam, DiagLaplacian(8, r=hp.r), K.values).solve(hp.r * y)
     assert m.alpha.tobytes() == alpha.tobytes()
 
 
@@ -1176,14 +1176,28 @@ def _hand_systems(name, K, L, mask, hp):
     ],
 )
 def test_each_trainer_factors_its_hand_assembled_system(name, monkeypatch):
-    seen = []
+    # each factor builds its F through DiagLaplacian.system: the spy keeps a
+    # copy of every F built, before the factor overwrites it, under the
+    # class of the factor that built it
+    seen, building = [], []
     for cls in (binary.SpdFactor, binary.LuFactor):
 
-        def spy(self, F, *args, _init=cls.__init__, _kind=cls.__name__):
-            seen.append((_kind, np.array(F)))  # before the factor overwrites it
-            _init(self, F, *args)
+        def spy(self, *args, _init=cls.__init__, _kind=cls.__name__):
+            building.append(_kind)
+            try:
+                _init(self, *args)
+            finally:
+                building.pop()
 
         monkeypatch.setattr(cls, "__init__", spy)
+    real_system = DiagLaplacian.system
+
+    def system(self, *args):
+        F = real_system(self, *args)
+        seen.append((building[-1], np.array(F)))
+        return F
+
+    monkeypatch.setattr(DiagLaplacian, "system", system)
     ds = make_two_moons(40, 0.08, 1)
     if name.endswith("_mc"):
         centres = np.repeat([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]], 10, axis=0)
@@ -1206,29 +1220,47 @@ def test_each_trainer_factors_its_hand_assembled_system(name, monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["cholesky", "lu"])
-def test_kernel_factor_and_one_solve_hold_one_n_by_n_array(kind):
+@pytest.mark.parametrize("kind", ["cholesky", "lu", "jitter"])
+def test_kernel_factor_and_one_solve_hold_one_n_by_n_array(kind, monkeypatch):
     # F is assembled in the buffer the factor overwrites, and the residual is
     # lam X + D (K X): one n x n array above the inputs, where keeping F and
-    # handing LAPACK a copy of it took about 2 n^2 doubles
+    # handing LAPACK a copy of it took about 2 n^2 doubles. On the jitter
+    # path the failed F is freed before F is built again (2.05 n^2 doubles
+    # while the caller built F and kept it)
     n = 400
     K, g, split, hp = _lap_svm_inputs(n, 2)
-    L, mask = g.laplacian(), split.labeled_mask
+    L, mask, lam = g.laplacian(), split.labeled_mask, hp.lam
     if kind == "lu":
         D = DiagLaplacian(n, eta=hp.eta, mask=mask, laplacian=L, weight=2.0 * hp.gamma)
-        F = hp.lam * np.eye(n) + hp.eta * (mask[:, None] * K.values) + 2.0 * hp.gamma * (L @ K.values)
-    else:
+        F = lam * np.eye(n) + hp.eta * (mask[:, None] * K.values) + 2.0 * hp.gamma * (L @ K.values)
+    elif kind == "cholesky":
         D = DiagLaplacian(n, r=5.0)
-        F = hp.lam * np.eye(n) + 5.0 * K.values
-    b = split.y_ext
+        F = lam * np.eye(n) + 5.0 * K.values
+    else:  # lam = 0 and a singular PSD K = C C^T: the plain Cholesky fails
+        C = np.random.default_rng(4).normal(size=(n, 40))
+        K, lam, D = KernelMatrix(C @ C.T, 1.0), 0.0, DiagLaplacian(n, r=1.0)
+        F = K.values
+        failed = []
+        real = sla.cho_factor
+
+        def spy(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                failed.append(True)
+                raise
+
+        monkeypatch.setattr(sla, "cho_factor", spy)
+    b = F @ split.y_ext if kind == "jitter" else split.y_ext  # in F's range
     tracemalloc.start()
     try:
-        factor = binary._kernel_factor(K, hp.lam, D)
+        factor = binary._kernel_factor(K, lam, D)
         x = factor.solve(b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert isinstance(factor, LuFactor if kind == "lu" else SpdFactor)
+    assert kind != "jitter" or failed == [True]
     assert peak <= 1.1 * 8 * n * n
     assert np.linalg.norm(F @ x - b) <= 1e-8 * np.linalg.norm(b)
 

@@ -53,8 +53,7 @@ def test_gram_factorizable_with_jitter_policy():
 
     data = np.random.default_rng(2).normal(size=(40, 2))
     K = rbf_gram(data, 3.0)  # wide bandwidth, numerically near-singular
-    F = K.values.copy()  # the factor overwrites it
-    x = SpdFactor(F, 0.0, DiagLaplacian(40, r=1.0), K.values).solve(np.ones(40))
+    x = SpdFactor(0.0, DiagLaplacian(40, r=1.0), K.values).solve(np.ones(40))
     assert np.all(np.isfinite(x))
 
 
@@ -106,6 +105,10 @@ def test_expand_dimension_checks():
         kernel_expand(np.zeros(3), np.zeros((4, 2)), np.zeros((2, 2)), 1.0)
     with pytest.raises(DimensionError):
         kernel_expand(np.zeros(4), np.zeros((4, 2)), np.zeros((2, 3)), 1.0)
+    # a (c, n) coefficient block must hold n columns; 0-d or 3-d is no block
+    for alpha in (np.zeros((2, 3)), np.zeros((2, 2, 4)), np.float64(0.0)):
+        with pytest.raises(DimensionError):
+            kernel_expand(alpha, np.zeros((4, 2)), np.zeros((2, 2)), 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -119,6 +122,8 @@ def test_nonfinite_points_rejected_at_the_boundary(bad):
         median_bandwidth(dirty)
     with pytest.raises(NonFiniteInputError):
         kernel_expand(np.ones(6), data, dirty[:3], 1.0)
+    with pytest.raises(NonFiniteInputError):  # a NaN training point made every value NaN
+        kernel_expand(np.ones(6), dirty, data[:3], 1.0)
     # a Gram matrix with one bad off-diagonal entry, rejected where it is built
     for entry in (bad, -bad):
         gram = np.eye(40)
@@ -145,10 +150,21 @@ _POINTS = np.random.default_rng(14).normal(size=(6, 2))
         lambda: median_bandwidth(_POINTS, max_points=1),
         lambda: median_bandwidth(_POINTS, max_points=3, seed=2.5),
         lambda: median_bandwidth(_POINTS, max_points=3, seed=-1),
+        # point arrays that are not 2-D raised numpy's AxisError or
+        # ValueError in median_bandwidth and kernel_expand; a Gram matrix of
+        # no points was built
+        lambda: median_bandwidth(_POINTS[:, 0]),
+        lambda: median_bandwidth(_POINTS[:, :, None]),
+        lambda: median_bandwidth(_POINTS[:1]),
+        lambda: kernel_expand(np.ones(6), _POINTS[:, :, None], _POINTS, 1.0),
+        lambda: kernel_expand(np.ones(6), _POINTS, _POINTS[:, :, None], 1.0),
+        lambda: rbf_gram(_POINTS[:, 0], 1.0),
+        lambda: rbf_gram(np.zeros((0, 2)), 1.0),
     ],
     ids=["gram-nan", "gram-inf", "gram-bool", "expand-nan", "expand-neg-inf",
          "median-fractional-sample", "median-one-point-sample", "median-fractional-seed",
-         "median-negative-seed"],
+         "median-negative-seed", "median-1d-points", "median-3d-points", "median-one-point",
+         "expand-3d-train", "expand-3d-query", "gram-1d-points", "gram-no-points"],
 )
 def test_bad_bandwidths_and_sample_sizes_raise(call):
     with pytest.raises(InvalidParameterError):
@@ -252,3 +268,9 @@ def test_expand_in_place_matches_the_out_of_place_formula_bit_for_bit(n, m, d):
     bw = 0.7 * np.sqrt(d)
     got = kernel_expand(alpha, train, query, bw)
     assert got.tobytes() == kernel_expand_out_of_place(alpha, train, query, bw).tobytes()
+    # a (c, n) block: each row the bytes of its own call
+    block = np.stack([alpha, -2.0 * alpha, rng.normal(size=n)])
+    rows = kernel_expand(block, train, query, bw)
+    assert rows.shape == (3, m)
+    for a, row in zip(block, rows):
+        assert row.tobytes() == kernel_expand(a, train, query, bw).tobytes()

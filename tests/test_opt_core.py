@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -11,7 +12,6 @@ from tvssl.errors import (
     DegenerateInputError,
     DimensionError,
     FactorizationError,
-    InfeasibleConstraintsError,
     InvalidParameterError,
     NonFiniteInputError,
 )
@@ -54,11 +54,11 @@ def random_spd(n, seed, cond=10.0):
 
 
 def plain_factor(factor_cls, A):
-    """``factor_cls`` on a copy of A (the factor overwrites what it is
-    handed), read as the system ``0 I + I A``: its residuals are ``A X``,
-    and for a symmetric A its transposed ones too."""
+    """``factor_cls`` of the system ``0 I + I A``, which it builds as a copy
+    of A: its residuals are ``A X``, and for a symmetric A its transposed
+    ones too."""
     A = np.asarray(A, dtype=np.float64)
-    return factor_cls(np.array(A), 0.0, DiagLaplacian(A.shape[0], r=1.0), A)
+    return factor_cls(0.0, DiagLaplacian(A.shape[0], r=1.0), A)
 
 
 def kernel_system(n, seed, lam=0.05):
@@ -180,7 +180,7 @@ def test_solve_random_spd_residual():
 def test_solve_routes_nonsymmetric_to_lu():
     lam, D, K, M = kernel_system(12, 5)
     b = np.random.default_rng(3).normal(size=12)
-    x = LuFactor(D.system(lam, K), lam, D, K).solve(b)
+    x = LuFactor(lam, D, K).solve(b)
     assert np.linalg.norm(M @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
@@ -204,7 +204,7 @@ def test_lu_factor_transposed_solve():
 def _check_transposed_solve(n):
     lam, D, K, A = kernel_system(n, 9)
     B = np.random.default_rng(9).normal(size=(n, 3))
-    lu = LuFactor(D.system(lam, K), lam, D, K)
+    lu = LuFactor(lam, D, K)
     X = lu.solve(B, trans=True)
     assert np.all(np.linalg.norm(A.T @ X - B, axis=0) <= 1e-8 * np.linalg.norm(B, axis=0))
     x = lu.solve(B[:, 0], trans=True)
@@ -319,7 +319,7 @@ def test_perfbench_tracer_wraps_each_factor_and_restores_it(monkeypatch):
 def test_spd_jitter_retry_factors_exactly_the_rebuilt_matrix_plus_jitter(monkeypatch):
     # lam I + 4 K for a PSD K with an all-ones block: the in-place Cholesky
     # fails at its second pivot after overwriting the first row, so the
-    # retry must factor the rebuilt F plus the jitter, not what is left
+    # retry must factor F built again plus the jitter, not what is left
     n = 6
     K = np.zeros((n, n))
     K[:4, :4] = 1.0
@@ -338,7 +338,7 @@ def test_spd_jitter_retry_factors_exactly_the_rebuilt_matrix_plus_jitter(monkeyp
             raise
 
     monkeypatch.setattr(sla, "cho_factor", spy)
-    f = SpdFactor(D.system(0.0, K), 0.0, D, K)
+    f = SpdFactor(0.0, D, K)
     jitter = 1e-10 * np.trace(F_ref) / n
     assert len(handed) == 2 and len(left) == 1
     assert handed[0].tobytes() == F_ref.tobytes()
@@ -351,11 +351,20 @@ def test_spd_jitter_retry_factors_exactly_the_rebuilt_matrix_plus_jitter(monkeyp
 
 def _mismatched(factor_cls, lam, D, K, delta):
     """A factor of ``A + delta * e0 e0^T`` that checks residuals against
-    ``A = lam I + D K``: its plain solve is exact on columns A e_j, j > 0,
-    and inexact on any column whose solution has a nonzero first entry."""
-    F = D.system(lam, K)
-    F[0, 0] += delta
-    return factor_cls(F, lam, D, K)
+    ``A = lam I + D K``: it is built with a copy of D whose ``system`` adds
+    ``delta`` at (0, 0) while its product ``D @ X`` stays exact. Its plain
+    solve is exact on columns A e_j, j > 0, and inexact on any column whose
+    solution has a nonzero first entry."""
+    D = copy.copy(D)
+    build = D.system
+
+    def system(lam, K):
+        F = build(lam, K)
+        F[0, 0] += delta
+        return F
+
+    D.system = system
+    return factor_cls(lam, D, K)
 
 
 @pytest.mark.parametrize("kind", ["spd", "lu", "lu_trans"])
@@ -420,6 +429,7 @@ def test_singular_lu_solve_raises(b):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1), (1, 0)])
 def test_factors_reject_a_non_finite_matrix_when_built(where, bad, factor_cls, b):
+    # the non-finite entry comes in through K, and so into the F each builds
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
     A[where] = bad
     with warnings.catch_warnings():
@@ -945,13 +955,12 @@ def test_qp_two_dim_line_search_oracle():
 
 
 def test_qp_mu_zero_box_collapse():
-    sol = qp_box_eq(np.eye(2), 0.0, np.array([1.0, -1.0]), 0.0)
-    assert np.all(sol.beta == 0.0)
-
-
-def test_qp_mu_zero_one_sided_infeasible():
-    with pytest.raises(InfeasibleConstraintsError):
-        qp_box_eq(np.eye(2), 0.0, np.array([1.0, 1.0]), 0.0)
+    # only b = 0 is feasible, for two-sided and one-sided labels alike (the
+    # one-sided case once raised), and the first iteration returns it
+    for y in ([1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]):
+        sol = qp_box_eq(np.eye(2), 0.0, np.array(y), 0.0)
+        assert np.all(sol.beta == 0.0)
+        assert (sol.iterations, sol.stop_reason, sol.objective) == (1, "tol", 0.0)
 
 
 def test_qp_random_instances_match_enumeration():
@@ -1236,6 +1245,16 @@ def test_qp_and_projection_reject_non_finite_input():
     for m in (nan, inf, -inf, -1.0):
         with pytest.raises(InvalidParameterError):
             project_box_eq(p, y, m)
+    # a dense Q: a NaN entry returned a solution, a wrong shape raised
+    # matmul's ValueError
+    with pytest.raises(InvalidParameterError):
+        qp_box_eq(np.where(np.eye(6) == 1.0, nan, Q), p, y, mu)
+    for shape in ((6, 5), (5, 5), (6,)):
+        with pytest.raises(DimensionError):
+            qp_box_eq(np.ones(shape), p, y, mu)
+    for kwargs in (dict(p=p[:5]), dict(beta0=np.zeros(7))):
+        with pytest.raises(DimensionError):
+            qp_box_eq(Q, kwargs.pop("p", p), y, mu, **kwargs)
     # a zero tolerance is valid: the solve runs to its cap
     sol = qp_box_eq(Q, p, y, mu, tol=0.0, max_iters=5)
     assert (sol.iterations, sol.stop_reason) == (5, "cap")
