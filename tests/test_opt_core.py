@@ -954,13 +954,22 @@ def test_qp_two_dim_line_search_oracle():
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
 
+def _assert_mu_zero_returns_zero(y):
+    # at mu = 0 only b = 0 is feasible, and the first iteration returns it
+    sol = qp_box_eq(np.eye(2), 0.0, np.array(y), 0.0)
+    assert np.all(sol.beta == 0.0)
+    assert (sol.iterations, sol.stop_reason, sol.objective) == (1, "tol", 0.0)
+
+
 def test_qp_mu_zero_box_collapse():
-    # only b = 0 is feasible, for two-sided and one-sided labels alike (the
-    # one-sided case once raised), and the first iteration returns it
-    for y in ([1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]):
-        sol = qp_box_eq(np.eye(2), 0.0, np.array(y), 0.0)
-        assert np.all(sol.beta == 0.0)
-        assert (sol.iterations, sol.stop_reason, sol.objective) == (1, "tol", 0.0)
+    _assert_mu_zero_returns_zero([1.0, -1.0])
+
+
+def test_qp_mu_zero_one_sided_infeasible():
+    # one-sided labels at mu = 0 were once rejected as infeasible, although
+    # b = 0 satisfies both the box and y'b = 0: they return b = 0 as well
+    for y in ([1.0, 1.0], [-1.0, -1.0]):
+        _assert_mu_zero_returns_zero(y)
 
 
 def test_qp_random_instances_match_enumeration():
